@@ -3,9 +3,7 @@ squares, with LSQR-based inexact inner solves and a-posteriori error bounds."""
 
 from .bounds import (
     BoundInvalidError,
-    BoundReport,
     backward_perturbation,
-    bound_report,
     initial_tolerance,
     jacobian_bound,
     residual_bound,
@@ -35,7 +33,6 @@ from .inner_solvers import (
     apply_pinv_transpose,
     apply_projector_perp,
     condition_number,
-    direct_solve,
     lsqr_solve,
     spectral_norm,
 )
@@ -63,11 +60,11 @@ from .varpro import (
     ToleranceWarning,
     approx_jacobian,
     exact_jacobian,
+    exact_residual,
     gauss_newton_step,
     genvarpro,
     gradient,
     inexact_genvarpro,
-    reduced_residual,
 )
 
 __version__ = "0.1.0"

@@ -12,7 +12,6 @@ approximate solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,35 +87,3 @@ def initial_tolerance(kappa0: float, safety: float = 0.1) -> float:
     if not safety > 0.0:
         raise ValueError(f"safety must be positive, got {safety}")
     return safety / kappa0
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """All three bounds evaluated at one (epsilon, kappa) pair.
-
-    When ``valid`` is false (epsilon * kappa >= 1) the bound fields are NaN.
-    """
-
-    epsilon: float
-    kappa: float
-    b_norm: float
-    op_norm: float
-    solution_bound: float
-    residual_bound: float
-    jacobian_bound: float
-    valid: bool
-
-
-def bound_report(epsilon: float, kappa: float, b_norm: float, op_norm: float,
-                 r: int, m: int, q: int, max_deriv_norm: float) -> BoundReport:
-    """Evaluate all bounds at once, marking them not-applicable if eps*kappa >= 1."""
-    valid = epsilon > 0.0 and kappa > 0.0 and epsilon * kappa < 1.0
-    if valid:
-        sb = solution_bound(kappa, b_norm, op_norm, epsilon)
-        rb = residual_bound(kappa, b_norm, epsilon)
-        jb = jacobian_bound(r, m, q, max_deriv_norm, kappa, b_norm, op_norm, epsilon)
-    else:
-        sb = rb = jb = math.nan
-    return BoundReport(epsilon=epsilon, kappa=kappa, b_norm=b_norm, op_norm=op_norm,
-                       solution_bound=sb, residual_bound=rb, jacobian_bound=jb,
-                       valid=valid)

@@ -26,30 +26,33 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .bounds import initial_tolerance, residual_bound, solution_bound
+from .bounds import BoundInvalidError, initial_tolerance, residual_bound, solution_bound
 from .deconv import BenchConfig, ConfigError, ProblemInstance, build_problem, stacked_operator
 from .inner_solvers import (
     NORM_MODE_EXPLICIT,
     NORM_MODE_INTERNAL,
-    DirectFactorization,
+    NumericalBreakdownError,
+    RankDeficiencyError,
+    SingularSystemError,
     condition_number,
 )
 from .linops import DenseOperator
 from .varpro import (
     OuterOptions,
+    SingularStepError,
     SolverTrace,
     ToleranceSchedule,
     exact_jacobian,
+    exact_residual,
     genvarpro,
     gradient,
     inexact_genvarpro,
-    reduced_residual,
 )
 
 SCHEDULE_NAMES = {"b": "constant", "lb": "linear", "ab": "exponential", "s": "fixed-small"}
@@ -67,11 +70,7 @@ EXIT_CONFIG = 1
 EXIT_SOLVER = 2
 EXIT_CHECK = 3
 
-_PROBLEM_KEYS = ("n", "sigma_true", "noise_level", "lambda", "seed", "tau", "signal")
-_SOLVER_KEYS = ("y0", "max_outer_iterations", "step_tolerance", "gradient_tolerance",
-                "lsqr_max_iterations", "norm_estimate_mode")
-_SCHEDULE_KEYS = ("run", "epsilon0", "safety")
-_OUTPUT_KEYS = ("gnuplot",)
+_OUTER_DEFAULTS = OuterOptions()
 
 
 @dataclass(frozen=True)
@@ -80,57 +79,30 @@ class RunSettings:
 
     problem: BenchConfig
     y0_list: tuple[float, ...] = (2.0, 4.0)
-    max_outer_iterations: int = 50
+    max_outer_iterations: int = _OUTER_DEFAULTS.max_outer_iterations
     step_tolerance: float = 0.0
-    gradient_tolerance: float = 0.0
-    lsqr_max_iterations: int = 10000
-    norm_estimate_mode: str = NORM_MODE_INTERNAL
-    schedules: tuple[str, ...] = ("b", "lb", "ab", "s")
+    gradient_tolerance: float = _OUTER_DEFAULTS.gradient_tolerance
+    lsqr_max_iterations: int = _OUTER_DEFAULTS.lsqr_max_iterations
+    norm_estimate_mode: str = _OUTER_DEFAULTS.norm_estimate_mode
+    schedules: tuple[str, ...] = tuple(SCHEDULE_NAMES)
     epsilon0: float | None = None  # None: resolve per y0
     safety: float = 0.1
     gnuplot: bool = True
 
     def resolved(self) -> dict:
-        p = self.problem
-        return {
-            "problem": {
-                "n": p.n, "sigma_true": p.sigma_true, "noise_level": p.noise_level,
-                "lambda": p.lam, "seed": p.rng_seed, "tau": p.tau, "signal": p.x_true_spec,
-            },
-            "solver": {
-                "y0": list(self.y0_list),
-                "max_outer_iterations": self.max_outer_iterations,
-                "step_tolerance": self.step_tolerance,
-                "gradient_tolerance": self.gradient_tolerance,
-                "lsqr_max_iterations": self.lsqr_max_iterations,
-                "norm_estimate_mode": self.norm_estimate_mode,
-            },
-            "schedules": {
-                "run": list(self.schedules),
-                "epsilon0": "auto" if self.epsilon0 is None else self.epsilon0,
-                "safety": self.safety,
-            },
-            "output": {"gnuplot": self.gnuplot},
-        }
-
-
-def _get(parser, section, key, cast, default):
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key)
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
+        out: dict[str, dict] = {}
+        for section, key, field, _ in _CONFIG_KEYS:
+            value = getattr(self.problem if section == "problem" else self, field)
+            if value is None:
+                value = "auto"
+            elif isinstance(value, tuple):
+                value = list(value)
+            out.setdefault(section, {})[key] = value
+        return out
 
 
 def _parse_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(raw)
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
 
 
 def _parse_float_list(raw: str) -> tuple[float, ...]:
@@ -160,6 +132,50 @@ def _parse_schedule_list(raw) -> tuple[str, ...]:
     return tuple(names)
 
 
+def _parse_norm_mode(raw: str) -> str:
+    mode = raw.lower()
+    if mode not in (NORM_MODE_INTERNAL, NORM_MODE_EXPLICIT):
+        raise ConfigError(f"[solver] norm_estimate_mode: unknown mode {mode!r}")
+    return mode
+
+
+def _parse_epsilon0(raw: str) -> float | None:
+    raw = raw.strip().lower()
+    if raw == "auto":
+        return None
+    try:
+        epsilon0 = float(raw)
+    except ValueError as exc:
+        raise ConfigError(f"[schedules] epsilon0: cannot parse {raw!r}") from exc
+    if not epsilon0 > 0.0:
+        raise ConfigError(f"[schedules] epsilon0 must be positive, got {epsilon0}")
+    return epsilon0
+
+
+# Every config key as (section, key, field, parser). Keys of [problem] set
+# BenchConfig fields, the others RunSettings fields; a missing key takes the
+# field's default.
+_CONFIG_KEYS = (
+    ("problem", "n", "n", int),
+    ("problem", "sigma_true", "sigma_true", float),
+    ("problem", "noise_level", "noise_level", float),
+    ("problem", "lambda", "lam", float),
+    ("problem", "seed", "rng_seed", int),
+    ("problem", "tau", "tau", float),
+    ("problem", "signal", "x_true_spec", str),
+    ("solver", "y0", "y0_list", _parse_float_list),
+    ("solver", "max_outer_iterations", "max_outer_iterations", int),
+    ("solver", "step_tolerance", "step_tolerance", float),
+    ("solver", "gradient_tolerance", "gradient_tolerance", float),
+    ("solver", "lsqr_max_iterations", "lsqr_max_iterations", int),
+    ("solver", "norm_estimate_mode", "norm_estimate_mode", _parse_norm_mode),
+    ("schedules", "run", "schedules", _parse_schedule_list),
+    ("schedules", "epsilon0", "epsilon0", _parse_epsilon0),
+    ("schedules", "safety", "safety", float),
+    ("output", "gnuplot", "gnuplot", _parse_bool),
+)
+
+
 def load_settings(config_path: str | None, seed_override: int | None = None,
                   schedules_override: str | None = None) -> RunSettings:
     """Read an INI config file, applying defaults for every missing key."""
@@ -174,61 +190,34 @@ def load_settings(config_path: str | None, seed_override: int | None = None,
         except (OSError, configparser.Error) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
 
-    known = {"problem": _PROBLEM_KEYS, "solver": _SOLVER_KEYS,
-             "schedules": _SCHEDULE_KEYS, "output": _OUTPUT_KEYS}
+    known_keys = {(section, key) for section, key, _, _ in _CONFIG_KEYS}
+    known_sections = {section for section, _ in known_keys}
     for section in parser.sections():
-        if section not in known:
+        if section not in known_sections:
             raise ConfigError(f"unknown config section [{section}]")
         for key in parser.options(section):
-            if key not in known[section]:
+            if (section, key) not in known_keys:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
-    try:
-        problem = BenchConfig(
-            n=_get(parser, "problem", "n", int, 128),
-            sigma_true=_get(parser, "problem", "sigma_true", float, 3.0),
-            noise_level=_get(parser, "problem", "noise_level", float, 0.05),
-            lam=_get(parser, "problem", "lambda", float, 0.0379),
-            rng_seed=_get(parser, "problem", "seed", int, BenchConfig().rng_seed),
-            tau=_get(parser, "problem", "tau", float, 1e-8),
-            x_true_spec=_get(parser, "problem", "signal", str, "piecewise"),
-        )
-    except ConfigError:
-        raise
-    if seed_override is not None:
-        problem = replace(problem, rng_seed=seed_override)
-
-    mode = _get(parser, "solver", "norm_estimate_mode", str, NORM_MODE_INTERNAL).lower()
-    if mode not in (NORM_MODE_INTERNAL, NORM_MODE_EXPLICIT):
-        raise ConfigError(f"[solver] norm_estimate_mode: unknown mode {mode!r}")
-
-    eps0_raw = _get(parser, "schedules", "epsilon0", str, "auto").strip().lower()
-    if eps0_raw == "auto":
-        epsilon0 = None
-    else:
+    raw = {(section, key): parser.get(section, key)
+           for section, key, _, _ in _CONFIG_KEYS if parser.has_option(section, key)}
+    if schedules_override is not None:
+        raw[("schedules", "run")] = schedules_override
+    problem_fields, run_fields = {}, {}
+    for section, key, field, parse in _CONFIG_KEYS:
+        if (section, key) not in raw:
+            continue
         try:
-            epsilon0 = float(eps0_raw)
-        except ValueError as exc:
-            raise ConfigError(f"[schedules] epsilon0: cannot parse {eps0_raw!r}") from exc
-        if not epsilon0 > 0.0:
-            raise ConfigError(f"[schedules] epsilon0 must be positive, got {epsilon0}")
+            value = parse(raw[section, key])
+        except ConfigError:  # a ValueError too: keep the parser's own message
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"[{section}] {key}: cannot parse {raw[section, key]!r}") from exc
+        (problem_fields if section == "problem" else run_fields)[field] = value
+    if seed_override is not None:
+        problem_fields["rng_seed"] = seed_override
 
-    schedules_raw = schedules_override if schedules_override is not None else \
-        _get(parser, "schedules", "run", str, "b, lb, ab, s")
-
-    settings = RunSettings(
-        problem=problem,
-        y0_list=_get(parser, "solver", "y0", _parse_float_list, (2.0, 4.0)),
-        max_outer_iterations=_get(parser, "solver", "max_outer_iterations", int, 50),
-        step_tolerance=_get(parser, "solver", "step_tolerance", float, 0.0),
-        gradient_tolerance=_get(parser, "solver", "gradient_tolerance", float, 0.0),
-        lsqr_max_iterations=_get(parser, "solver", "lsqr_max_iterations", int, 10000),
-        norm_estimate_mode=mode,
-        schedules=_parse_schedule_list(schedules_raw),
-        epsilon0=epsilon0,
-        safety=_get(parser, "schedules", "safety", float, 0.1),
-        gnuplot=_get(parser, "output", "gnuplot", _parse_bool, True),
-    )
+    settings = RunSettings(problem=BenchConfig(**problem_fields), **run_fields)
     if settings.max_outer_iterations < 1:
         raise ConfigError("[solver] max_outer_iterations must be at least 1")
     if settings.lsqr_max_iterations < 1:
@@ -263,16 +252,10 @@ def make_schedule(name: str, epsilon0: float) -> ToleranceSchedule:
 
 def _outer_options(settings: RunSettings, schedule: ToleranceSchedule | None = None,
                    **overrides) -> OuterOptions:
-    kwargs = dict(
-        max_outer_iterations=settings.max_outer_iterations,
-        step_tolerance=settings.step_tolerance,
-        gradient_tolerance=settings.gradient_tolerance,
-        schedule=schedule,
-        lsqr_max_iterations=settings.lsqr_max_iterations,
-        norm_estimate_mode=settings.norm_estimate_mode,
-    )
-    kwargs.update(overrides)
-    return OuterOptions(**kwargs)
+    """The run's OuterOptions: every field RunSettings shares with it, then ``overrides``."""
+    shared = {f.name: getattr(settings, f.name) for f in fields(OuterOptions)
+              if hasattr(settings, f.name)}
+    return OuterOptions(**{**shared, "schedule": schedule, **overrides})
 
 
 def _fmt(value) -> str:
@@ -459,27 +442,6 @@ def cmd_bounds(settings: RunSettings, out_dir: Path) -> int:
     return EXIT_CHECK if fatal else EXIT_OK
 
 
-def _fd_jacobian(problem: ProblemInstance, y: np.ndarray, h: float) -> np.ndarray:
-    """Central finite differences of the full reduced-residual map y -> F(y)."""
-    model = problem.model
-    cols = []
-    for j in range(model.r):
-        yp = y.copy()
-        yp[j] += h
-        ym = y.copy()
-        ym[j] -= h
-        fp = _reduced_residual_at(problem, yp)
-        fm = _reduced_residual_at(problem, ym)
-        cols.append((fp - fm) / (2.0 * h))
-    return np.column_stack(cols)
-
-
-def _reduced_residual_at(problem: ProblemInstance, y: np.ndarray) -> np.ndarray:
-    op = stacked_operator(problem, y[0])
-    x = DirectFactorization(op).solve_rhs(problem.b)
-    return reduced_residual(problem.model, y, x, problem.b, problem.L, problem.lam)
-
-
 def cmd_gradcheck(settings: RunSettings, corrupt: bool = False) -> int:
     """Finite-difference validation of the Jacobian and gradient at random y.
 
@@ -502,27 +464,21 @@ def cmd_gradcheck(settings: RunSettings, corrupt: bool = False) -> int:
     for _ in range(5):
         y = np.array([rng.uniform(0.6 * sigma_true, 1.4 * sigma_true)])
         h = 1e-6 * max(1.0, abs(y[0]))
-        op = stacked_operator(problem, y[0])
-        fact = DirectFactorization(op)
-        x = fact.solve_rhs(problem.b)
-        fvec = op.matvec(x) - np.concatenate([problem.b, np.zeros(problem.L.rows)])
+        fact, x, fvec = exact_residual(model, y, problem.b, problem.L, problem.lam)
         J = exact_jacobian(model, y, fact, x, problem.b)
-        J_fd = _fd_jacobian(problem, y, h)
+        fvec_plus = exact_residual(model, y + h, problem.b, problem.L, problem.lam)[2]
+        fvec_minus = exact_residual(model, y - h, problem.b, problem.L, problem.lam)[2]
+        J_fd = ((fvec_plus - fvec_minus) / (2.0 * h))[:, None]
         err_jac = float(np.linalg.norm(J - J_fd, 2) / max(np.linalg.norm(J, 2), 1e-30))
         grad = gradient(J, fvec)
-        f_plus = _objective_value(problem, y[0] + h)
-        f_minus = _objective_value(problem, y[0] - h)
+        f_plus = 0.5 * float(fvec_plus @ fvec_plus)
+        f_minus = 0.5 * float(fvec_minus @ fvec_minus)
         err_grad = float(abs((f_plus - f_minus) / (2 * h) - grad[0]) / (1.0 + abs(grad[0])))
         err = max(err_jac, err_grad)
         worst = max(worst, err)
         print(f"y={y[0]:.6f}  jacobian rel err {err_jac:.3e}  gradient rel err {err_grad:.3e}")
     print(f"max relative error: {worst:.3e}")
     return EXIT_OK if worst <= 1e-4 else EXIT_CHECK
-
-
-def _objective_value(problem: ProblemInstance, y_value: float) -> float:
-    fvec = _reduced_residual_at(problem, np.array([y_value]))
-    return 0.5 * float(fvec @ fvec)
 
 
 def cmd_table(settings: RunSettings, out_dir: Path) -> int:
@@ -610,11 +566,6 @@ def main(argv=None) -> int:
     try:
         settings = load_settings(args.config, seed_override=args.seed,
                                  schedules_override=args.schedules)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         if args.command == "gradcheck":
             return cmd_gradcheck(settings, corrupt=args.corrupt_derivative)
         out_dir = Path(args.out)
@@ -634,7 +585,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except Exception as exc:  # solver-level failures
+    except (SingularSystemError, SingularStepError, NumericalBreakdownError,
+            RankDeficiencyError, BoundInvalidError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -271,11 +271,6 @@ class DirectFactorization:
         return self.solve_normal(self.op.top.rmatvec(b))
 
 
-def direct_solve(op: StackedOperator, b) -> np.ndarray:
-    """Exact inner solution of min_x ||[A; lam L] x - [b; 0]|| via the normal equations."""
-    return DirectFactorization(op).solve_rhs(b)
-
-
 def apply_pinv(fact: DirectFactorization, z) -> np.ndarray:
     """Pseudoinverse application (S^T S)^{-1} S^T z."""
     return fact.solve_normal(fact.op.rmatvec(z))

@@ -1,12 +1,12 @@
-"""Reduced-functional machinery and the two outer Gauss-Newton loops.
+"""Reduced-functional machinery and the outer Gauss-Newton loop.
 
 Eliminating the linear variable of a separable problem through the inner
 least-squares solution leaves a reduced functional f(y) = 0.5 ||F(y)||^2,
 where F(y) stacks the data misfit and the scaled regularizer residual.
-``genvarpro`` minimizes it by Gauss-Newton with exact inner solves and the
-analytic Jacobian; ``inexact_genvarpro`` replaces the inner solve with LSQR
-stopped at a scheduled tolerance and assembles the matching approximate
-Jacobian from the LSQR iterate.
+Both solvers minimize it by the same Gauss-Newton loop and differ only in
+the inner solve: ``genvarpro`` solves exactly and uses the analytic
+Jacobian; ``inexact_genvarpro`` runs LSQR stopped at a scheduled tolerance
+and assembles the matching approximate Jacobian from the LSQR iterate.
 """
 
 from __future__ import annotations
@@ -185,25 +185,17 @@ class SolverTrace:
         return len(self.records)
 
 
-def reduced_residual(model: SeparableModel, y, x, b, L: LinearOperator, lam: float) -> np.ndarray:
-    """The stacked residual [A(y) x - b; lam L x] of length m + q."""
-    y = _check_y(model, y)
-    x = np.asarray(x, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if x.shape != (model.n,):
-        raise ValueError(f"x must have length {model.n}, got shape {x.shape}")
-    if b.shape != (model.m,):
-        raise ValueError(f"b must have length {model.m}, got shape {b.shape}")
-    A = model.operator(y)
-    return np.concatenate([A.matvec(x) - b, lam * L.matvec(x)])
-
-
-def _jacobian_columns(model, y, fact, x, b) -> np.ndarray:
-    """Shared assembly for the exact and approximate reduced Jacobians.
+def exact_jacobian(model: SeparableModel, y, fact: DirectFactorization, x, b) -> np.ndarray:
+    """Jacobian of the reduced residual at y, assembled from the inner solution x.
 
     Column j is P_perp [dA/dy_j x; 0] + (S^dagger)^T dA/dy_j^T (b - A x),
-    with S the stacked operator held by ``fact``.
+    with S the stacked operator held by ``fact``. The exact inner solution
+    gives the exact Jacobian; an approximate inner solution x_bar gives the
+    approximate Jacobian of the inexact loop, and feeding the exact solution
+    reproduces the exact Jacobian bit for bit.
     """
+    y = _check_y(model, y)
+    x = np.asarray(x, dtype=float)
     mq = fact.op.rows
     cols = np.empty((mq, model.r))
     top_residual = np.asarray(b, dtype=float) - fact.op.top.matvec(x)
@@ -217,19 +209,7 @@ def _jacobian_columns(model, y, fact, x, b) -> np.ndarray:
     return cols
 
 
-def exact_jacobian(model: SeparableModel, y, fact: DirectFactorization, x, b) -> np.ndarray:
-    """Jacobian of the reduced residual at y, given the exact inner solution x."""
-    return _jacobian_columns(model, _check_y(model, y), fact, np.asarray(x, float), b)
-
-
-def approx_jacobian(model: SeparableModel, y, fact: DirectFactorization, x_bar, b) -> np.ndarray:
-    """Jacobian assembled from an approximate inner solution x_bar.
-
-    Identical to :func:`exact_jacobian` except that the inner solution and
-    its data residual are evaluated at x_bar; feeding the exact solution
-    reproduces the exact Jacobian bit for bit.
-    """
-    return _jacobian_columns(model, _check_y(model, y), fact, np.asarray(x_bar, float), b)
+approx_jacobian = exact_jacobian
 
 
 def gradient(J, f_vec) -> np.ndarray:
@@ -257,11 +237,97 @@ def _check_y(model: SeparableModel, y) -> np.ndarray:
     return y
 
 
-def _check_b(model: SeparableModel, b) -> np.ndarray:
+def _start(model: SeparableModel, b, y0) -> tuple[np.ndarray, np.ndarray]:
+    """The checked data vector and feasible starting point of a run."""
+    y = _check_y(model, y0)
     b = np.asarray(b, dtype=float)
     if b.shape != (model.m,):
         raise ValueError(f"b must have length {model.m}, got shape {b.shape}")
-    return b
+    if not model.is_feasible(y):
+        raise ValueError(f"initial guess {y} is infeasible")
+    return b, y
+
+
+# An inner strategy maps (k, y, fact, d, messages) at outer iterate k to the
+# inner solution x of min ||S x - d|| for the stacked data d = [b; 0] and the
+# extra IterationRecord fields it fills; it may append warnings to ``messages``.
+InnerStrategy = Callable[[int, np.ndarray, DirectFactorization, np.ndarray, list],
+                         tuple[np.ndarray, dict]]
+
+
+def _exact_inner(b: np.ndarray) -> InnerStrategy:
+    """The exact inner solve x(y) = (S^T S)^{-1} A^T b."""
+    return lambda k, y, fact, d, messages: (fact.solve_rhs(b), {})
+
+
+def _evaluate(model, y, b, L, lam, inner: InnerStrategy, k: int, messages: list):
+    """Factor S = [A(y); lam L], solve the inner problem and form F = S x - [b; 0]."""
+    S = stack(model.operator(y), L, lam)
+    fact = DirectFactorization(S)
+    d = np.concatenate([b, np.zeros(L.rows)])
+    x, fields = inner(k, y, fact, d, messages)
+    return fact, x, S.matvec(x) - d, fields
+
+
+def exact_residual(model: SeparableModel, y, b, L: LinearOperator, lam: float):
+    """The exact step of the outer loop at y.
+
+    Factors S = [A(y); lam L], solves for the exact inner solution x(y) and
+    forms the reduced residual F(y) = S x(y) - [b; 0]. Returns
+    ``(fact, x, F)``; ``exact_jacobian(model, y, fact, x, b)`` is the
+    Jacobian of F at y.
+    """
+    b = np.asarray(b, dtype=float)
+    fact, x, fvec, _ = _evaluate(model, _check_y(model, y), b, L, lam, _exact_inner(b), 0, [])
+    return fact, x, fvec
+
+
+def _gauss_newton(model, b, L, lam, y, opts: OuterOptions, inner: InnerStrategy) -> SolverTrace:
+    """Undamped Gauss-Newton on the reduced functional, shared by both solvers.
+
+    Each iteration factors the stacked operator, takes the inner solution
+    from ``inner``, assembles the Jacobian from it and steps. After the last
+    step a closing record is evaluated at the final iterate. An infeasible
+    iterate, a singular inner system or a singular step system aborts the
+    run with a partial trace and an error status.
+    """
+    trace = SolverTrace()
+    for k in range(opts.max_outer_iterations + 1):
+        closing = k == opts.max_outer_iterations or trace.status == "step-tolerance"
+        at = "final iterate" if closing else f"iteration {k}"
+        tic = time.perf_counter()
+        if not model.is_feasible(y):
+            trace.warnings.append(f"{at}: iterate {y} left the feasible region")
+            trace.status = "infeasible-iterate"
+            break
+        try:
+            fact, x, fvec, fields = _evaluate(model, y, b, L, lam, inner, k, trace.warnings)
+        except SingularSystemError as exc:
+            trace.warnings.append(f"{at}: {exc}")
+            trace.status = "inner-failure"
+            break
+        J = exact_jacobian(model, y, fact, x, b)
+        rec = IterationRecord(k=k, y=y.copy(), x=x, f_value=0.5 * float(fvec @ fvec),
+                              gradient=gradient(J, fvec), **fields)
+        trace.records.append(rec)
+        if not closing and float(np.linalg.norm(rec.gradient)) <= opts.gradient_tolerance:
+            trace.status = "gradient-tolerance"
+            closing = True
+        if closing:
+            rec.seconds = time.perf_counter() - tic
+            break
+        try:
+            rec.step = gauss_newton_step(J, fvec)
+        except SingularStepError as exc:
+            trace.warnings.append(f"{at}: {exc}")
+            trace.status = "singular-step"
+            break
+        finally:
+            rec.seconds = time.perf_counter() - tic
+        y = y + rec.step
+        if float(np.linalg.norm(rec.step)) <= opts.step_tolerance:
+            trace.status = "step-tolerance"
+    return trace
 
 
 def genvarpro(model: SeparableModel, b, L: LinearOperator, lam: float, y0,
@@ -270,77 +336,11 @@ def genvarpro(model: SeparableModel, b, L: LinearOperator, lam: float, y0,
 
     Each iteration solves the normal equations for x(y), assembles the
     analytic Jacobian, and takes a full (undamped) Gauss-Newton step.
-    Inner-solver failures abort with a partial trace and an error status.
+    Inner-solver failures abort with a partial trace and an error status,
+    including a system that is already singular at y0.
     """
-    opts = opts or OuterOptions()
-    y = _check_y(model, y0)
-    b = _check_b(model, b)
-    if not model.is_feasible(y):
-        raise ValueError(f"initial guess {y} is infeasible")
-    d = np.concatenate([b, np.zeros(L.rows)])
-    trace = SolverTrace()
-
-    def evaluate(yk):
-        S = stack(model.operator(yk), L, lam)
-        fact = DirectFactorization(S)
-        x = fact.solve_rhs(b)
-        fvec = S.matvec(x) - d
-        J = exact_jacobian(model, yk, fact, x, b)
-        return x, fvec, J
-
-    for k in range(opts.max_outer_iterations):
-        tic = time.perf_counter()
-        if not model.is_feasible(y):
-            trace.warnings.append(f"iteration {k}: iterate {y} left the feasible region")
-            trace.status = "infeasible-iterate"
-            return trace
-        try:
-            x, fvec, J = evaluate(y)
-        except SingularSystemError as exc:
-            trace.warnings.append(f"iteration {k}: {exc}")
-            trace.status = "inner-failure"
-            return trace
-        grad = gradient(J, fvec)
-        rec = IterationRecord(k=k, y=y.copy(), x=x, f_value=0.5 * float(fvec @ fvec),
-                              gradient=grad)
-        trace.records.append(rec)
-        if float(np.linalg.norm(grad)) <= opts.gradient_tolerance:
-            rec.seconds = time.perf_counter() - tic
-            trace.status = "gradient-tolerance"
-            return trace
-        try:
-            t = gauss_newton_step(J, fvec)
-        except SingularStepError as exc:
-            rec.seconds = time.perf_counter() - tic
-            trace.warnings.append(f"iteration {k}: {exc}")
-            trace.status = "singular-step"
-            return trace
-        rec.step = t
-        rec.seconds = time.perf_counter() - tic
-        y = y + t
-        if float(np.linalg.norm(t)) <= opts.step_tolerance:
-            trace.status = "step-tolerance"
-            break
-    else:
-        trace.status = "max-iterations"
-
-    # Closing record at the final iterate (no step taken from it).
-    tic = time.perf_counter()
-    if not model.is_feasible(y):
-        trace.warnings.append(f"final iterate {y} left the feasible region")
-        trace.status = "infeasible-iterate"
-        return trace
-    try:
-        x, fvec, J = evaluate(y)
-    except SingularSystemError as exc:
-        trace.warnings.append(f"final iterate: {exc}")
-        trace.status = "inner-failure"
-        return trace
-    rec = IterationRecord(k=len(trace.records), y=y.copy(), x=x,
-                          f_value=0.5 * float(fvec @ fvec), gradient=gradient(J, fvec),
-                          seconds=time.perf_counter() - tic)
-    trace.records.append(rec)
-    return trace
+    b, y = _start(model, b, y0)
+    return _gauss_newton(model, b, L, lam, y, opts or OuterOptions(), _exact_inner(b))
 
 
 def inexact_genvarpro(model: SeparableModel, b, L: LinearOperator, lam: float, y0,
@@ -350,16 +350,15 @@ def inexact_genvarpro(model: SeparableModel, b, L: LinearOperator, lam: float, y
     Iteration k solves the inner problem to tolerance eps^(k), forms the
     approximate residual and Jacobian from the LSQR iterate, and steps.
     LSQR hitting its iteration cap is recorded as a warning and the run
-    continues with the best available iterate.
+    continues with the best available iterate. Before the loop starts, the
+    condition number kappa0 at y0 is computed to warn when eps^(0) kappa0
+    >= 1; a stacked operator that is rank deficient at y0 therefore raises
+    ``RankDeficiencyError`` here, where ``genvarpro`` returns a trace with
+    status ``inner-failure``.
     """
     if opts.schedule is None:
         raise ValueError("inexact_genvarpro requires OuterOptions.schedule")
-    y = _check_y(model, y0)
-    b = _check_b(model, b)
-    if not model.is_feasible(y):
-        raise ValueError(f"initial guess {y} is infeasible")
-    d = np.concatenate([b, np.zeros(L.rows)])
-    trace = SolverTrace()
+    b, y = _start(model, b, y0)
 
     eps0 = opts.schedule.value(0)
     kappa0 = condition_number(stack(model.operator(y), L, lam))
@@ -371,87 +370,25 @@ def inexact_genvarpro(model: SeparableModel, b, L: LinearOperator, lam: float, y
             stacklevel=2,
         )
 
-    def evaluate(yk, eps_k):
-        S = stack(model.operator(yk), L, lam)
-        fact = DirectFactorization(S)
-        sol = lsqr_solve(S, d, LsqrOptions(tolerance=eps_k,
-                                           max_iterations=opts.lsqr_max_iterations,
-                                           norm_estimate_mode=opts.norm_estimate_mode))
-        g = S.matvec(sol.x_bar) - d
-        Jbar = approx_jacobian(model, yk, fact, sol.x_bar, b)
-        return fact, sol, g, Jbar
-
-    def make_record(k, yk, eps_k, fact, sol, g, Jbar):
-        rec = IterationRecord(k=k, y=yk.copy(), x=sol.x_bar,
-                              f_value=0.5 * float(g @ g), gradient=gradient(Jbar, g),
-                              epsilon=eps_k, inner_iterations=sol.iterations,
-                              inner_criterion=sol.achieved_criterion,
-                              inner_converged=sol.converged)
+    def lsqr_inner(k, y, fact, d, messages):
+        eps_k = opts.schedule.value(k)
+        sol = lsqr_solve(fact.op, d, LsqrOptions(tolerance=eps_k,
+                                                 max_iterations=opts.lsqr_max_iterations,
+                                                 norm_estimate_mode=opts.norm_estimate_mode))
+        fields = dict(epsilon=eps_k, inner_iterations=sol.iterations,
+                      inner_criterion=sol.achieved_criterion, inner_converged=sol.converged)
         if not sol.converged:
-            trace.warnings.append(
+            messages.append(
                 f"iteration {k}: LSQR reached its iteration cap with criterion "
                 f"{sol.achieved_criterion:.3e} >= tolerance {eps_k:.3e}"
             )
         if opts.diagnostic:
             x_exact = fact.solve_rhs(b)
             fvec = fact.op.matvec(x_exact) - d
-            J = exact_jacobian(model, yk, fact, x_exact, b)
-            rec.x_exact = x_exact
-            rec.gradient_exact = gradient(J, fvec)
+            J = exact_jacobian(model, y, fact, x_exact, b)
             svals = np.linalg.svd(fact.dense, compute_uv=False)
-            rec.op_norm = float(svals[0])
-            rec.kappa = float(svals[0] / svals[-1])
-        return rec
+            fields.update(x_exact=x_exact, gradient_exact=gradient(J, fvec),
+                          op_norm=float(svals[0]), kappa=float(svals[0] / svals[-1]))
+        return sol.x_bar, fields
 
-    for k in range(opts.max_outer_iterations):
-        tic = time.perf_counter()
-        eps_k = opts.schedule.value(k)
-        if not model.is_feasible(y):
-            trace.warnings.append(f"iteration {k}: iterate {y} left the feasible region")
-            trace.status = "infeasible-iterate"
-            return trace
-        try:
-            fact, sol, g, Jbar = evaluate(y, eps_k)
-        except SingularSystemError as exc:
-            trace.warnings.append(f"iteration {k}: {exc}")
-            trace.status = "inner-failure"
-            return trace
-        rec = make_record(k, y, eps_k, fact, sol, g, Jbar)
-        trace.records.append(rec)
-        if float(np.linalg.norm(rec.gradient)) <= opts.gradient_tolerance:
-            rec.seconds = time.perf_counter() - tic
-            trace.status = "gradient-tolerance"
-            return trace
-        try:
-            t = gauss_newton_step(Jbar, g)
-        except SingularStepError as exc:
-            rec.seconds = time.perf_counter() - tic
-            trace.warnings.append(f"iteration {k}: {exc}")
-            trace.status = "singular-step"
-            return trace
-        rec.step = t
-        rec.seconds = time.perf_counter() - tic
-        y = y + t
-        if float(np.linalg.norm(t)) <= opts.step_tolerance:
-            trace.status = "step-tolerance"
-            break
-    else:
-        trace.status = "max-iterations"
-
-    tic = time.perf_counter()
-    k_final = len(trace.records)
-    eps_final = opts.schedule.value(k_final)
-    if not model.is_feasible(y):
-        trace.warnings.append(f"final iterate {y} left the feasible region")
-        trace.status = "infeasible-iterate"
-        return trace
-    try:
-        fact, sol, g, Jbar = evaluate(y, eps_final)
-    except SingularSystemError as exc:
-        trace.warnings.append(f"final iterate: {exc}")
-        trace.status = "inner-failure"
-        return trace
-    rec = make_record(k_final, y, eps_final, fact, sol, g, Jbar)
-    rec.seconds = time.perf_counter() - tic
-    trace.records.append(rec)
-    return trace
+    return _gauss_newton(model, b, L, lam, y, opts, lsqr_inner)

@@ -12,7 +12,7 @@ import numpy as np
 import varproj as vp
 from varproj.inner_solvers import DirectFactorization
 
-from test_varpro import toy_linear_model, toy_trig_model, _fd_jacobian, _eval_at, _toy_setup
+from test_varpro import toy_linear_model, toy_trig_model, _fd_jacobian, _toy_setup
 
 MUST_HOLD_EPSILON = 1e3 * float(np.finfo(float).eps)
 
@@ -122,7 +122,7 @@ def test_criterion_3_jacobian_correctness(request):
         L, b, lam = _toy_setup(model, seed=seed)
         rng = np.random.default_rng(seed)
         y = rng.uniform(-0.5, 0.5, size=model.r)
-        fact, x, _ = _eval_at(model, y, b, L, lam)
+        fact, x, _ = vp.exact_residual(model, y, b, L, lam)
         J = vp.exact_jacobian(model, y, fact, x, b)
         J_fd = _fd_jacobian(model, y, b, L, lam)
         worst = max(worst, float(np.linalg.norm(J - J_fd, 2) / max(np.linalg.norm(J, 2), 1e-30)))

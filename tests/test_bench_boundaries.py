@@ -1,0 +1,61 @@
+"""The library names that the benchmark's tracer wraps.
+
+``bench/spans.py`` replaces these module attributes with timing wrappers
+during a traced pass. A renamed or removed attribute breaks the traced
+benchmark, and a solver that binds one of them before the call (say, as a
+default argument) silently loses its spans; tier-1 does not run the
+benchmark's own tests, so both are checked here.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import varproj as vp
+from varproj import cli, deconv, varpro
+
+WRAPPED = [
+    (varpro, "lsqr_solve"),
+    (varpro, "DirectFactorization"),
+    (varpro, "condition_number"),
+    (varpro, "exact_jacobian"),
+    (varpro, "approx_jacobian"),
+    (varpro, "gauss_newton_step"),
+    (varpro, "stack"),
+    (deconv, "stack"),
+    (deconv, "gaussian_toeplitz"),
+    (deconv, "gaussian_toeplitz_derivative"),
+    (deconv, "objective_grid"),
+]
+
+
+@pytest.mark.parametrize("module,name", WRAPPED,
+                         ids=[f"{m.__name__}.{n}" for m, n in WRAPPED])
+def test_wrapped_attribute_exists(module, name):
+    assert callable(getattr(module, name))
+
+
+def test_cli_initial_tolerances_exist():
+    assert set(cli.DEFAULT_INITIAL_TOLERANCES) == {2.0, 4.0}
+
+
+@pytest.mark.parametrize("solver", ["genvarpro", "inexact_genvarpro"])
+def test_solvers_look_up_wrapped_names_at_call_time(small_problem, monkeypatch, solver):
+    calls = Counter()
+    for name in ("lsqr_solve", "DirectFactorization", "condition_number", "exact_jacobian",
+                 "gauss_newton_step", "stack"):
+        def counting(*args, _name=name, _original=getattr(varpro, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(varpro, name, counting)
+    p = small_problem
+    opts = vp.OuterOptions(max_outer_iterations=2, schedule=vp.ToleranceSchedule("fixed-small"))
+    trace = getattr(vp, solver)(p.model, p.b, p.L, p.lam, np.array([1.5]), opts)
+    assert len(trace) == 3
+    # Two steps and the closing record: one factorization and one Jacobian
+    # per record; the inexact solver adds its kappa0 check and the LSQR solves.
+    expected = {"stack": 3, "DirectFactorization": 3, "exact_jacobian": 3, "gauss_newton_step": 2}
+    if solver == "inexact_genvarpro":
+        expected.update(stack=4, condition_number=1, lsqr_solve=3)
+    assert calls == expected

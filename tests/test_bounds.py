@@ -1,7 +1,5 @@
 """Closed-form bound evaluators and the backward-error certificate matrix."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -132,27 +130,7 @@ class TestBenchmarkDominance:
         sol = vp.lsqr_solve(op, d, vp.LsqrOptions(tolerance=eps,
                                                   norm_estimate_mode="explicit-svd"))
         assert sol.converged
-        x = vp.direct_solve(op, p.b)
+        x = vp.DirectFactorization(op).solve_rhs(p.b)
         measured = np.linalg.norm(x - sol.x_bar)
         assert measured < vp.solution_bound(kappa, np.linalg.norm(p.b),
                                             vp.spectral_norm(op), eps)
-
-
-class TestBoundReport:
-    def test_valid_report(self):
-        rep = vp.bound_report(1e-3, 10.0, 2.0, 5.0, 1, 4, 3, 0.5)
-        assert rep.valid
-        assert rep.solution_bound == pytest.approx(
-            vp.solution_bound(10.0, 2.0, 5.0, 1e-3))
-        assert rep.residual_bound == pytest.approx(vp.residual_bound(10.0, 2.0, 1e-3))
-        assert rep.jacobian_bound == pytest.approx(
-            vp.jacobian_bound(1, 4, 3, 0.5, 10.0, 2.0, 5.0, 1e-3))
-        assert all(np.isfinite(v) and v > 0 for v in
-                   (rep.solution_bound, rep.residual_bound, rep.jacobian_bound))
-
-    def test_invalid_marked_not_applicable(self):
-        rep = vp.bound_report(0.5, 10.0, 2.0, 5.0, 1, 4, 3, 0.5)
-        assert not rep.valid
-        assert math.isnan(rep.solution_bound)
-        assert math.isnan(rep.residual_bound)
-        assert math.isnan(rep.jacobian_bound)

@@ -8,6 +8,7 @@ import pytest
 
 import varproj.cli as cli
 from varproj.cli import main
+from varproj.inner_solvers import RankDeficiencyError
 
 SMALL_CONFIG = """\
 [problem]
@@ -189,6 +190,23 @@ class TestCompare:
         # partial outputs retained
         assert (tmp_path / "o" / "gp_y0_1p6.csv").exists()
         assert (tmp_path / "o" / "manifest.json").exists()
+
+    def test_solver_exception_exit_code(self, small_cfg, tmp_path, monkeypatch, capsys):
+        def rank_deficient(*args, **kwargs):
+            raise RankDeficiencyError("operator is numerically rank deficient")
+
+        monkeypatch.setattr(cli, "genvarpro", rank_deficient)
+        assert main(["compare", "--config", str(small_cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "solver error" in capsys.readouterr().err
+
+    def test_programming_error_propagates(self, small_cfg, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("unexpected keyword argument")
+
+        monkeypatch.setattr(cli, "genvarpro", broken)
+        with pytest.raises(TypeError):
+            main(["compare", "--config", str(small_cfg), "--out", str(tmp_path / "o")])
 
 
 class TestBounds:

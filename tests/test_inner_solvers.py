@@ -23,17 +23,17 @@ class TestDirectSolve:
     def test_identity_plus_identity(self):
         op = _identity_stack(3)
         b = np.array([1.0, -2.0, 0.5])
-        np.testing.assert_allclose(vp.direct_solve(op, b), b / 2.0, rtol=1e-14)
+        np.testing.assert_allclose(DirectFactorization(op).solve_rhs(b), b / 2.0, rtol=1e-14)
 
     def test_diagonal_with_zero_lambda(self):
         op = vp.stack(vp.DenseOperator(np.diag([2.0, 1.0])),
                       vp.DenseOperator(np.eye(2)), 0.0)
-        np.testing.assert_allclose(vp.direct_solve(op, np.array([4.0, 3.0])),
+        np.testing.assert_allclose(DirectFactorization(op).solve_rhs(np.array([4.0, 3.0])),
                                    np.array([2.0, 3.0]), rtol=1e-14)
 
     def test_benchmark_normal_equation_residual(self, problem):
         op = vp.stacked_operator(problem, 3.0)
-        x = vp.direct_solve(op, problem.b)
+        x = DirectFactorization(op).solve_rhs(problem.b)
         dense = op.to_dense()
         rhs = dense[:128].T @ problem.b
         lhs = dense.T @ (dense @ x)
@@ -54,7 +54,7 @@ class TestDirectSolve:
         a = np.array([[1.0, 0.0], [1.0, 0.0]])
         op = vp.stack(vp.DenseOperator(a), vp.DenseOperator(np.zeros((1, 2))), 0.0)
         with pytest.raises(SingularSystemError, match="pivot"):
-            vp.direct_solve(op, np.array([1.0, 1.0]))
+            DirectFactorization(op).solve_rhs(np.array([1.0, 1.0]))
 
 
 @pytest.fixture()
@@ -200,7 +200,7 @@ class TestLsqr:
         sol = vp.lsqr_solve(op, d, vp.LsqrOptions(tolerance=eps,
                                                   norm_estimate_mode=NORM_MODE_EXPLICIT))
         assert sol.converged
-        x = vp.direct_solve(op, b)
+        x = DirectFactorization(op).solve_rhs(b)
         kappa = vp.condition_number(op)
         bound = vp.solution_bound(kappa, np.linalg.norm(d), vp.spectral_norm(op), eps)
         assert np.linalg.norm(x - sol.x_bar) <= bound

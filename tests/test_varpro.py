@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import varproj as vp
-from varproj.inner_solvers import DirectFactorization
+from varproj.inner_solvers import DirectFactorization, RankDeficiencyError
 from varproj.varpro import SingularStepError, ToleranceWarning
 
 
@@ -65,33 +65,30 @@ def _toy_setup(model, seed=3, lam=0.3):
     return L, b, lam
 
 
-def _eval_at(model, y, b, L, lam):
-    op = vp.stack(model.operator(y), L, lam)
-    fact = DirectFactorization(op)
-    x = fact.solve_rhs(b)
-    d = np.concatenate([b, np.zeros(L.rows)])
-    fvec = op.matvec(x) - d
-    return fact, x, fvec
-
-
 def _fd_jacobian(model, y, b, L, lam, h=1e-6):
     cols = []
     for j in range(model.r):
         yp, ym = y.copy(), y.copy()
         yp[j] += h
         ym[j] -= h
-        _, xp, fp = _eval_at(model, yp, b, L, lam)
-        _, xm, fm = _eval_at(model, ym, b, L, lam)
+        fp = vp.exact_residual(model, yp, b, L, lam)[2]
+        fm = vp.exact_residual(model, ym, b, L, lam)[2]
         cols.append((fp - fm) / (2 * h))
     return np.column_stack(cols)
 
 
 class TestReducedResidual:
     def test_zero_x(self):
-        model = toy_linear_model()
-        L, b, lam = _toy_setup(model)
-        y = np.array([0.3, -0.2])
-        out = vp.reduced_residual(model, y, np.zeros(model.n), b, L, lam)
+        # b orthogonal to the range of A: the exact inner solution is x = 0
+        # and the reduced residual is [-b; 0].
+        a = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        model = vp.SeparableModel(m=3, n=2, r=1,
+                                  operator=lambda y: vp.DenseOperator(a),
+                                  derivative=lambda y, j: vp.DenseOperator(np.zeros((3, 2))))
+        L = vp.DenseOperator(np.eye(2))
+        b = np.array([0.0, 0.0, 2.0])
+        _, x, out = vp.exact_residual(model, np.array([0.3]), b, L, 0.5)
+        np.testing.assert_array_equal(x, np.zeros(2))
         np.testing.assert_array_equal(out[: model.m], -b)
         np.testing.assert_array_equal(out[model.m :], np.zeros(L.rows))
 
@@ -106,16 +103,13 @@ class TestReducedResidual:
         L = vp.DenseOperator(rng.standard_normal((2, 4)))
         x_star = rng.standard_normal(4)
         b = a @ x_star
-        _, x, fvec = _eval_at(model, np.array([1.0]), b, L, 0.0)
+        _, x, fvec = vp.exact_residual(model, np.array([1.0]), b, L, 0.0)
         assert np.linalg.norm(fvec) <= 1e-8 * np.linalg.norm(b)
 
     def test_value_matches_dense_assembly_oracle(self, problem):
         y = np.array([2.7])
-        op = vp.stacked_operator(problem, y[0])
-        fact = DirectFactorization(op)
-        x = fact.solve_rhs(problem.b)
-        fvec = vp.reduced_residual(problem.model, y, x, problem.b, problem.L, problem.lam)
-        dense = op.to_dense()
+        _, x, fvec = vp.exact_residual(problem.model, y, problem.b, problem.L, problem.lam)
+        dense = vp.stacked_operator(problem, y[0]).to_dense()
         d = np.concatenate([problem.b, np.zeros(problem.L.rows)])
         oracle = dense @ x - d
         value = 0.5 * float(fvec @ fvec)
@@ -126,14 +120,16 @@ class TestReducedResidual:
         model = toy_linear_model()
         L, b, lam = _toy_setup(model)
         with pytest.raises(ValueError):
-            vp.reduced_residual(model, np.array([0.1, 0.2]), np.zeros(model.n + 1), b, L, lam)
+            vp.exact_residual(model, np.array([0.1, 0.2, 0.3]), b, L, lam)
+        with pytest.raises(ValueError):
+            vp.exact_residual(model, np.array([0.1, 0.2]), np.append(b, 1.0), L, lam)
 
 
 class TestJacobians:
     def test_constant_model_zero_jacobian(self):
         model = constant_model()
         L, b, lam = _toy_setup(model)
-        fact, x, _ = _eval_at(model, np.array([0.7]), b, L, lam)
+        fact, x, _ = vp.exact_residual(model, np.array([0.7]), b, L, lam)
         J = vp.exact_jacobian(model, np.array([0.7]), fact, x, b)
         np.testing.assert_array_equal(J, np.zeros_like(J))
 
@@ -144,7 +140,7 @@ class TestJacobians:
         rng = np.random.default_rng(seed)
         for _ in range(3):
             y = rng.uniform(-0.8, 0.8, size=model.r)
-            fact, x, _ = _eval_at(model, y, b, L, lam)
+            fact, x, _ = vp.exact_residual(model, y, b, L, lam)
             J = vp.exact_jacobian(model, y, fact, x, b)
             J_fd = _fd_jacobian(model, y, b, L, lam)
             assert np.linalg.norm(J - J_fd, 2) <= 1e-5 * max(1.0, np.linalg.norm(J, 2))
@@ -216,12 +212,12 @@ class TestJacobians:
             rng = np.random.default_rng(seed + 100)
             for _ in range(10):
                 y = rng.uniform(-0.7, 0.7, size=model.r)
-                fact, x, fvec = _eval_at(model, y, b, L, lam)
+                fact, x, fvec = vp.exact_residual(model, y, b, L, lam)
                 J = vp.exact_jacobian(model, y, fact, x, b)
                 grad = vp.gradient(J, fvec)
 
                 def value(yv):
-                    _, _, fv = _eval_at(model, yv, b, L, lam)
+                    _, _, fv = vp.exact_residual(model, yv, b, L, lam)
                     return 0.5 * float(fv @ fv)
 
                 fd = np.empty(model.r)
@@ -353,6 +349,11 @@ class TestOuterLoops:
         assert trace.failed
         assert len(trace) == 0
         assert trace.warnings
+        # The inexact solver's kappa0 check at y0 raises before its loop starts.
+        opts = vp.OuterOptions(max_outer_iterations=3,
+                               schedule=vp.ToleranceSchedule("fixed-small"))
+        with pytest.raises(RankDeficiencyError):
+            vp.inexact_genvarpro(model, np.ones(3), L, 0.0, np.array([1.0]), opts)
 
     def test_inexact_requires_schedule(self, problem):
         with pytest.raises(ValueError):
@@ -414,3 +415,59 @@ class TestOuterLoops:
             exact = gp_trace_y2.records[k].f_value
             inexact = s_trace_y2.records[k].f_value
             assert abs(inexact - exact) <= 1e-8 * abs(exact)
+
+
+def _identical_derivatives_model():
+    """r = 2 with dA/dy_0 = dA/dy_1, so every Jacobian has two equal columns."""
+    rng = np.random.default_rng(21)
+    a0, a1 = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
+    return vp.SeparableModel(
+        m=5, n=3, r=2,
+        operator=lambda y: vp.DenseOperator(a0 + (y[0] + y[1]) * a1),
+        derivative=lambda y, j: vp.DenseOperator(a1),
+    ), np.array([0.2, 0.1])
+
+
+def _leaves_start_model():
+    """Feasible only at its starting point, so the first step leaves the region."""
+    model = toy_linear_model()
+    y0 = np.array([0.3, -0.2])
+    return vp.SeparableModel(m=model.m, n=model.n, r=model.r, operator=model.operator,
+                             derivative=model.derivative,
+                             feasible=lambda y: bool(np.array_equal(y, y0))), y0
+
+
+def _singular_after_start_model():
+    """Full rank at y0 = 1 and rank one everywhere else; with lam = 0 the
+    normal equations are singular after the first step."""
+    rng = np.random.default_rng(22)
+    full, deriv = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
+    singular = full.copy()
+    singular[:, 1:] = 0.0
+    return vp.SeparableModel(
+        m=5, n=3, r=1,
+        operator=lambda y: vp.DenseOperator(full if y[0] == 1.0 else singular),
+        derivative=lambda y, j: vp.DenseOperator(deriv),
+    ), np.array([1.0])
+
+
+@pytest.mark.parametrize("solver", [vp.genvarpro, vp.inexact_genvarpro])
+@pytest.mark.parametrize("make,status", [
+    (_identical_derivatives_model, "singular-step"),
+    (_leaves_start_model, "infeasible-iterate"),
+    (_singular_after_start_model, "inner-failure"),
+])
+def test_abort_status_and_partial_trace(solver, make, status):
+    model, y0 = make()
+    rng = np.random.default_rng(23)
+    b = rng.standard_normal(model.m)
+    lam = 0.0 if status == "inner-failure" else 0.3
+    L = vp.DenseOperator(np.zeros((2, model.n)) if lam == 0.0
+                         else rng.standard_normal((2, model.n)))
+    opts = vp.OuterOptions(max_outer_iterations=5,
+                           schedule=vp.ToleranceSchedule("fixed-small"))
+    trace = solver(model, b, L, lam, y0, opts)
+    assert trace.status == status
+    assert trace.failed
+    assert len(trace) == 1
+    assert trace.warnings
