@@ -24,12 +24,15 @@ import argparse
 import configparser
 import csv
 import json
+import os
+import platform
 import sys
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .bounds import BoundInvalidError, initial_tolerance, residual_bound, solution_bound
@@ -64,6 +67,11 @@ DEFAULT_INITIAL_TOLERANCES = {2.0: 1.8718e-4, 4.0: 1.1239e-4}
 # Bound violations at tolerances below this are reported but not fatal: the
 # inner tolerance has reached the rounding floor of the solver itself.
 MUST_HOLD_EPSILON = 1e3 * float(np.finfo(float).eps)
+
+# Thread-count variables of the common BLAS builds. Outputs repeat byte for
+# byte only at a fixed BLAS thread count, so the manifest records them.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -289,12 +297,24 @@ def _y0_tag(y0: float) -> str:
     return f"{y0:g}".replace(".", "p")
 
 
+def _environment() -> dict:
+    """Interpreter and library versions, BLAS thread settings and CPU count."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas_thread_env": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def _write_manifest(out_dir: Path, command: str, settings: RunSettings,
                     files: list[str], timings: dict, extra: dict | None = None) -> None:
     payload = {
         "command": command,
         "package_version": __version__,
         "config": settings.resolved(),
+        "environment": _environment(),
         "outputs": sorted(files),
         "timings_seconds": timings,
     }

@@ -82,20 +82,26 @@ class InnerSolution:
     criterion_history: np.ndarray
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-d float vector: the sqrt(v.dot(v)) that
+    ``np.linalg.norm`` computes, without its argument handling."""
+    return math.sqrt(v.dot(v))
+
+
 def _sym_ortho(a: float, b: float) -> tuple[float, float, float]:
     """Stable Givens rotation (c, s, r) with r = hypot(a, b)."""
     if b == 0.0:
-        return float(np.sign(a)), 0.0, abs(a)
+        return (0.0 if a == 0.0 else math.copysign(1.0, a)), 0.0, abs(a)
     if a == 0.0:
-        return 0.0, float(np.sign(b)), abs(b)
+        return 0.0, math.copysign(1.0, b), abs(b)
     if abs(b) > abs(a):
         tau = a / b
-        s = float(np.sign(b)) / math.sqrt(1.0 + tau * tau)
+        s = math.copysign(1.0, b) / math.sqrt(1.0 + tau * tau)
         c = s * tau
         r = b / s
     else:
         tau = b / a
-        c = float(np.sign(a)) / math.sqrt(1.0 + tau * tau)
+        c = math.copysign(1.0, a) / math.sqrt(1.0 + tau * tau)
         s = c * tau
         r = a / c
     return c, s, r
@@ -131,13 +137,13 @@ def lsqr_solve(op: LinearOperator, d, opts: LsqrOptions) -> InnerSolution:
     if explicit:
         norm_fixed = float(np.linalg.svd(op.to_dense(), compute_uv=False)[0])
 
-    beta = float(np.linalg.norm(d))
+    beta = d_norm = _norm(d)
     if beta == 0.0:
         return _trivial_solution(op, d, 0, 0.0, norm_fixed if explicit else 0.0)
 
     u = d / beta
     v = op.rmatvec(u)
-    alfa = float(np.linalg.norm(v))
+    alfa = _norm(v)
     if alfa == 0.0:
         # d is orthogonal to the range of op: x = 0 is already optimal.
         return _trivial_solution(op, d, 0, 0.0, norm_fixed if explicit else 0.0)
@@ -169,12 +175,12 @@ def lsqr_solve(op: LinearOperator, d, opts: LsqrOptions) -> InnerSolution:
 
         # One Golub-Kahan step: beta*u = op*v - alfa*u, alfa*v = op^T*u - beta*v.
         u = op.matvec(v) - alfa * u
-        beta = float(np.linalg.norm(u))
+        beta = _norm(u)
         anorm2 += alfa * alfa + beta * beta
         if beta > 0.0:
             u = u / beta
             v = op.rmatvec(u) - beta * v
-            alfa = float(np.linalg.norm(v))
+            alfa = _norm(v)
             if alfa > 0.0:
                 v = v / alfa
 
@@ -188,8 +194,8 @@ def lsqr_solve(op: LinearOperator, d, opts: LsqrOptions) -> InnerSolution:
         w = v - (theta / rho) * w
 
         r = d - op.matvec(x)
-        rnorm = float(np.linalg.norm(r))
-        grad_norm = float(np.linalg.norm(op.rmatvec(r)))
+        rnorm = _norm(r)
+        grad_norm = _norm(op.rmatvec(r))
         if not (math.isfinite(rnorm) and math.isfinite(grad_norm)):
             raise NumericalBreakdownError(
                 f"non-finite residual quantities at LSQR iteration {itn}"
@@ -198,7 +204,7 @@ def lsqr_solve(op: LinearOperator, d, opts: LsqrOptions) -> InnerSolution:
 
         # Compatible system: the residual has hit the rounding floor, so the
         # iterate is exact and the relative-gradient test is vacuous.
-        floor = 10.0 * _EPS * (np.linalg.norm(d) + op_norm * np.linalg.norm(x))
+        floor = 10.0 * _EPS * (d_norm + op_norm * _norm(x))
         crit = 0.0 if rnorm <= floor else grad_norm / (rnorm * op_norm)
         history.append(crit)
         stall = 0 if crit < 0.9 * best_crit else stall + 1

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import varproj as vp
-from varproj import cli, deconv, varpro
+from varproj import cli, deconv, linops, varpro
+from varproj.inner_solvers import LsqrOptions, lsqr_solve
 
 WRAPPED = [
     (varpro, "lsqr_solve"),
@@ -59,3 +60,25 @@ def test_solvers_look_up_wrapped_names_at_call_time(small_problem, monkeypatch, 
     if solver == "inexact_genvarpro":
         expected.update(stack=4, condition_number=1, lsqr_solve=3)
     assert calls == expected
+
+
+@pytest.mark.parametrize("tolerance,cap", [(1e-8, 10000), (1e-14, 25)],
+                         ids=["converged", "capped"])
+def test_lsqr_applies_per_iteration(problem, monkeypatch, tolerance, cap):
+    # The tracer counts applies through the public LinearOperator.matvec and
+    # rmatvec; its linops.apply.count and lsqr.applies_per_iter assume four
+    # per iteration, one to start and one for the returned residual. Every
+    # call is counted here, nested ones too: the stacked operator applies
+    # its blocks through their unchecked methods and adds none.
+    calls = Counter()
+    for name in ("matvec", "rmatvec"):
+        def counting(op, v, _name=name, _original=getattr(linops.LinearOperator, name)):
+            calls[_name] += 1
+            return _original(op, v)
+        monkeypatch.setattr(linops.LinearOperator, name, counting)
+    op = deconv.stacked_operator(problem, 3.0)
+    d = np.concatenate([problem.b, np.zeros(problem.L.rows)])
+    sol = lsqr_solve(op, d, LsqrOptions(tolerance, max_iterations=cap))
+    assert sol.converged == (cap == 10000)
+    assert sol.iterations > 1
+    assert calls == {"matvec": 2 * sol.iterations + 1, "rmatvec": 2 * sol.iterations + 1}

@@ -2,9 +2,12 @@
 
 import csv
 import json
+import os
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
 import varproj.cli as cli
 from varproj.cli import main
@@ -117,6 +120,15 @@ class TestCompare:
         assert manifest["config"]["problem"]["n"] == 48
         assert manifest["config"]["schedules"]["epsilon0"] == 1e-4
         assert all(t >= 0 for t in manifest["timings_seconds"].values())
+        env = manifest["environment"]
+        assert set(env) == {"python", "numpy", "scipy", "blas_thread_env", "cpu_count"}
+        assert env["numpy"] == np.__version__
+        assert env["scipy"] == scipy.__version__
+        assert env["python"] == platform.python_version()
+        assert env["cpu_count"] == os.cpu_count()
+        assert env["blas_thread_env"] == {var: os.environ.get(var)
+                                          for var in cli.BLAS_THREAD_VARS}
+        assert "OPENBLAS_NUM_THREADS" in env["blas_thread_env"]
 
     def test_csv_round_trip_and_gap_consistency(self, small_cfg, tmp_path):
         out = tmp_path / "out"

@@ -7,6 +7,8 @@ import pytest
 
 import varproj as vp
 
+TINY = np.finfo(float).tiny
+
 
 def manual_gaussian_row(sigma, n):
     # Independent entrywise evaluation of c * exp(-(j-1)^2 / (2 sigma^2)).
@@ -57,6 +59,28 @@ class TestGaussianToeplitz:
         s = np.linalg.svd(vp.gaussian_toeplitz(3.0, 128).to_dense(), compute_uv=False)
         assert s[0] / s[-1] >= 1e12
 
+    @pytest.mark.parametrize("sigma,n", [(2.0, 128), (3.07, 128), (3.0, 128), (2.0, 1024),
+                                         (0.25, 64), (10.0, 200)])
+    def test_tail_truncated_below_smallest_normal(self, sigma, n):
+        # The untruncated rows from the kernels' formulas, in the same
+        # floating-point operations; at (2, 1024) both hold subnormal entries.
+        offsets = np.arange(n, dtype=float)
+        g = np.exp(-(offsets**2) / (2.0 * sigma**2))
+        total = float(g.sum())
+        dg = g * offsets**2 / sigma**3
+        rows = {
+            vp.gaussian_toeplitz: g / total,
+            vp.gaussian_toeplitz_derivative: dg / total - g * (float(dg.sum()) / total**2),
+        }
+        if (sigma, n) == (2.0, 1024):
+            assert all(np.any((row != 0.0) & (np.abs(row) < TINY)) for row in rows.values())
+        for kernel, formula in rows.items():
+            row = kernel(sigma, n).first_row
+            assert not np.any((row != 0.0) & (np.abs(row) < TINY))
+            normal = np.abs(formula) >= TINY
+            assert np.all(row[normal] == formula[normal])
+            assert np.all(row[~normal] == 0.0)
+
     @pytest.mark.parametrize("sigma,n", [(-1.0, 8), (0.0, 8), (3.0, 1)])
     def test_invalid_arguments(self, sigma, n):
         with pytest.raises(ValueError):
@@ -95,6 +119,19 @@ class TestGaussianToeplitzDerivative:
         np.testing.assert_allclose(fd_op.to_dense(), exact, rtol=1e-6, atol=1e-12)
         via_builder = vp.fd_derivative_builder(builder)(np.array([2.5]), 0)
         np.testing.assert_array_equal(via_builder.to_dense(), fd_op.to_dense())
+
+
+class TestRowScaled:
+    def test_applies_bit_identical_to_scaled_base(self):
+        rng = np.random.default_rng(5)
+        diff = vp.first_difference(30)
+        weights = rng.uniform(0.5, 2.0, size=29)
+        op = vp.RowScaledOperator(weights, diff)
+        for _ in range(20):
+            v = rng.standard_normal(30)
+            w = rng.standard_normal(29)
+            assert np.all(op.matvec(v) == weights * diff.matvec(v))
+            assert np.all(op.rmatvec(w) == diff.rmatvec(weights * w))
 
 
 class TestFirstDifference:
@@ -138,12 +175,25 @@ class TestStack:
 
     def test_forward_bit_identical_to_block_concatenation(self):
         rng = np.random.default_rng(1)
-        top = vp.DenseOperator(rng.standard_normal((5, 3)))
-        bottom = vp.DenseOperator(rng.standard_normal((2, 3)))
-        op = vp.stack(top, bottom, 0.5)
-        v = rng.standard_normal(3)
-        np.testing.assert_array_equal(
-            op.matvec(v), np.concatenate([top.matvec(v), 0.5 * bottom.matvec(v)]))
+        top = vp.gaussian_toeplitz(2.0, 40)
+        bottom = vp.RowScaledOperator(rng.uniform(0.5, 2.0, size=39), vp.first_difference(40))
+        for lam in (0.5, 0.0):
+            op = vp.stack(top, bottom, lam)
+            for _ in range(20):
+                v = rng.standard_normal(40)
+                assert np.all(op.matvec(v)
+                              == np.concatenate([top.matvec(v), lam * bottom.matvec(v)]))
+
+    def test_adjoint_bit_identical_to_block_sum(self):
+        rng = np.random.default_rng(2)
+        top = vp.gaussian_toeplitz(2.0, 40)
+        bottom = vp.RowScaledOperator(rng.uniform(0.5, 2.0, size=39), vp.first_difference(40))
+        for lam in (0.5, 0.0):
+            op = vp.stack(top, bottom, lam)
+            for _ in range(20):
+                w = rng.standard_normal(79)
+                assert np.all(op.rmatvec(w)
+                              == top.rmatvec(w[:40]) + lam * bottom.rmatvec(w[40:]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
