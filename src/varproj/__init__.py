@@ -19,7 +19,6 @@ from .deconv import (
     gaussian_blur_model,
     grid_minimizer,
     objective_grid,
-    reduced_objective,
     stacked_operator,
 )
 from .inner_solvers import (
@@ -29,12 +28,10 @@ from .inner_solvers import (
     NumericalBreakdownError,
     RankDeficiencyError,
     SingularSystemError,
-    apply_pinv,
     apply_pinv_transpose,
     apply_projector_perp,
     condition_number,
     lsqr_solve,
-    spectral_norm,
 )
 from .linops import (
     DenseOperator,
@@ -43,8 +40,6 @@ from .linops import (
     RowScaledOperator,
     StackedOperator,
     SymmetricToeplitzOperator,
-    fd_derivative_builder,
-    finite_difference_derivative,
     first_difference,
     gaussian_toeplitz,
     gaussian_toeplitz_derivative,

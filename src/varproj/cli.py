@@ -28,7 +28,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,6 @@ from .bounds import BoundInvalidError, initial_tolerance, residual_bound, soluti
 from .deconv import BenchConfig, ConfigError, ProblemInstance, build_problem, stacked_operator
 from .inner_solvers import (
     NORM_MODE_EXPLICIT,
-    NORM_MODE_INTERNAL,
     NumericalBreakdownError,
     RankDeficiencyError,
     SingularSystemError,
@@ -78,7 +77,9 @@ EXIT_CONFIG = 1
 EXIT_SOLVER = 2
 EXIT_CHECK = 3
 
-_OUTER_DEFAULTS = OuterOptions()
+# The library's outer-loop defaults, except that the CLI runs every outer
+# iteration unless a step tolerance is configured.
+_CLI_OUTER = OuterOptions(step_tolerance=0.0)
 
 
 @dataclass(frozen=True)
@@ -86,12 +87,8 @@ class RunSettings:
     """Fully resolved run configuration (every default made explicit)."""
 
     problem: BenchConfig
+    outer: OuterOptions = _CLI_OUTER
     y0_list: tuple[float, ...] = (2.0, 4.0)
-    max_outer_iterations: int = _OUTER_DEFAULTS.max_outer_iterations
-    step_tolerance: float = 0.0
-    gradient_tolerance: float = _OUTER_DEFAULTS.gradient_tolerance
-    lsqr_max_iterations: int = _OUTER_DEFAULTS.lsqr_max_iterations
-    norm_estimate_mode: str = _OUTER_DEFAULTS.norm_estimate_mode
     schedules: tuple[str, ...] = tuple(SCHEDULE_NAMES)
     epsilon0: float | None = None  # None: resolve per y0
     safety: float = 0.1
@@ -100,7 +97,8 @@ class RunSettings:
     def resolved(self) -> dict:
         out: dict[str, dict] = {}
         for section, key, field, _ in _CONFIG_KEYS:
-            value = getattr(self.problem if section == "problem" else self, field)
+            owner, _, name = field.rpartition(".")
+            value = getattr(getattr(self, owner) if owner else self, name)
             if value is None:
                 value = "auto"
             elif isinstance(value, tuple):
@@ -140,13 +138,6 @@ def _parse_schedule_list(raw) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _parse_norm_mode(raw: str) -> str:
-    mode = raw.lower()
-    if mode not in (NORM_MODE_INTERNAL, NORM_MODE_EXPLICIT):
-        raise ConfigError(f"[solver] norm_estimate_mode: unknown mode {mode!r}")
-    return mode
-
-
 def _parse_epsilon0(raw: str) -> float | None:
     raw = raw.strip().lower()
     if raw == "auto":
@@ -160,23 +151,24 @@ def _parse_epsilon0(raw: str) -> float | None:
     return epsilon0
 
 
-# Every config key as (section, key, field, parser). Keys of [problem] set
-# BenchConfig fields, the others RunSettings fields; a missing key takes the
-# field's default.
+# Every config key as (section, key, field, parser). The field is a
+# RunSettings field, or "problem.<name>" for a BenchConfig field and
+# "outer.<name>" for an OuterOptions field; a missing key takes the field's
+# default.
 _CONFIG_KEYS = (
-    ("problem", "n", "n", int),
-    ("problem", "sigma_true", "sigma_true", float),
-    ("problem", "noise_level", "noise_level", float),
-    ("problem", "lambda", "lam", float),
-    ("problem", "seed", "rng_seed", int),
-    ("problem", "tau", "tau", float),
-    ("problem", "signal", "x_true_spec", str),
+    ("problem", "n", "problem.n", int),
+    ("problem", "sigma_true", "problem.sigma_true", float),
+    ("problem", "noise_level", "problem.noise_level", float),
+    ("problem", "lambda", "problem.lam", float),
+    ("problem", "seed", "problem.rng_seed", int),
+    ("problem", "tau", "problem.tau", float),
+    ("problem", "signal", "problem.x_true_spec", str),
     ("solver", "y0", "y0_list", _parse_float_list),
-    ("solver", "max_outer_iterations", "max_outer_iterations", int),
-    ("solver", "step_tolerance", "step_tolerance", float),
-    ("solver", "gradient_tolerance", "gradient_tolerance", float),
-    ("solver", "lsqr_max_iterations", "lsqr_max_iterations", int),
-    ("solver", "norm_estimate_mode", "norm_estimate_mode", _parse_norm_mode),
+    ("solver", "max_outer_iterations", "outer.max_outer_iterations", int),
+    ("solver", "step_tolerance", "outer.step_tolerance", float),
+    ("solver", "gradient_tolerance", "outer.gradient_tolerance", float),
+    ("solver", "lsqr_max_iterations", "outer.lsqr_max_iterations", int),
+    ("solver", "norm_estimate_mode", "outer.norm_estimate_mode", str),
     ("schedules", "run", "schedules", _parse_schedule_list),
     ("schedules", "epsilon0", "epsilon0", _parse_epsilon0),
     ("schedules", "safety", "safety", float),
@@ -211,7 +203,7 @@ def load_settings(config_path: str | None, seed_override: int | None = None,
            for section, key, _, _ in _CONFIG_KEYS if parser.has_option(section, key)}
     if schedules_override is not None:
         raw[("schedules", "run")] = schedules_override
-    problem_fields, run_fields = {}, {}
+    values: dict[str, dict] = {"problem": {}, "outer": {}, "": {}}
     for section, key, field, parse in _CONFIG_KEYS:
         if (section, key) not in raw:
             continue
@@ -221,17 +213,17 @@ def load_settings(config_path: str | None, seed_override: int | None = None,
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"[{section}] {key}: cannot parse {raw[section, key]!r}") from exc
-        (problem_fields if section == "problem" else run_fields)[field] = value
+        owner, _, name = field.rpartition(".")
+        values[owner][name] = value
     if seed_override is not None:
-        problem_fields["rng_seed"] = seed_override
+        values["problem"]["rng_seed"] = seed_override
 
-    settings = RunSettings(problem=BenchConfig(**problem_fields), **run_fields)
-    if settings.max_outer_iterations < 1:
-        raise ConfigError("[solver] max_outer_iterations must be at least 1")
-    if settings.lsqr_max_iterations < 1:
-        raise ConfigError("[solver] lsqr_max_iterations must be at least 1")
-    if settings.step_tolerance < 0 or settings.gradient_tolerance < 0:
-        raise ConfigError("[solver] stopping tolerances must be nonnegative")
+    problem = BenchConfig(**values["problem"])
+    try:
+        outer = replace(_CLI_OUTER, **values["outer"])
+    except ValueError as exc:
+        raise ConfigError(f"[solver] {exc}") from exc
+    settings = RunSettings(problem=problem, outer=outer, **values[""])
     if not settings.safety > 0:
         raise ConfigError("[schedules] safety must be positive")
     for y0 in settings.y0_list:
@@ -251,35 +243,12 @@ def resolve_epsilon0(settings: RunSettings, problem: ProblemInstance, y0: float)
     return initial_tolerance(max(kappa0, 1.0), settings.safety)
 
 
-def make_schedule(name: str, epsilon0: float) -> ToleranceSchedule:
-    kind = SCHEDULE_NAMES[name]
-    if kind == "fixed-small":
-        return ToleranceSchedule("fixed-small")
-    return ToleranceSchedule(kind, epsilon0)
-
-
-def _outer_options(settings: RunSettings, schedule: ToleranceSchedule | None = None,
-                   **overrides) -> OuterOptions:
-    """The run's OuterOptions: every field RunSettings shares with it, then ``overrides``."""
-    shared = {f.name: getattr(settings, f.name) for f in fields(OuterOptions)
-              if hasattr(settings, f.name)}
-    return OuterOptions(**{**shared, "schedule": schedule, **overrides})
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{float(value):.17g}"
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
 
 
 def _trace_rows(trace: SolverTrace) -> list[list]:
@@ -308,23 +277,6 @@ def _environment() -> dict:
     }
 
 
-def _write_manifest(out_dir: Path, command: str, settings: RunSettings,
-                    files: list[str], timings: dict, extra: dict | None = None) -> None:
-    payload = {
-        "command": command,
-        "package_version": __version__,
-        "config": settings.resolved(),
-        "environment": _environment(),
-        "outputs": sorted(files),
-        "timings_seconds": timings,
-    }
-    if extra:
-        payload.update(extra)
-    with open(out_dir / "manifest.json", "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
 def _gnuplot_script(gap_files: list[str]) -> str:
     lines = [
         "# Parameter gaps between the exact and inexact runs, log scale.",
@@ -338,61 +290,98 @@ def _gnuplot_script(gap_files: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _solver_failed(trace: SolverTrace, label: str) -> bool:
-    if trace.failed:
-        print(f"solver failure in {label}: status={trace.status}", file=sys.stderr)
-        for message in trace.warnings:
-            print(f"  {message}", file=sys.stderr)
-        return True
-    return False
+class _Outputs:
+    """One command's outputs: the files it writes into ``out_dir``, the
+    timings of its solver runs, whether a run failed, and the closing
+    ``manifest.json``."""
+
+    def __init__(self, command: str, settings: RunSettings, out_dir: Path):
+        self.command = command
+        self.settings = settings
+        self.out_dir = out_dir
+        self.problem = build_problem(settings.problem)
+        self.files: list[str] = []
+        self.timings: dict[str, float] = {}
+        self.failed = False
+
+    def solve(self, timing: str, y0: float, sched_name: str | None = None,
+              epsilon0: float | None = None, **overrides) -> SolverTrace:
+        """Run ``genvarpro`` from y0, or ``inexact_genvarpro`` under the named
+        schedule started at ``epsilon0``, with the configured options and
+        ``overrides``. The run's time is added to timing ``timing``; a failed
+        run is reported on stderr and marks the command failed."""
+        schedule = (None if sched_name is None
+                    else ToleranceSchedule(SCHEDULE_NAMES[sched_name], epsilon0))
+        opts = replace(self.settings.outer, schedule=schedule, **overrides)
+        solver = genvarpro if schedule is None else inexact_genvarpro
+        p = self.problem
+        tic = time.perf_counter()
+        trace = solver(p.model, p.b, p.L, p.lam, np.array([y0]), opts)
+        self.timings[timing] = self.timings.get(timing, 0.0) + time.perf_counter() - tic
+        if trace.failed:
+            self.failed = True
+            label = "genvarpro" if schedule is None else f"inexact ({sched_name})"
+            print(f"solver failure in {label} y0={y0}: status={trace.status}", file=sys.stderr)
+            for message in trace.warnings:
+                print(f"  {message}", file=sys.stderr)
+        return trace
+
+    def write_csv(self, name: str, header: list[str], rows: list[list]) -> None:
+        with open(self.out_dir / name, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_fmt(v) for v in row])
+        self.files.append(name)
+
+    def write_text(self, name: str, text: str) -> None:
+        with open(self.out_dir / name, "w") as handle:
+            handle.write(text)
+        self.files.append(name)
+
+    def finish(self, **extra) -> int:
+        """Write ``manifest.json``; the exit code is 2 if a solver run failed, else 0."""
+        payload = {
+            "command": self.command,
+            "package_version": __version__,
+            "config": self.settings.resolved(),
+            "environment": _environment(),
+            "outputs": sorted(self.files),
+            "timings_seconds": self.timings,
+            **extra,
+        }
+        with open(self.out_dir / "manifest.json", "w") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        return EXIT_SOLVER if self.failed else EXIT_OK
 
 
 def cmd_compare(settings: RunSettings, out_dir: Path) -> int:
     """Run the exact solver and every configured schedule, emit traces and gaps."""
-    problem = build_problem(settings.problem)
-    files: list[str] = []
+    out = _Outputs("compare", settings, out_dir)
     gap_files: list[str] = []
-    timings: dict[str, float] = {}
-    failed = False
     for y0 in settings.y0_list:
         tag = _y0_tag(y0)
-        tic = time.perf_counter()
-        trace_gp = genvarpro(problem.model, problem.b, problem.L, problem.lam,
-                             np.array([y0]), _outer_options(settings))
-        timings[f"genvarpro_y0_{tag}"] = time.perf_counter() - tic
-        name = f"gp_y0_{tag}.csv"
-        _write_csv(out_dir / name, _TRACE_HEADER, _trace_rows(trace_gp))
-        files.append(name)
-        if _solver_failed(trace_gp, f"genvarpro y0={y0}"):
-            failed = True
+        trace_gp = out.solve(f"genvarpro_y0_{tag}", y0)
+        out.write_csv(f"gp_y0_{tag}.csv", _TRACE_HEADER, _trace_rows(trace_gp))
+        if trace_gp.failed:
             continue
-        eps0 = resolve_epsilon0(settings, problem, y0)
+        eps0 = resolve_epsilon0(settings, out.problem, y0)
         y_gp = trace_gp.y_history[:, 0]
         for sched_name in settings.schedules:
-            tic = time.perf_counter()
-            trace = inexact_genvarpro(problem.model, problem.b, problem.L, problem.lam,
-                                      np.array([y0]),
-                                      _outer_options(settings, make_schedule(sched_name, eps0)))
-            timings[f"lsqr_{sched_name}_y0_{tag}"] = time.perf_counter() - tic
-            name = f"lsqr_{sched_name}_y0_{tag}.csv"
-            _write_csv(out_dir / name, _TRACE_HEADER, _trace_rows(trace))
-            files.append(name)
-            if _solver_failed(trace, f"inexact ({sched_name}) y0={y0}"):
-                failed = True
+            trace = out.solve(f"lsqr_{sched_name}_y0_{tag}", y0, sched_name, eps0)
+            out.write_csv(f"lsqr_{sched_name}_y0_{tag}.csv", _TRACE_HEADER, _trace_rows(trace))
+            if trace.failed:
                 continue
             y_in = trace.y_history[:, 0]
             count = min(y_gp.size, y_in.size)
             gap_name = f"gap_{sched_name}_y0_{tag}.csv"
-            _write_csv(out_dir / gap_name, ["k", "gap"],
-                       [[k, abs(y_gp[k] - y_in[k])] for k in range(count)])
-            files.append(gap_name)
+            out.write_csv(gap_name, ["k", "gap"],
+                          [[k, abs(y_gp[k] - y_in[k])] for k in range(count)])
             gap_files.append(gap_name)
     if settings.gnuplot and gap_files:
-        with open(out_dir / "plot_gaps.gp", "w") as handle:
-            handle.write(_gnuplot_script(gap_files))
-        files.append("plot_gaps.gp")
-    _write_manifest(out_dir, "compare", settings, files, timings)
-    return EXIT_SOLVER if failed else EXIT_OK
+        out.write_text("plot_gaps.gp", _gnuplot_script(gap_files))
+    return out.finish()
 
 
 def cmd_bounds(settings: RunSettings, out_dir: Path) -> int:
@@ -404,25 +393,18 @@ def cmd_bounds(settings: RunSettings, out_dir: Path) -> int:
     the inner tolerance has outrun the solver's own rounding floor and
     violations are reported only.
     """
-    problem = build_problem(settings.problem)
+    out = _Outputs("bounds", settings, out_dir)
+    problem = out.problem
     b_norm = float(np.linalg.norm(problem.b))
-    files: list[str] = []
-    timings: dict[str, float] = {}
     violations: list[dict] = []
     fatal = False
-    failed = False
     for y0 in settings.y0_list:
         tag = _y0_tag(y0)
         eps0 = resolve_epsilon0(settings, problem, y0)
         for sched_name in settings.schedules:
-            tic = time.perf_counter()
-            trace = inexact_genvarpro(
-                problem.model, problem.b, problem.L, problem.lam, np.array([y0]),
-                _outer_options(settings, make_schedule(sched_name, eps0),
-                               diagnostic=True, norm_estimate_mode=NORM_MODE_EXPLICIT))
-            timings[f"bounds_{sched_name}_y0_{tag}"] = time.perf_counter() - tic
-            if _solver_failed(trace, f"inexact ({sched_name}) y0={y0}"):
-                failed = True
+            trace = out.solve(f"bounds_{sched_name}_y0_{tag}", y0, sched_name, eps0,
+                              diagnostic=True, norm_estimate_mode=NORM_MODE_EXPLICIT)
+            if trace.failed:
                 continue
             rows = []
             for rec in trace.records:
@@ -450,16 +432,11 @@ def cmd_bounds(settings: RunSettings, out_dir: Path) -> int:
                           f"eps*kappa={eps * kappa:.3e}"
                           + ("" if entry["fatal"] else " (below rounding floor, not fatal)"),
                           file=sys.stderr)
-            name = f"bounds_{sched_name}_y0_{tag}.csv"
-            _write_csv(out_dir / name,
-                       ["k", "epsilon", "kappa", "eps_kappa", "measured_x_err", "x_bound",
-                        "measured_r_err", "r_bound", "violation"], rows)
-            files.append(name)
-    _write_manifest(out_dir, "bounds", settings, files, timings,
-                    extra={"violations": violations})
-    if failed:
-        return EXIT_SOLVER
-    return EXIT_CHECK if fatal else EXIT_OK
+            out.write_csv(f"bounds_{sched_name}_y0_{tag}.csv",
+                          ["k", "epsilon", "kappa", "eps_kappa", "measured_x_err", "x_bound",
+                           "measured_r_err", "r_bound", "violation"], rows)
+    code = out.finish(violations=violations)
+    return EXIT_CHECK if fatal and code == EXIT_OK else code
 
 
 def cmd_gradcheck(settings: RunSettings, corrupt: bool = False) -> int:
@@ -509,28 +486,18 @@ def cmd_table(settings: RunSettings, out_dir: Path) -> int:
     reconstruction error, the parameter iterates, and the exact gradient
     magnitudes at both solvers' iterates.
     """
-    problem = build_problem(settings.problem)
+    out = _Outputs("table", settings, out_dir)
+    problem = out.problem
     x_true_norm = float(np.linalg.norm(problem.x_true))
-    files: list[str] = []
-    timings: dict[str, float] = {}
     header = ["k", "rre_gp", "rre_ab", "y_gp", "y_ab", "grad_gp", "grad_ab"]
+    seven_steps = dict(max_outer_iterations=7, step_tolerance=0.0, gradient_tolerance=0.0)
     for y0 in settings.y0_list:
         tag = _y0_tag(y0)
         eps0 = resolve_epsilon0(settings, problem, y0)
-        tic = time.perf_counter()
-        opts_exact = _outer_options(settings, max_outer_iterations=7,
-                                    step_tolerance=0.0, gradient_tolerance=0.0)
-        trace_gp = genvarpro(problem.model, problem.b, problem.L, problem.lam,
-                             np.array([y0]), opts_exact)
-        opts_ab = _outer_options(settings, make_schedule("ab", eps0),
-                                 max_outer_iterations=7, step_tolerance=0.0,
-                                 gradient_tolerance=0.0, diagnostic=True)
-        trace_ab = inexact_genvarpro(problem.model, problem.b, problem.L, problem.lam,
-                                     np.array([y0]), opts_ab)
-        timings[f"table_y0_{tag}"] = time.perf_counter() - tic
-        if _solver_failed(trace_gp, f"genvarpro y0={y0}") or \
-                _solver_failed(trace_ab, f"inexact (ab) y0={y0}"):
-            return EXIT_SOLVER
+        trace_gp = out.solve(f"table_y0_{tag}", y0, **seven_steps)
+        trace_ab = out.solve(f"table_y0_{tag}", y0, "ab", eps0, diagnostic=True, **seven_steps)
+        if trace_gp.failed or trace_ab.failed:
+            continue
         rows = []
         for k in range(min(len(trace_gp), len(trace_ab))):
             rec_gp = trace_gp.records[k]
@@ -544,19 +511,13 @@ def cmd_table(settings: RunSettings, out_dir: Path) -> int:
                 float(np.linalg.norm(rec_gp.gradient)),
                 float(np.linalg.norm(rec_ab.gradient_exact)),
             ])
-        name = f"table_y0_{tag}.csv"
-        _write_csv(out_dir / name, header, rows)
-        files.append(name)
-        text_name = f"table_y0_{tag}.txt"
-        with open(out_dir / text_name, "w") as handle:
-            handle.write(f"{'k':>2s} {'RRE(x_GP)':>10s} {'RRE(x_ab)':>10s} "
-                         f"{'y_GP':>8s} {'y_ab':>8s} {'|grad_GP|':>10s} {'|grad_ab|':>10s}\n")
-            for row in rows:
-                handle.write(f"{row[0]:2d} {row[1]:10.4f} {row[2]:10.4f} "
-                             f"{row[3]:8.4f} {row[4]:8.4f} {row[5]:10.2e} {row[6]:10.2e}\n")
-        files.append(text_name)
-    _write_manifest(out_dir, "table", settings, files, timings)
-    return EXIT_OK
+        out.write_csv(f"table_y0_{tag}.csv", header, rows)
+        lines = [f"{'k':>2s} {'RRE(x_GP)':>10s} {'RRE(x_ab)':>10s} "
+                 f"{'y_GP':>8s} {'y_ab':>8s} {'|grad_GP|':>10s} {'|grad_ab|':>10s}\n"]
+        lines += [f"{row[0]:2d} {row[1]:10.4f} {row[2]:10.4f} "
+                  f"{row[3]:8.4f} {row[4]:8.4f} {row[5]:10.2e} {row[6]:10.2e}\n" for row in rows]
+        out.write_text(f"table_y0_{tag}.txt", "".join(lines))
+    return out.finish()
 
 
 def main(argv=None) -> int:

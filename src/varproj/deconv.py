@@ -44,7 +44,6 @@ class BenchConfig:
     noise_level: float = 0.05
     lam: float = 0.0379
     rng_seed: int = DEFAULT_SEED
-    y0: float = 2.0
     tau: float = 1e-8
     x_true_spec: str = "piecewise"
 
@@ -57,8 +56,6 @@ class BenchConfig:
             raise ConfigError(f"noise_level must be nonnegative, got {self.noise_level}")
         if not self.lam > 0.0:
             raise ConfigError(f"lambda must be positive, got {self.lam}")
-        if not self.y0 > 0.0:
-            raise ConfigError(f"y0 must be positive, got {self.y0}")
         if not self.tau > 0.0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
         if self.x_true_spec not in SIGNAL_SPECS:
@@ -177,11 +174,6 @@ def _objective_at(problem: ProblemInstance, gram_reg: np.ndarray, y_value: float
 def _regularizer_gram(problem: ProblemInstance) -> np.ndarray:
     Ld = problem.L.to_dense()
     return (problem.lam**2) * (Ld.T @ Ld)
-
-
-def reduced_objective(problem: ProblemInstance, y_value: float) -> float:
-    """Reduced functional value 0.5 ||F(y)||^2 with an exact inner solve."""
-    return _objective_at(problem, _regularizer_gram(problem), y_value)
 
 
 def objective_grid(problem: ProblemInstance, lo: float, hi: float,

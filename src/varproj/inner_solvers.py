@@ -54,12 +54,22 @@ class LsqrOptions:
     def __post_init__(self):
         if not self.tolerance > 0.0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
-        mode = str(self.norm_estimate_mode).lower()
-        if mode not in (NORM_MODE_INTERNAL, NORM_MODE_EXPLICIT):
-            raise ValueError(f"unknown norm_estimate_mode {self.norm_estimate_mode!r}")
-        object.__setattr__(self, "norm_estimate_mode", mode)
+        object.__setattr__(self, "norm_estimate_mode", check_lsqr_controls(
+            self.max_iterations, self.norm_estimate_mode))
+
+
+def check_lsqr_controls(max_iterations: int, norm_estimate_mode: str,
+                        cap_field: str = "max_iterations") -> str:
+    """Validate an LSQR iteration cap and norm mode; return the mode in lower case.
+
+    ``cap_field`` is the caller's name for the cap, used in the error message.
+    """
+    if max_iterations < 1:
+        raise ValueError(f"{cap_field} must be at least 1")
+    mode = str(norm_estimate_mode).lower()
+    if mode not in (NORM_MODE_INTERNAL, NORM_MODE_EXPLICIT):
+        raise ValueError(f"norm_estimate_mode: unknown mode {norm_estimate_mode!r}")
+    return mode
 
 
 @dataclass
@@ -301,8 +311,3 @@ def condition_number(op: LinearOperator) -> float:
             f"operator is numerically rank deficient (smallest singular value {s[-1]:.3e})"
         )
     return float(s[0] / s[-1])
-
-
-def spectral_norm(op: LinearOperator) -> float:
-    """Largest singular value of the materialized operator."""
-    return float(np.linalg.svd(op.to_dense(), compute_uv=False)[0])

@@ -11,8 +11,6 @@ threads.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 from scipy.linalg import toeplitz
 
@@ -278,26 +276,3 @@ def gaussian_toeplitz_derivative(sigma: float, n: int) -> SymmetricToeplitzOpera
     dtotal = float(dg.sum())
     return SymmetricToeplitzOperator(_flush_subnormals(dg / total - g * (dtotal / total**2)))
 
-
-def finite_difference_derivative(
-    builder: Callable[[np.ndarray], LinearOperator],
-    y: np.ndarray,
-    j: int,
-    step: float | None = None,
-) -> DenseOperator:
-    """Central-difference d A / d y_j for models without analytic derivatives.
-
-    The default step is max(1e-6, 1e-7 * |y_j|).
-    """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    h = step if step is not None else max(1e-6, 1e-7 * abs(y[j]))
-    yp = y.copy()
-    yp[j] += h
-    ym = y.copy()
-    ym[j] -= h
-    return DenseOperator((builder(yp).to_dense() - builder(ym).to_dense()) / (2.0 * h))
-
-
-def fd_derivative_builder(builder: Callable[[np.ndarray], LinearOperator]):
-    """Wrap an operator builder into a (y, j) -> dA/dy_j derivative builder."""
-    return lambda y, j: finite_difference_derivative(builder, y, j)

@@ -26,6 +26,7 @@ from .inner_solvers import (
     SingularSystemError,
     apply_pinv_transpose,
     apply_projector_perp,
+    check_lsqr_controls,
     condition_number,
     lsqr_solve,
 )
@@ -71,21 +72,19 @@ class ToleranceSchedule:
 
     Kinds: ``constant`` keeps eps0; ``linear`` is eps0/k for k >= 1 (eps0 at
     k = 0); ``exponential`` halves every iteration; ``fixed-small`` always
-    returns 1e-11. Values are clamped below at ``floor`` so the exponential
-    schedule bottoms out at machine precision instead of underflowing.
+    returns 1e-11 whatever eps0 is. Values are clamped below at machine
+    epsilon so the exponential schedule bottoms out there instead of
+    underflowing.
     """
 
     kind: str
     epsilon0: float = FIXED_SMALL_TOLERANCE
-    floor: float = _EPS
 
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if not self.epsilon0 > 0.0:
             raise ValueError(f"epsilon0 must be positive, got {self.epsilon0}")
-        if not self.floor > 0.0:
-            raise ValueError(f"floor must be positive, got {self.floor}")
 
     def value(self, k: int) -> float:
         if k < 0:
@@ -98,7 +97,7 @@ class ToleranceSchedule:
             v = self.epsilon0 * 0.5**k
         else:  # fixed-small
             v = FIXED_SMALL_TOLERANCE
-        return max(v, self.floor)
+        return max(v, _EPS)
 
 
 @dataclass(frozen=True)
@@ -111,6 +110,8 @@ class OuterOptions:
     ``schedule`` is required by the inexact variant only. ``diagnostic``
     makes the inexact variant additionally record, per iterate, the exact
     inner solution, the exact gradient, and explicit-SVD operator norms.
+    ``lsqr_max_iterations`` and ``norm_estimate_mode`` are the inexact
+    variant's LSQR controls; ``norm_estimate_mode`` is stored in lower case.
     """
 
     max_outer_iterations: int = 50
@@ -126,6 +127,8 @@ class OuterOptions:
             raise ValueError("max_outer_iterations must be at least 1")
         if self.step_tolerance < 0.0 or self.gradient_tolerance < 0.0:
             raise ValueError("stopping tolerances must be nonnegative")
+        object.__setattr__(self, "norm_estimate_mode", check_lsqr_controls(
+            self.lsqr_max_iterations, self.norm_estimate_mode, "lsqr_max_iterations"))
 
 
 @dataclass
@@ -172,14 +175,6 @@ class SolverTrace:
     @property
     def y_history(self) -> np.ndarray:
         return np.array([rec.y for rec in self.records])
-
-    @property
-    def f_values(self) -> np.ndarray:
-        return np.array([rec.f_value for rec in self.records])
-
-    @property
-    def gradient_norms(self) -> np.ndarray:
-        return np.array([np.linalg.norm(rec.gradient) for rec in self.records])
 
     def __len__(self) -> int:
         return len(self.records)

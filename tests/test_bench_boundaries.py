@@ -7,7 +7,10 @@ default argument) silently loses its spans; tier-1 does not run the
 benchmark's own tests, so both are checked here.
 """
 
+import ast
+import importlib
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +42,19 @@ def test_wrapped_attribute_exists(module, name):
 
 def test_cli_initial_tolerances_exist():
     assert set(cli.DEFAULT_INITIAL_TOLERANCES) == {2.0, 4.0}
+
+
+def test_benchmark_imported_names_exist():
+    # The imports are read with ast, not executed, so tier-1 does not
+    # import the benchmark.
+    source = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    imported = [(node.module, alias.name) for node in ast.walk(ast.parse(source.read_text()))
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("varproj")
+                for alias in node.names]
+    assert {module for module, _ in imported} == {"varproj", "varproj.cli"}
+    missing = [f"{module}.{name}" for module, name in imported
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
 
 
 @pytest.mark.parametrize("solver", ["genvarpro", "inexact_genvarpro"])

@@ -77,6 +77,26 @@ class TestConfig:
         assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "turbo" in capsys.readouterr().err
 
+    # Each invalid [solver]/[schedules] value is a config error naming its
+    # key; the two stopping tolerances share one message.
+    @pytest.mark.parametrize("section,key,value,named", [
+        ("solver", "max_outer_iterations", "0", "max_outer_iterations"),
+        ("solver", "lsqr_max_iterations", "0", "lsqr_max_iterations"),
+        ("solver", "step_tolerance", "-1", "stopping tolerances"),
+        ("solver", "gradient_tolerance", "-1", "stopping tolerances"),
+        ("solver", "norm_estimate_mode", "bogus", "norm_estimate_mode"),
+        ("schedules", "safety", "0", "safety"),
+        ("solver", "y0", "-1", "y0"),
+        ("schedules", "epsilon0", "0", "epsilon0"),
+    ])
+    def test_invalid_value_names_key(self, tmp_path, capsys, section, key, value, named):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: [{section}] ") and named in err
+        assert not (tmp_path / "o").exists()
+
     def test_defaults_without_config(self):
         settings = cli.load_settings(None)
         assert settings.problem.n == 128
@@ -90,6 +110,12 @@ class TestConfig:
         cfg.write_text("[schedules]\nrun = exponential, fixed-small\n")
         settings = cli.load_settings(str(cfg))
         assert settings.schedules == ("ab", "s")
+
+    def test_norm_mode_case_insensitive(self, tmp_path):
+        cfg = tmp_path / "mode.cfg"
+        cfg.write_text("[solver]\nnorm_estimate_mode = Explicit-SVD\n")
+        resolved = cli.load_settings(str(cfg)).resolved()
+        assert resolved["solver"]["norm_estimate_mode"] == "explicit-svd"
 
     def test_seed_and_schedule_overrides(self, small_cfg):
         settings = cli.load_settings(str(small_cfg), seed_override=99,
@@ -292,6 +318,27 @@ class TestTable:
         # inner solves there
         assert float(rows[0][3]) == 2.0 and float(rows[0][4]) == 2.0
         assert float(rows[0][1]) > 0.0 and float(rows[0][2]) > 0.0
+
+    def test_solver_failure_runs_every_y0(self, tmp_path, monkeypatch, capsys):
+        import varproj.varpro as varpro_mod
+        starts = []
+
+        def failing(*args, **kwargs):
+            starts.append(float(args[4][0]))
+            return varpro_mod.SolverTrace(records=[], status="inner-failure",
+                                          warnings=["boom"])
+
+        monkeypatch.setattr(cli, "genvarpro", failing)
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text(SMALL_CONFIG.replace("y0 = 1.6", "y0 = 1.6, 2.0"))
+        out = tmp_path / "o"
+        assert main(["table", "--config", str(cfg), "--out", str(out)]) == 2
+        assert starts == [1.6, 2.0]
+        err = capsys.readouterr().err
+        assert "genvarpro y0=1.6" in err and "genvarpro y0=2.0" in err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == "table"
+        assert manifest["outputs"] == []
 
     def test_table_files(self, small_cfg, tmp_path):
         out = tmp_path / "out"

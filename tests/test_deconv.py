@@ -129,7 +129,7 @@ class TestReducedObjective:
         # The two paths assemble the normal matrix differently (dense S^T S
         # vs A^T A + lam^2 L^T L), so agreement is limited by kappa(N)*eps.
         rec = gp_trace_y2.records[0]
-        value = vp.reduced_objective(problem, rec.y[0])
+        _, (value,) = vp.objective_grid(problem, rec.y[0], rec.y[0], 1.0)
         assert value == pytest.approx(rec.f_value, rel=1e-8)
 
     def test_conditioning_of_forward_operator(self, problem):

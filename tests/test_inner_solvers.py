@@ -10,6 +10,7 @@ from varproj.inner_solvers import (
     NumericalBreakdownError,
     RankDeficiencyError,
     SingularSystemError,
+    apply_pinv,
 )
 
 from conftest import random_stacked
@@ -70,7 +71,7 @@ class TestPinvApplications:
         fact, rng = random_fact
         w = rng.standard_normal(4)
         z = fact.op.matvec(w)
-        np.testing.assert_allclose(vp.apply_pinv(fact, z), w,
+        np.testing.assert_allclose(apply_pinv(fact, z), w,
                                    rtol=0, atol=1e-8 * np.linalg.norm(w))
 
     def test_annihilates_orthogonal_complement(self, random_fact):
@@ -78,7 +79,7 @@ class TestPinvApplications:
         dense = fact.op.to_dense()
         u, _, _ = np.linalg.svd(dense, full_matrices=True)
         z = u[:, -1]  # orthogonal to range(S)
-        out = vp.apply_pinv(fact, z)
+        out = apply_pinv(fact, z)
         assert np.linalg.norm(out) <= 1e-8
 
     def test_matches_svd_pseudoinverse(self, random_fact):
@@ -87,7 +88,7 @@ class TestPinvApplications:
         for _ in range(5):
             z = rng.standard_normal(fact.op.rows)
             expected = pinv @ z
-            np.testing.assert_allclose(vp.apply_pinv(fact, z), expected,
+            np.testing.assert_allclose(apply_pinv(fact, z), expected,
                                        rtol=0, atol=1e-8 * np.linalg.norm(expected))
 
     def test_transpose_recovers_range_vector(self, random_fact):
@@ -202,7 +203,7 @@ class TestLsqr:
         assert sol.converged
         x = DirectFactorization(op).solve_rhs(b)
         kappa = vp.condition_number(op)
-        bound = vp.solution_bound(kappa, np.linalg.norm(d), vp.spectral_norm(op), eps)
+        bound = vp.solution_bound(kappa, np.linalg.norm(d), np.linalg.norm(op.to_dense(), 2), eps)
         assert np.linalg.norm(x - sol.x_bar) <= bound
 
     def test_residual_field_recomputes(self):

@@ -112,14 +112,6 @@ class TestGaussianToeplitzDerivative:
             for j in range(3):
                 assert dense[i, j] == pytest.approx(expected_row[abs(i - j)], rel=1e-14)
 
-    def test_fd_fallback_builder(self):
-        builder = lambda y: vp.gaussian_toeplitz(float(y[0]), 32)
-        fd_op = vp.finite_difference_derivative(builder, np.array([2.5]), 0)
-        exact = vp.gaussian_toeplitz_derivative(2.5, 32).to_dense()
-        np.testing.assert_allclose(fd_op.to_dense(), exact, rtol=1e-6, atol=1e-12)
-        via_builder = vp.fd_derivative_builder(builder)(np.array([2.5]), 0)
-        np.testing.assert_array_equal(via_builder.to_dense(), fd_op.to_dense())
-
 
 class TestRowScaled:
     def test_applies_bit_identical_to_scaled_base(self):
