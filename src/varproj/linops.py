@@ -6,13 +6,19 @@ regularizer, diagonal row scaling, and the vertical stack [A; lambda*L] that
 turns a Tikhonov-regularized problem into an ordinary least-squares operator.
 Operators are matrix-free by contract but cheap to materialize at the scales
 used here; they are immutable after construction and safe to share across
-threads.
+threads. A symmetric Toeplitz operator whose first row has a narrow nonzero
+band (2k + 1 <= n/2 for its last nonzero index k) applies that band with the
+BLAS banded product ``dsbmv`` instead of the dense matrix; see
+``SymmetricToeplitzOperator``.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 from scipy.linalg import toeplitz
+from scipy.linalg.blas import dsbmv
 
 # Smallest positive normal double; kernel entries below it are subnormal.
 _TINY = float(np.finfo(float).tiny)
@@ -88,7 +94,26 @@ class DenseOperator(LinearOperator):
 
 
 class SymmetricToeplitzOperator(LinearOperator):
-    """Symmetric Toeplitz operator defined by its first row."""
+    """Symmetric Toeplitz operator defined by its first row.
+
+    The apply is chosen once, when the operator is built, from the first
+    row's nonzero band. With k the index of its last nonzero entry, each
+    row of the matrix has at most 2k + 1 nonzeros. When that is at most
+    n / 2, the band is kept in BLAS symmetric band storage and applied with
+    ``dsbmv``, which reads (k + 1) * n entries instead of the n * n a dense
+    apply streams. Otherwise the dense matrix is applied. The band apply
+    sums each row in another order, so its results differ from
+    ``to_dense() @ v`` by rounding only; the dense apply is
+    ``to_dense() @ v`` exactly. ``to_dense`` returns the dense matrix
+    either way.
+
+    With one BLAS thread on an Intel Xeon, at n = 1024 and Gaussian widths
+    2 to 4 (k = 75 to 151) a dense apply took 380-450 us and a band apply
+    51-67 us, or 152 us for the width-4 derivative, whose last entries are
+    small enough that their products with entries of v below one are
+    subnormal. At n = 128 the band apply was slower than the dense one, and
+    no Gaussian kernel of width 1 or more takes it there.
+    """
 
     def __init__(self, first_row):
         first_row = np.array(first_row, dtype=float)
@@ -101,6 +126,18 @@ class SymmetricToeplitzOperator(LinearOperator):
         dense = toeplitz(first_row)
         dense.setflags(write=False)
         self._dense = dense
+        # 2k + 1 <= n/2 holds when every entry past index (n - 2) // 4 is zero.
+        cut = (n - 2) // 4 + 1
+        self._band = None
+        if cut > 0 and not np.count_nonzero(first_row[cut:]):
+            nonzero = np.flatnonzero(first_row)
+            k = int(nonzero[-1]) if nonzero.size else 0
+            # Lower band storage: row d holds diagonal d, first_row[d] in
+            # every column (dsbmv never reads the last d columns of row d).
+            self._band = np.asfortranarray(np.broadcast_to(first_row[: k + 1, None], (k + 1, n)))
+            # Shadows both dense methods on this instance only. The partial
+            # holds no reference to the operator, so it makes no cycle.
+            self._matvec = self._rmatvec = partial(dsbmv, k, 1.0, self._band, lower=1)
 
     def _matvec(self, v):
         return self._dense @ v

@@ -125,7 +125,7 @@ class OuterOptions:
     def __post_init__(self):
         if self.max_outer_iterations < 1:
             raise ValueError("max_outer_iterations must be at least 1")
-        if self.step_tolerance < 0.0 or self.gradient_tolerance < 0.0:
+        if not (self.step_tolerance >= 0.0 and self.gradient_tolerance >= 0.0):
             raise ValueError("stopping tolerances must be nonnegative")
         object.__setattr__(self, "norm_estimate_mode", check_lsqr_controls(
             self.lsqr_max_iterations, self.norm_estimate_mode, "lsqr_max_iterations"))

@@ -84,6 +84,7 @@ class TestConfig:
         ("solver", "lsqr_max_iterations", "0", "lsqr_max_iterations"),
         ("solver", "step_tolerance", "-1", "stopping tolerances"),
         ("solver", "gradient_tolerance", "-1", "stopping tolerances"),
+        ("solver", "step_tolerance", "nan", "stopping tolerances"),
         ("solver", "norm_estimate_mode", "bogus", "norm_estimate_mode"),
         ("schedules", "safety", "0", "safety"),
         ("solver", "y0", "-1", "y0"),

@@ -8,6 +8,7 @@ import pytest
 import varproj as vp
 
 TINY = np.finfo(float).tiny
+EPS = np.finfo(float).eps
 
 
 def manual_gaussian_row(sigma, n):
@@ -80,6 +81,36 @@ class TestGaussianToeplitz:
             normal = np.abs(formula) >= TINY
             assert np.all(row[normal] == formula[normal])
             assert np.all(row[~normal] == 0.0)
+
+    # The band apply is taken when the first row's last nonzero index k has
+    # 2k + 1 <= n/2: k = 75 / 115 / 150 at sigma = 2 / 3.07 / 4 (151 for the
+    # sigma = 4 derivative), k = 18 at sigma = 0.5, and k = 0 at sigma = 1e-3,
+    # where the derivative row is all zero. (2, 301) and (2, 302) straddle
+    # the switch.
+    @pytest.mark.parametrize("sigma,n,banded", [
+        (2.0, 1024, True), (3.07, 1024, True), (4.0, 1024, True), (0.5, 96, True),
+        (1e-3, 4, True), (2.0, 302, True), (2.0, 301, False), (3.0, 128, False),
+        (0.5, 32, False),
+    ])
+    def test_band_apply_matches_dense(self, sigma, n, banded):
+        rng = np.random.default_rng(6)
+        for kernel in (vp.gaussian_toeplitz, vp.gaussian_toeplitz_derivative):
+            op = kernel(sigma, n)
+            assert (op._band is not None) == banded
+            dense = op.to_dense()
+            # Each entry of either product sums at most m = 2k + 1 nonzero
+            # terms, so each lies within gamma_m (|A| |v|)_i of the exact
+            # value (Higham, Accuracy and Stability, sec. 3.1).
+            m = int(np.count_nonzero(dense, axis=1).max())
+            gamma = m * (EPS / 2) / (1.0 - m * EPS / 2)
+            for _ in range(10):
+                v = rng.standard_normal(n)
+                expected = dense @ v
+                for out in (op.matvec(v), op.rmatvec(v)):
+                    if banded:
+                        assert np.all(np.abs(out - expected) <= 2 * gamma * (np.abs(dense) @ np.abs(v)))
+                    else:
+                        assert np.all(out == expected)
 
     @pytest.mark.parametrize("sigma,n", [(-1.0, 8), (0.0, 8), (3.0, 1)])
     def test_invalid_arguments(self, sigma, n):
@@ -221,6 +252,9 @@ def _sample_operators():
         diff,
         vp.RowScaledOperator(rng.uniform(0.5, 2.0, size=11), diff),
         vp.stack(vp.gaussian_toeplitz(1.5, 12), vp.first_difference(12), 0.3),
+        # narrow enough for the band apply: 2k + 1 = 37 <= n/2 = 40
+        vp.gaussian_toeplitz(0.5, 80),
+        vp.stack(vp.gaussian_toeplitz(0.5, 80), vp.first_difference(80), 0.3),
     ]
     return ops
 

@@ -1,5 +1,7 @@
 """Reduced residual, Jacobians, Gauss-Newton steps, and the outer loops."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -359,6 +361,8 @@ class TestOuterLoops:
         ("max_outer_iterations", 0, "max_outer_iterations"),
         ("step_tolerance", -1.0, "stopping tolerances"),
         ("gradient_tolerance", -1.0, "stopping tolerances"),
+        ("step_tolerance", math.nan, "stopping tolerances"),
+        ("gradient_tolerance", math.nan, "stopping tolerances"),
         ("lsqr_max_iterations", 0, "lsqr_max_iterations"),
         ("norm_estimate_mode", "bogus", "norm_estimate_mode"),
     ])
