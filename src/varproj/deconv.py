@@ -10,6 +10,7 @@ variation ||D x_true||_1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,10 +182,16 @@ def objective_grid(problem: ProblemInstance, lo: float, hi: float,
     """Evaluate the reduced functional on a uniform grid of kernel widths.
 
     Uses exact (normal-equations) inner solves at every grid point; the
-    regularizer Gram matrix is assembled once and reused.
+    regularizer Gram matrix is assembled once and reused. The bounds must be
+    finite with lo <= hi.
     """
     if not resolution > 0.0:
         raise ValueError(f"resolution must be positive, got {resolution}")
+    for name, value in (("lo", lo), ("hi", hi)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if lo > hi:
+        raise ValueError(f"lo must not exceed hi, got lo={lo}, hi={hi}")
     count = int(round((hi - lo) / resolution)) + 1
     ys = lo + resolution * np.arange(count)
     gram_reg = _regularizer_gram(problem)

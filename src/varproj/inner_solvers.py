@@ -311,3 +311,39 @@ def condition_number(op: LinearOperator) -> float:
             f"operator is numerically rank deficient (smallest singular value {s[-1]:.3e})"
         )
     return float(s[0] / s[-1])
+
+
+def condition_number_bound(op: LinearOperator) -> float:
+    """Certified upper bound on the 2-norm condition number, or ``inf``.
+
+    Takes the eigenvalues of the Gram matrix G = fl(S^T S) of the
+    materialized m x n operator S, which costs far less than its SVD.
+    G differs from S^T S by at most gamma_m |S|^T |S| entrywise, whose
+    2-norm is at most gamma_m n ||S||_2^2 (Higham, Accuracy and Stability of
+    Numerical Algorithms, sec. 3.5 and Lemma 6.6). The symmetric eigensolver
+    returns the eigenvalues of G + E with ||E||_2 <= p(n) eps ||G||_2, taken
+    here with p(n) = n. So every computed eigenvalue lies within delta of
+    the matching eigenvalue of S^T S, and by Weyl's inequality
+    sqrt((lmax + delta) / (lmin - delta)) >= kappa_2(S), with a last factor
+    1 + 4 eps for the rounding of that formula. When lmin <= delta, S may
+    be rank deficient and the bound is ``inf``.
+    """
+    dense = np.asarray(op.to_dense(), dtype=float)
+    m, n = dense.shape
+    # eigh reads one triangle of the symmetric G; the transpose of the
+    # C-ordered product is the F-ordered array it overwrites without a copy.
+    gram = (dense.T @ dense).T
+    del dense
+    evals = scipy.linalg.eigh(gram, eigvals_only=True, driver="evd", overwrite_a=True)
+    unit = _EPS / 2
+    gram_rel = n * m * unit / (1.0 - m * unit)
+    # delta = t ||S||_2^2, and ||S||_2^2 <= lmax / (1 - t) since lmax is
+    # itself within t ||S||_2^2 of ||S||_2^2.
+    t = gram_rel + n * _EPS * (1.0 + gram_rel)
+    lmin, lmax = float(evals[0]), float(evals[-1])
+    if not (t < 1.0 and lmax > 0.0):
+        return math.inf
+    delta = t * lmax / (1.0 - t)
+    if lmin <= delta:
+        return math.inf
+    return math.sqrt((lmax + delta) / (lmin - delta)) * (1.0 + 4.0 * _EPS)

@@ -9,19 +9,23 @@ used here; they are immutable after construction and safe to share across
 threads. A symmetric Toeplitz operator whose first row has a narrow nonzero
 band (2k + 1 <= n/2 for its last nonzero index k) applies that band with the
 BLAS banded product ``dsbmv`` instead of the dense matrix; see
-``SymmetricToeplitzOperator``.
+``SymmetricToeplitzOperator``. The Gaussian kernels drop their first-row
+entries below sqrt(tiny), so no product of kernel entries, and no product of
+a kernel entry with a vector entry of at least sqrt(tiny), is subnormal.
 """
 
 from __future__ import annotations
 
+import math
 from functools import partial
 
 import numpy as np
 from scipy.linalg import toeplitz
 from scipy.linalg.blas import dsbmv
 
-# Smallest positive normal double; kernel entries below it are subnormal.
-_TINY = float(np.finfo(float).tiny)
+# Gaussian kernel entries below sqrt(tiny), about 1.49e-154, are set to
+# zero; see gaussian_toeplitz.
+_FLUSH_BELOW = math.sqrt(float(np.finfo(float).tiny))
 
 
 def _as_vector(v, length: int, what: str) -> np.ndarray:
@@ -108,11 +112,9 @@ class SymmetricToeplitzOperator(LinearOperator):
     either way.
 
     With one BLAS thread on an Intel Xeon, at n = 1024 and Gaussian widths
-    2 to 4 (k = 75 to 151) a dense apply took 380-450 us and a band apply
-    51-67 us, or 152 us for the width-4 derivative, whose last entries are
-    small enough that their products with entries of v below one are
-    subnormal. At n = 128 the band apply was slower than the dense one, and
-    no Gaussian kernel of width 1 or more takes it there.
+    2 to 4 (k = 53 to 106) a band apply on the vectors LSQR applies it to
+    took 24-65 us. At n = 128 the band apply was slower than the dense
+    one; only Gaussian kernels of width up to about 1.2 take it there.
     """
 
     def __init__(self, first_row):
@@ -268,8 +270,8 @@ def _gaussian_generator(sigma: float, n: int) -> tuple[np.ndarray, float]:
 
 
 def _flush_subnormals(row: np.ndarray) -> np.ndarray:
-    """Set the entries of magnitude below the smallest normal double to zero."""
-    row[np.abs(row) < _TINY] = 0.0
+    """Set the entries of magnitude below sqrt(tiny) to zero."""
+    row[np.abs(row) < _FLUSH_BELOW] = 0.0
     return row
 
 
@@ -279,13 +281,16 @@ def gaussian_toeplitz(sigma: float, n: int) -> SymmetricToeplitzOperator:
     The first row is c * exp(-(j-1)^2 / (2 sigma^2)) for j = 1..n, with c the
     reciprocal of the unnormalized row sum, so the first row sums to one.
 
-    The Gaussian tail is truncated below the smallest normal double: entries
-    of magnitude below ``np.finfo(float).tiny`` (about 2.2e-308) are set to
-    zero, and every other entry is the formula's value bit for bit. Those
-    subnormal entries lie far below the rounding error of any product with a
-    row that sums to one, yet on x86 processors arithmetic on them takes a
-    slow path: at sigma = 2 a dense 128 x 128 apply took 15.6 us with them
-    and 4.2 us without (one BLAS thread, Intel Xeon).
+    The Gaussian tail is truncated at the square root of the smallest normal
+    double: entries of magnitude below sqrt(``np.finfo(float).tiny``) (about
+    1.49e-154) are set to zero, and every other entry is the formula's value
+    bit for bit. The dropped entries lie far below the rounding error of any
+    product with a row that sums to one. Kept, they make subnormal numbers,
+    on which x86 processors take a slow path: the product of two of them in
+    a Gram matrix A^T A, and the product of one with an entry of v below one
+    in an apply. With the cut at sqrt(tiny), the product of two kept entries
+    is always normal, and so is that of a kept entry with any vector entry
+    of at least sqrt(tiny).
 
     Parameters
     ----------
@@ -303,8 +308,8 @@ def gaussian_toeplitz_derivative(sigma: float, n: int) -> SymmetricToeplitzOpera
     Differentiates c(sigma) * exp(-(j-1)^2 / (2 sigma^2)) analytically,
     including the sigma-dependence of the normalizer c, so the derivative
     first row sums to zero. The derivative is taken of the untruncated
-    Gaussian, and its own entries below the smallest normal double are then
-    set to zero, as in ``gaussian_toeplitz``.
+    Gaussian, and its own entries below sqrt(tiny) are then set to zero, as
+    in ``gaussian_toeplitz``.
     """
     _validate_kernel_args(sigma, n)
     offsets = np.arange(n, dtype=float)

@@ -28,6 +28,7 @@ from .inner_solvers import (
     apply_projector_perp,
     check_lsqr_controls,
     condition_number,
+    condition_number_bound,
     lsqr_solve,
 )
 from .linops import LinearOperator, stack
@@ -345,25 +346,35 @@ def inexact_genvarpro(model: SeparableModel, b, L: LinearOperator, lam: float, y
     Iteration k solves the inner problem to tolerance eps^(k), forms the
     approximate residual and Jacobian from the LSQR iterate, and steps.
     LSQR hitting its iteration cap is recorded as a warning and the run
-    continues with the best available iterate. Before the loop starts, the
-    condition number kappa0 at y0 is computed to warn when eps^(0) kappa0
-    >= 1; a stacked operator that is rank deficient at y0 therefore raises
-    ``RankDeficiencyError`` here, where ``genvarpro`` returns a trace with
-    status ``inner-failure``.
+    continues with the best available iterate. Before the loop starts, it
+    warns when eps^(0) kappa0 >= 1, with kappa0 the condition number at y0.
+    A certified upper bound on kappa0 from the eigenvalues of S^T S
+    (``condition_number_bound``) settles eps^(0) kappa0 < 1 without an
+    SVD; only when the bound cannot does the exact ``condition_number``
+    decide. So the warning fires exactly when the SVD's kappa0 says so. A
+    stacked operator that is rank deficient at y0 has an infinite bound, so
+    the SVD runs and, when its smallest singular value is below 1e-300,
+    raises ``RankDeficiencyError``, where ``genvarpro`` returns a trace
+    with status ``inner-failure``.
     """
     if opts.schedule is None:
         raise ValueError("inexact_genvarpro requires OuterOptions.schedule")
     b, y = _start(model, b, y0)
 
     eps0 = opts.schedule.value(0)
-    kappa0 = condition_number(stack(model.operator(y), L, lam))
-    if eps0 * kappa0 >= 1.0:
-        warnings.warn(
-            f"initial tolerance times condition number is {eps0 * kappa0:.3g} >= 1; "
-            "inner-solve error bounds do not apply",
-            ToleranceWarning,
-            stacklevel=2,
-        )
+    op0 = stack(model.operator(y), L, lam)
+    # The certified bound settles eps0 * kappa0 < 1 without an SVD; only
+    # when it cannot does the exact kappa0 decide, and word, the warning.
+    if eps0 * condition_number_bound(op0) >= 1.0:
+        kappa0 = condition_number(op0)
+        if eps0 * kappa0 >= 1.0:
+            warnings.warn(
+                f"initial tolerance times condition number is {eps0 * kappa0:.3g} >= 1; "
+                "inner-solve error bounds do not apply",
+                ToleranceWarning,
+                stacklevel=2,
+            )
+    del op0  # its dense matrices would otherwise stay alive through the run
 
     def lsqr_inner(k, y, fact, d, messages):
         eps_k = opts.schedule.value(k)

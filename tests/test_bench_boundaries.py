@@ -9,6 +9,7 @@ benchmark's own tests, so both are checked here.
 
 import ast
 import importlib
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -57,8 +58,13 @@ def test_benchmark_imported_names_exist():
     assert missing == []
 
 
-@pytest.mark.parametrize("solver", ["genvarpro", "inexact_genvarpro"])
-def test_solvers_look_up_wrapped_names_at_call_time(small_problem, monkeypatch, solver):
+@pytest.mark.parametrize("solver,schedule", [
+    ("genvarpro", None),
+    ("inexact_genvarpro", vp.ToleranceSchedule("fixed-small")),
+    ("inexact_genvarpro", vp.ToleranceSchedule("constant", 0.5)),
+], ids=["genvarpro", "inexact_genvarpro", "inexact_genvarpro-warns"])
+def test_solvers_look_up_wrapped_names_at_call_time(small_problem, monkeypatch, solver,
+                                                      schedule):
     calls = Counter()
     for name in ("lsqr_solve", "DirectFactorization", "condition_number", "exact_jacobian",
                  "gauss_newton_step", "stack"):
@@ -67,15 +73,24 @@ def test_solvers_look_up_wrapped_names_at_call_time(small_problem, monkeypatch, 
             return _original(*args, **kwargs)
         monkeypatch.setattr(varpro, name, counting)
     p = small_problem
-    opts = vp.OuterOptions(max_outer_iterations=2, schedule=vp.ToleranceSchedule("fixed-small"))
-    trace = getattr(vp, solver)(p.model, p.b, p.L, p.lam, np.array([1.5]), opts)
+    opts = vp.OuterOptions(max_outer_iterations=2, schedule=schedule)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        trace = getattr(vp, solver)(p.model, p.b, p.L, p.lam, np.array([1.5]), opts)
     assert len(trace) == 3
     # Two steps and the closing record: one factorization and one Jacobian
-    # per record; the inexact solver adds its kappa0 check and the LSQR solves.
+    # per record; the inexact solver adds the stack of its kappa0 check and
+    # the LSQR solves. Its exact kappa0 SVD runs only when the certified
+    # bound cannot settle eps0 * kappa0 < 1, as with eps0 = 0.5, and then
+    # the warning fires.
     expected = {"stack": 3, "DirectFactorization": 3, "exact_jacobian": 3, "gauss_newton_step": 2}
+    warns = schedule is not None and schedule.kind == "constant"
     if solver == "inexact_genvarpro":
-        expected.update(stack=4, condition_number=1, lsqr_solve=3)
+        expected.update(stack=4, lsqr_solve=3)
+    if warns:
+        expected.update(condition_number=1)
     assert calls == expected
+    assert sum(issubclass(w.category, varpro.ToleranceWarning) for w in caught) == warns
 
 
 @pytest.mark.parametrize("tolerance,cap", [(1e-8, 10000), (1e-14, 25)],

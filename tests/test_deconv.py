@@ -1,5 +1,7 @@
 """Benchmark construction: signals, regularizer weighting, noise, determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,20 @@ class TestReducedObjective:
         rec = gp_trace_y2.records[0]
         _, (value,) = vp.objective_grid(problem, rec.y[0], rec.y[0], 1.0)
         assert value == pytest.approx(rec.f_value, rel=1e-8)
+
+    @pytest.mark.parametrize("lo,hi,resolution,message", [
+        (3.0, 2.0, 0.1, "lo must not exceed hi"),
+        (2.0, math.inf, 0.1, "hi must be finite"),
+        (2.0, math.nan, 0.1, "hi must be finite"),
+        (math.nan, 4.0, 0.1, "lo must be finite"),
+        (-math.inf, 4.0, 0.1, "lo must be finite"),
+        (2.0, 4.0, 0.0, "resolution must be positive"),
+        (2.0, 4.0, -0.1, "resolution must be positive"),
+    ])
+    def test_grid_rejects_bad_bounds(self, small_problem, lo, hi, resolution, message):
+        for scan in (vp.objective_grid, vp.grid_minimizer):
+            with pytest.raises(ValueError, match=message):
+                scan(small_problem, lo, hi, resolution)
 
     def test_conditioning_of_forward_operator(self, problem):
         s = np.linalg.svd(problem.model.operator(np.array([3.0])).to_dense(),

@@ -1,7 +1,11 @@
 """Direct and LSQR inner solves, pseudoinverse applications, certificates."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import varproj as vp
 from varproj.inner_solvers import (
@@ -11,6 +15,7 @@ from varproj.inner_solvers import (
     RankDeficiencyError,
     SingularSystemError,
     apply_pinv,
+    condition_number_bound,
 )
 
 from conftest import random_stacked
@@ -163,6 +168,52 @@ class TestConditionNumber:
         op = vp.stack(vp.DenseOperator(np.zeros((3, 2))), vp.DenseOperator(np.zeros((1, 2))), 1.0)
         with pytest.raises(RankDeficiencyError):
             vp.condition_number(op)
+
+
+@st.composite
+def stacked_with_rank(draw):
+    """A random stacked operator [A; lam L] and whether it is rank deficient.
+
+    The top A is m x n with m >= n and its first z columns zeroed; L is a
+    random q x n matrix. Such a stack has full column rank (almost surely)
+    unless z > 0 and the bottom cannot cover the zeroed columns, that is
+    lam = 0 or q < z.
+    """
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(n, 16))
+    q = draw(st.integers(0, 6))
+    z = draw(st.integers(0, min(2, n)))
+    lam = draw(st.one_of(st.just(0.0), st.floats(0.1, 2.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = rng.standard_normal((m, n))
+    top[:, :z] = 0.0
+    op = vp.stack(vp.DenseOperator(top), vp.DenseOperator(rng.standard_normal((q, n))), lam)
+    return op, z > 0 and (lam == 0.0 or q < z)
+
+
+class TestConditionNumberBound:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(stacked_with_rank())
+    def test_bounds_svd_condition_number(self, case):
+        # condition_number raises only on a smallest singular value below
+        # 1e-300, which a zeroed column does not always give; so a raise
+        # must mean inf, and a finite bound must dominate the SVD's kappa.
+        op, deficient = case
+        bound = condition_number_bound(op)
+        assert math.isinf(bound) == deficient
+        try:
+            kappa = vp.condition_number(op)
+        except RankDeficiencyError:
+            assert math.isinf(bound)
+        else:
+            assert kappa <= bound
+
+    @pytest.mark.parametrize("n", [48, 128])
+    @pytest.mark.parametrize("y", [1.5, 2.0, 3.07, 4.0])
+    def test_tight_on_benchmark_operators(self, n, y):
+        op = vp.stacked_operator(vp.build_problem(vp.BenchConfig(n=n)), y)
+        kappa = vp.condition_number(op)
+        assert 0.0 <= condition_number_bound(op) / kappa - 1.0 <= 1e-3
 
 
 class TestLsqr:

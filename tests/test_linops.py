@@ -7,7 +7,8 @@ import pytest
 
 import varproj as vp
 
-TINY = np.finfo(float).tiny
+# Kernel entries below sqrt(tiny) are set to zero.
+FLUSH = np.sqrt(np.finfo(float).tiny)
 EPS = np.finfo(float).eps
 
 
@@ -41,7 +42,11 @@ class TestGaussianToeplitz:
             row = vp.gaussian_toeplitz(sigma, n).first_row
             assert abs(row.sum() - 1.0) <= 1e-14
             assert np.all(row >= 0.0)
-            assert np.all(row[: min(n, 8)] > 0.0)
+            # Positive exactly where the formula's entry is at least sqrt(tiny):
+            # at sigma = 0.25 entry 7 is about 1e-170 and is dropped.
+            g = np.exp(-(np.arange(n, dtype=float) ** 2) / (2.0 * sigma**2))
+            formula = g / float(g.sum())
+            assert np.all((row > 0.0) == (formula >= FLUSH))
 
     def test_toeplitz_structure_exact(self):
         op = vp.gaussian_toeplitz(2.0, 20)
@@ -64,7 +69,8 @@ class TestGaussianToeplitz:
                                          (0.25, 64), (10.0, 200)])
     def test_tail_truncated_below_smallest_normal(self, sigma, n):
         # The untruncated rows from the kernels' formulas, in the same
-        # floating-point operations; at (2, 1024) both hold subnormal entries.
+        # floating-point operations; at (2, 1024) both hold entries in the
+        # dropped range, subnormal ones among them.
         offsets = np.arange(n, dtype=float)
         g = np.exp(-(offsets**2) / (2.0 * sigma**2))
         total = float(g.sum())
@@ -74,23 +80,23 @@ class TestGaussianToeplitz:
             vp.gaussian_toeplitz_derivative: dg / total - g * (float(dg.sum()) / total**2),
         }
         if (sigma, n) == (2.0, 1024):
-            assert all(np.any((row != 0.0) & (np.abs(row) < TINY)) for row in rows.values())
+            assert all(np.any((row != 0.0) & (np.abs(row) < FLUSH)) for row in rows.values())
         for kernel, formula in rows.items():
             row = kernel(sigma, n).first_row
-            assert not np.any((row != 0.0) & (np.abs(row) < TINY))
-            normal = np.abs(formula) >= TINY
-            assert np.all(row[normal] == formula[normal])
-            assert np.all(row[~normal] == 0.0)
+            assert not np.any((row != 0.0) & (np.abs(row) < FLUSH))
+            kept = np.abs(formula) >= FLUSH
+            assert np.all(row[kept] == formula[kept])
+            assert np.all(row[~kept] == 0.0)
 
     # The band apply is taken when the first row's last nonzero index k has
-    # 2k + 1 <= n/2: k = 75 / 115 / 150 at sigma = 2 / 3.07 / 4 (151 for the
-    # sigma = 4 derivative), k = 18 at sigma = 0.5, and k = 0 at sigma = 1e-3,
-    # where the derivative row is all zero. (2, 301) and (2, 302) straddle
-    # the switch.
+    # 2k + 1 <= n/2: k = 53 / 81 / 106 at sigma = 2 / 3.07 / 4 (82 for the
+    # sigma = 3.07 derivative), k = 13 at sigma = 0.5, and k = 0 at
+    # sigma = 1e-3, where the derivative row is all zero. (2, 213) and
+    # (2, 214) straddle the switch.
     @pytest.mark.parametrize("sigma,n,banded", [
         (2.0, 1024, True), (3.07, 1024, True), (4.0, 1024, True), (0.5, 96, True),
-        (1e-3, 4, True), (2.0, 302, True), (2.0, 301, False), (3.0, 128, False),
-        (0.5, 32, False),
+        (1e-3, 4, True), (2.0, 302, True), (2.0, 214, True), (2.0, 213, False),
+        (3.0, 128, False), (0.5, 32, False),
     ])
     def test_band_apply_matches_dense(self, sigma, n, banded):
         rng = np.random.default_rng(6)

@@ -1,6 +1,7 @@
 """Reduced residual, Jacobians, Gauss-Newton steps, and the outer loops."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -381,6 +382,21 @@ class TestOuterLoops:
                                schedule=vp.ToleranceSchedule("constant", 0.5))
         with pytest.warns(ToleranceWarning):
             vp.inexact_genvarpro(p.model, p.b, p.L, p.lam, np.array([1.5]), opts)
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_warning_decided_by_exact_kappa0(self, small_problem, side):
+        # The certified bound exceeds kappa0 here by about 7e-6, so on both
+        # sides the exact kappa0 decides, and only eps0 * kappa0 >= 1 warns.
+        p = small_problem
+        kappa0 = vp.condition_number(vp.stacked_operator(p, 1.5))
+        eps0 = (1.0 + side * 1e-6) / kappa0
+        opts = vp.OuterOptions(max_outer_iterations=1,
+                               schedule=vp.ToleranceSchedule("constant", eps0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            vp.inexact_genvarpro(p.model, p.b, p.L, p.lam, np.array([1.5]), opts)
+        warned = any(issubclass(w.category, ToleranceWarning) for w in caught)
+        assert warned == (side > 0)
 
     def test_fixed_small_matches_exact_trace(self, small_problem):
         p = small_problem
