@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg
 
-from .linops import LinearOperator, StackedOperator
+from .linops import LinearOperator, StackedOperator, normal_band
 
 NORM_MODE_INTERNAL = "internal-bidiagonal"
 NORM_MODE_EXPLICIT = "explicit-svd"
@@ -258,28 +259,40 @@ def _check_rhs(op: LinearOperator, d) -> np.ndarray:
 class DirectFactorization:
     """Cholesky factorization of S^T S for a stacked operator S.
 
-    Holds the dense materialization of S alongside the factorization; the
-    pseudoinverse and projector applications below reuse both. Immutable
+    When ``normal_band`` gives S^T S in band storage, the band is factored
+    with LAPACK ``dpbtrf`` and solved with ``dpbtrs``, and S is never
+    materialized. Otherwise S is materialized, S^T S is formed densely and
+    factored with ``dpotrf``. The pseudoinverse and projector applications
+    below reuse the factorization and apply S through ``op``. Immutable
     after construction and shareable across threads.
     """
 
     def __init__(self, op: StackedOperator):
         self.op = op
-        dense = np.asarray(op.to_dense(), dtype=float)
-        normal = dense.T @ dense
+        band = normal_band(op)
         try:
-            self._cho = scipy.linalg.cho_factor(normal, lower=True)
+            if band is None:
+                dense = np.asarray(op.to_dense(), dtype=float)
+                normal = dense.T @ dense
+                self._solve = partial(scipy.linalg.cho_solve,
+                                      scipy.linalg.cho_factor(normal, lower=True))
+            else:
+                self._solve = partial(scipy.linalg.cho_solve_banded,
+                                      (scipy.linalg.cholesky_banded(band, lower=True), True))
         except scipy.linalg.LinAlgError as exc:
-            smallest = float(np.linalg.eigvalsh(normal)[0])
+            if band is None:
+                smallest = float(np.linalg.eigvalsh(normal)[0])
+            else:
+                smallest = float(scipy.linalg.eigvals_banded(
+                    band, lower=True, select="i", select_range=(0, 0))[0])
             raise SingularSystemError(
                 "normal equations are not positive definite "
                 f"(smallest pivot {smallest:.6e})"
             ) from exc
-        self.dense = dense
 
     def solve_normal(self, v) -> np.ndarray:
         """Apply (S^T S)^{-1} to a length-n vector."""
-        return scipy.linalg.cho_solve(self._cho, np.asarray(v, dtype=float))
+        return self._solve(np.asarray(v, dtype=float))
 
     def solve_rhs(self, b) -> np.ndarray:
         """Inner solution for stacked data [b; 0]: (S^T S)^{-1} A^T b."""
@@ -304,9 +317,15 @@ def apply_projector_perp(fact: DirectFactorization, z) -> np.ndarray:
 
 
 def condition_number(op: LinearOperator) -> float:
-    """2-norm condition number sigma_max / sigma_min of the materialized operator."""
-    s = np.linalg.svd(op.to_dense(), compute_uv=False)
-    if s[-1] < 1e-300:
+    """2-norm condition number sigma_max / sigma_min of the materialized operator.
+
+    Raises ``RankDeficiencyError`` when sigma_min <= max(m, n) eps sigma_max,
+    the default rank tolerance of ``numpy.linalg.matrix_rank``: an exactly
+    rank-deficient m x n operator can have a computed sigma_min of that order.
+    """
+    dense = op.to_dense()
+    s = np.linalg.svd(dense, compute_uv=False)
+    if s[-1] <= max(dense.shape) * _EPS * s[0]:
         raise RankDeficiencyError(
             f"operator is numerically rank deficient (smallest singular value {s[-1]:.3e})"
         )
@@ -316,25 +335,43 @@ def condition_number(op: LinearOperator) -> float:
 def condition_number_bound(op: LinearOperator) -> float:
     """Certified upper bound on the 2-norm condition number, or ``inf``.
 
-    Takes the eigenvalues of the Gram matrix G = fl(S^T S) of the
-    materialized m x n operator S, which costs far less than its SVD.
-    G differs from S^T S by at most gamma_m |S|^T |S| entrywise, whose
-    2-norm is at most gamma_m n ||S||_2^2 (Higham, Accuracy and Stability of
-    Numerical Algorithms, sec. 3.5 and Lemma 6.6). The symmetric eigensolver
-    returns the eigenvalues of G + E with ||E||_2 <= p(n) eps ||G||_2, taken
-    here with p(n) = n. So every computed eigenvalue lies within delta of
-    the matching eigenvalue of S^T S, and by Weyl's inequality
+    Takes the eigenvalues of a computed Gram matrix G = fl(S^T S) of the
+    m x n operator S, which costs far less than the SVD of S. When
+    ``normal_band`` gives G in band storage, its eigenvalues come from the
+    band eigensolver ``dsbevd`` and S is never materialized; otherwise S is
+    materialized, G is formed densely and ``dsyevd`` is used. The
+    certificate is the same on both routes:
+
+    - Gram rounding. Each entry of G is an inner product of two columns of
+      S, summed in floating point over at most m products in some order
+      (the band route leaves out products that are exact zeros, and its
+      entries outside the band are exactly zero). So G differs from S^T S by
+      at most gamma_m |S|^T |S| entrywise, whose 2-norm is at most
+      gamma_m n ||S||_2^2 (Higham, Accuracy and Stability of Numerical
+      Algorithms, sec. 3.5 and Lemma 6.6).
+    - Eigensolver backward error. ``dsyevd`` and ``dsbevd`` both reduce G
+      to tridiagonal form by orthogonal transformations and return the
+      eigenvalues of G + E with ||E||_2 <= p(n) eps ||G||_2, the bound the
+      LAPACK Users' Guide (sec. 4.7) states for all its symmetric
+      eigensolvers, dense and band alike; it is taken here with p(n) = n.
+
+    So every computed eigenvalue lies within delta of the matching
+    eigenvalue of S^T S, and by Weyl's inequality
     sqrt((lmax + delta) / (lmin - delta)) >= kappa_2(S), with a last factor
     1 + 4 eps for the rounding of that formula. When lmin <= delta, S may
     be rank deficient and the bound is ``inf``.
     """
-    dense = np.asarray(op.to_dense(), dtype=float)
-    m, n = dense.shape
-    # eigh reads one triangle of the symmetric G; the transpose of the
-    # C-ordered product is the F-ordered array it overwrites without a copy.
-    gram = (dense.T @ dense).T
-    del dense
-    evals = scipy.linalg.eigh(gram, eigvals_only=True, driver="evd", overwrite_a=True)
+    m, n = op.shape
+    band = normal_band(op)
+    if band is None:
+        dense = np.asarray(op.to_dense(), dtype=float)
+        # eigh reads one triangle of the symmetric G; the transpose of the
+        # C-ordered product is the F-ordered array it overwrites without a copy.
+        gram = (dense.T @ dense).T
+        del dense
+        evals = scipy.linalg.eigh(gram, eigvals_only=True, driver="evd", overwrite_a=True)
+    else:
+        evals = scipy.linalg.eigvals_banded(band, lower=True, overwrite_a_band=True)
     unit = _EPS / 2
     gram_rel = n * m * unit / (1.0 - m * unit)
     # delta = t ||S||_2^2, and ||S||_2^2 <= lmax / (1 - t) since lmax is

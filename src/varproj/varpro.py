@@ -353,9 +353,9 @@ def inexact_genvarpro(model: SeparableModel, b, L: LinearOperator, lam: float, y
     SVD; only when the bound cannot does the exact ``condition_number``
     decide. So the warning fires exactly when the SVD's kappa0 says so. A
     stacked operator that is rank deficient at y0 has an infinite bound, so
-    the SVD runs and, when its smallest singular value is below 1e-300,
-    raises ``RankDeficiencyError``, where ``genvarpro`` returns a trace
-    with status ``inner-failure``.
+    the SVD runs and, when its smallest singular value is at most
+    max(m, n) eps times its largest, raises ``RankDeficiencyError``, where
+    ``genvarpro`` returns a trace with status ``inner-failure``.
     """
     if opts.schedule is None:
         raise ValueError("inexact_genvarpro requires OuterOptions.schedule")
@@ -392,7 +392,7 @@ def inexact_genvarpro(model: SeparableModel, b, L: LinearOperator, lam: float, y
             x_exact = fact.solve_rhs(b)
             fvec = fact.op.matvec(x_exact) - d
             J = exact_jacobian(model, y, fact, x_exact, b)
-            svals = np.linalg.svd(fact.dense, compute_uv=False)
+            svals = np.linalg.svd(fact.op.to_dense(), compute_uv=False)
             fields.update(x_exact=x_exact, gradient_exact=gradient(J, fvec),
                           op_norm=float(svals[0]), kappa=float(svals[0] / svals[-1]))
         return sol.x_bar, fields

@@ -9,6 +9,7 @@ benchmark's own tests, so both are checked here.
 
 import ast
 import importlib
+import json
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -113,3 +114,18 @@ def test_lsqr_applies_per_iteration(problem, monkeypatch, tolerance, cap):
     assert sol.converged == (cap == 10000)
     assert sol.iterations > 1
     assert calls == {"matvec": 2 * sol.iterations + 1, "rmatvec": 2 * sol.iterations + 1}
+
+
+def test_pinned_n128_lsqr_count():
+    # The benchmark pins the LSQR work of each n = 128 operation exactly in
+    # bench/baseline_counts.json, but tier-1 does not run its tests. The
+    # constant schedule from y0 = 2 is the cheapest pinned operation, and a
+    # change that moves n = 128 LSQR work moves it too.
+    counts = Path(__file__).resolve().parents[1] / "bench" / "baseline_counts.json"
+    pinned = json.loads(counts.read_text())["paper-n128"]["lsqr_iters_by_op"]["constant@y0=2"]
+    p = vp.build_problem(vp.BenchConfig(n=128, rng_seed=1))
+    opts = vp.OuterOptions(max_outer_iterations=50, step_tolerance=0.0,
+                           schedule=vp.ToleranceSchedule(
+                               "constant", cli.DEFAULT_INITIAL_TOLERANCES[2.0]))
+    trace = vp.inexact_genvarpro(p.model, p.b, p.L, p.lam, np.array([2.0]), opts)
+    assert sum(rec.inner_iterations for rec in trace.records) == pinned

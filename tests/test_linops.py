@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import varproj as vp
+from varproj.linops import normal_band
 
 # Kernel entries below sqrt(tiny) are set to zero.
 FLUSH = np.sqrt(np.finfo(float).tiny)
@@ -124,6 +125,57 @@ class TestGaussianToeplitz:
             vp.gaussian_toeplitz(sigma, n)
         with pytest.raises(ValueError):
             vp.gaussian_toeplitz_derivative(sigma, n)
+
+
+class TestNormalBand:
+    # The Gram band is taken when kd = 2k has 2 kd + 1 <= n/2: k = 26 / 53 /
+    # 79 / 106 at widths 1 / 2 / 3 / 4, so n >= 210 / 426 / 634 / 850.
+    # (2, 425) and (2, 426) straddle the switch.
+    @pytest.mark.parametrize("sigma,n,banded", [
+        (1.0, 256, True), (2.0, 256, False), (3.0, 256, False), (4.0, 256, False),
+        (1.0, 512, True), (2.0, 512, True), (3.0, 512, False), (4.0, 512, False),
+        (1.0, 1024, True), (2.0, 1024, True), (3.0, 1024, True), (4.0, 1024, True),
+        (2.0, 425, False), (2.0, 426, True),
+    ])
+    def test_within_rounding_of_dense_gram(self, sigma, n, banded):
+        rng = np.random.default_rng(8)
+        weights = 10.0 ** rng.uniform(-1.0, 4.0, size=n - 1)
+        op = vp.stack(vp.gaussian_toeplitz(sigma, n),
+                      vp.RowScaledOperator(weights, vp.first_difference(n)), 0.0379)
+        band = normal_band(op)
+        assert (band is not None) == banded
+        if not banded:
+            return
+        kd = band.shape[0] - 1
+        assert 2 * kd + 1 <= n / 2
+        s = op.to_dense()
+        gram = s.T @ s
+        # Both band and gram are fl(S^T S) summed in different orders, so
+        # each lies within gamma_m (|S|^T |S|) of S^T S entrywise
+        # (Higham, Accuracy and Stability, sec. 3.5).
+        m = s.shape[0]
+        gamma = m * (EPS / 2) / (1.0 - m * EPS / 2)
+        slack = 2 * gamma * (np.abs(s).T @ np.abs(s))
+        for d in range(kd + 1):
+            assert np.all(np.abs(band[d, : n - d] - np.diagonal(gram, -d))
+                          <= np.diagonal(slack, -d))
+            assert np.all(band[d, n - d:] == 0.0)
+        assert not np.any(np.tril(gram, -kd - 1))
+
+    @pytest.mark.parametrize("y", [1.5, 2.0, 3.07, 4.0])
+    def test_n128_benchmark_operators_take_dense_path(self, problem, y):
+        assert normal_band(vp.stacked_operator(problem, y)) is None
+
+    def test_other_blocks_take_dense_path(self):
+        rng = np.random.default_rng(9)
+        top = vp.gaussian_toeplitz(1.0, 256)
+        diff = vp.first_difference(256)
+        assert normal_band(top) is None
+        assert normal_band(vp.stack(top, diff, 0.5)) is None
+        assert normal_band(vp.stack(vp.DenseOperator(top.to_dense()),
+                                    vp.RowScaledOperator(np.ones(255), diff), 0.5)) is None
+        assert normal_band(vp.stack(top, vp.DenseOperator(rng.standard_normal((3, 256))),
+                                    0.5)) is None
 
 
 class TestGaussianToeplitzDerivative:

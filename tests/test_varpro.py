@@ -8,6 +8,7 @@ import pytest
 
 import varproj as vp
 from varproj.inner_solvers import DirectFactorization, RankDeficiencyError
+from varproj.linops import normal_band
 from varproj.varpro import SingularStepError, ToleranceWarning
 
 
@@ -423,6 +424,21 @@ class TestOuterLoops:
         assert t1.records[0].gradient_exact is not None
         assert t1.records[0].kappa is not None
         assert t0.records[0].x_exact is None
+
+    def test_diagnostic_on_band_path(self):
+        # At n = 256 and width 1 the normal equations take the band path,
+        # so the diagnostic SVD materializes the stacked operator itself.
+        p = vp.build_problem(vp.BenchConfig(n=256, sigma_true=1.0))
+        assert normal_band(vp.stacked_operator(p, 1.0)) is not None
+        opts = vp.OuterOptions(max_outer_iterations=2, step_tolerance=0.0, diagnostic=True,
+                               schedule=vp.ToleranceSchedule("constant", 1e-6))
+        trace = vp.inexact_genvarpro(p.model, p.b, p.L, p.lam, np.array([1.0]), opts)
+        assert not trace.failed
+        for rec in trace.records:
+            s = np.linalg.svd(vp.stacked_operator(p, rec.y[0]).to_dense(), compute_uv=False)
+            assert rec.op_norm == float(s[0])
+            assert rec.kappa == float(s[0] / s[-1])
+            assert rec.x_exact is not None and rec.gradient_exact is not None
 
     def test_inexact_trace_records_schedule(self, small_problem):
         p = small_problem
