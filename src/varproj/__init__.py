@@ -24,7 +24,6 @@ from .deconv import (
 from .inner_solvers import (
     DirectFactorization,
     InnerSolution,
-    LsqrOptions,
     NumericalBreakdownError,
     RankDeficiencyError,
     SingularSystemError,

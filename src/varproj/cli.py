@@ -5,8 +5,8 @@ Four subcommands operate on the blind-deconvolution benchmark:
 * ``compare`` runs the exact solver and the inexact solver under the
   configured tolerance schedules, writing per-iteration CSV traces and
   per-schedule gap files.
-* ``bounds`` reruns the inexact solver with diagnostics and verifies the
-  a-posteriori solution/residual bounds at every iteration.
+* ``bounds`` reruns the inexact solver with the explicit-SVD operator norm
+  and verifies the a-posteriori solution/residual bounds at every iteration.
 * ``gradcheck`` validates the analytic Jacobian and gradient against
   central finite differences.
 * ``table`` emits reconstruction-error/parameter/gradient tables for the
@@ -38,7 +38,6 @@ from . import __version__
 from .bounds import BoundInvalidError, initial_tolerance, residual_bound, solution_bound
 from .deconv import BenchConfig, ConfigError, ProblemInstance, build_problem, stacked_operator
 from .inner_solvers import (
-    NORM_MODE_EXPLICIT,
     NumericalBreakdownError,
     RankDeficiencyError,
     SingularSystemError,
@@ -46,6 +45,7 @@ from .inner_solvers import (
 )
 from .linops import DenseOperator
 from .varpro import (
+    NORM_MODE_EXPLICIT,
     OuterOptions,
     SingularStepError,
     SolverTrace,
@@ -146,8 +146,8 @@ def _parse_epsilon0(raw: str) -> float | None:
         epsilon0 = float(raw)
     except ValueError as exc:
         raise ConfigError(f"[schedules] epsilon0: cannot parse {raw!r}") from exc
-    if not epsilon0 > 0.0:
-        raise ConfigError(f"[schedules] epsilon0 must be positive, got {epsilon0}")
+    if not 0.0 < epsilon0 < np.inf:
+        raise ConfigError(f"[schedules] epsilon0 must be positive and finite, got {epsilon0}")
     return epsilon0
 
 
@@ -218,17 +218,20 @@ def load_settings(config_path: str | None, seed_override: int | None = None,
     if seed_override is not None:
         values["problem"]["rng_seed"] = seed_override
 
-    problem = BenchConfig(**values["problem"])
+    try:
+        problem = BenchConfig(**values["problem"])
+    except ConfigError as exc:
+        raise ConfigError(f"[problem] {exc}") from exc
     try:
         outer = replace(_CLI_OUTER, **values["outer"])
     except ValueError as exc:
         raise ConfigError(f"[solver] {exc}") from exc
     settings = RunSettings(problem=problem, outer=outer, **values[""])
-    if not settings.safety > 0:
-        raise ConfigError("[schedules] safety must be positive")
+    if not 0.0 < settings.safety < np.inf:
+        raise ConfigError("[schedules] safety must be positive and finite")
     for y0 in settings.y0_list:
-        if not y0 > 0:
-            raise ConfigError(f"[solver] y0 values must be positive, got {y0}")
+        if not 0.0 < y0 < np.inf:
+            raise ConfigError(f"[solver] y0 values must be positive and finite, got {y0}")
     return settings
 
 
@@ -388,8 +391,9 @@ def cmd_bounds(settings: RunSettings, out_dir: Path) -> int:
     """Verify the solution/residual bounds along every inexact run.
 
     The inexact runs use the explicit-SVD operator norm in the stopping
-    test, since the bounds are stated for the true 2-norm. Violations at
-    tolerances above 1e3 * machine epsilon are check failures; below that
+    test, since the bounds are stated for the true 2-norm; x(y), kappa and
+    ||S||_2 are computed at each recorded iterate after the run. Violations
+    at tolerances above 1e3 * machine epsilon are check failures; below that
     the inner tolerance has outrun the solver's own rounding floor and
     violations are reported only.
     """
@@ -403,18 +407,21 @@ def cmd_bounds(settings: RunSettings, out_dir: Path) -> int:
         eps0 = resolve_epsilon0(settings, problem, y0)
         for sched_name in settings.schedules:
             trace = out.solve(f"bounds_{sched_name}_y0_{tag}", y0, sched_name, eps0,
-                              diagnostic=True, norm_estimate_mode=NORM_MODE_EXPLICIT)
+                              norm_estimate_mode=NORM_MODE_EXPLICIT)
             if trace.failed:
                 continue
             rows = []
             for rec in trace.records:
-                eps, kappa = rec.epsilon, rec.kappa
+                fact, x_exact, _ = exact_residual(problem.model, rec.y, problem.b,
+                                                  problem.L, problem.lam)
+                s = np.linalg.svd(fact.op.to_dense(), compute_uv=False)
+                eps, kappa, op_norm = rec.epsilon, float(s[0] / s[-1]), float(s[0])
                 valid = eps * kappa < 1.0
-                measured_x = float(np.linalg.norm(rec.x_exact - rec.x))
-                op = stacked_operator(problem, rec.y[0])
-                measured_r = float(np.linalg.norm(op.matvec(rec.x) - op.matvec(rec.x_exact)))
+                measured_x = float(np.linalg.norm(x_exact - rec.x))
+                op = fact.op
+                measured_r = float(np.linalg.norm(op.matvec(rec.x) - op.matvec(x_exact)))
                 if valid:
-                    bound_x = solution_bound(kappa, b_norm, rec.op_norm, eps)
+                    bound_x = solution_bound(kappa, b_norm, op_norm, eps)
                     bound_r = residual_bound(kappa, b_norm, eps)
                     violated = measured_x >= bound_x or measured_r >= bound_r
                 else:
@@ -495,13 +502,16 @@ def cmd_table(settings: RunSettings, out_dir: Path) -> int:
         tag = _y0_tag(y0)
         eps0 = resolve_epsilon0(settings, problem, y0)
         trace_gp = out.solve(f"table_y0_{tag}", y0, **seven_steps)
-        trace_ab = out.solve(f"table_y0_{tag}", y0, "ab", eps0, diagnostic=True, **seven_steps)
+        trace_ab = out.solve(f"table_y0_{tag}", y0, "ab", eps0, **seven_steps)
         if trace_gp.failed or trace_ab.failed:
             continue
         rows = []
         for k in range(min(len(trace_gp), len(trace_ab))):
             rec_gp = trace_gp.records[k]
             rec_ab = trace_ab.records[k]
+            fact, x_exact, fvec = exact_residual(problem.model, rec_ab.y, problem.b,
+                                                 problem.L, problem.lam)
+            J = exact_jacobian(problem.model, rec_ab.y, fact, x_exact, problem.b)
             rows.append([
                 k,
                 float(np.linalg.norm(rec_gp.x - problem.x_true)) / x_true_norm,
@@ -509,7 +519,7 @@ def cmd_table(settings: RunSettings, out_dir: Path) -> int:
                 rec_gp.y[0],
                 rec_ab.y[0],
                 float(np.linalg.norm(rec_gp.gradient)),
-                float(np.linalg.norm(rec_ab.gradient_exact)),
+                float(np.linalg.norm(gradient(J, fvec))),
             ])
         out.write_csv(f"table_y0_{tag}.csv", header, rows)
         lines = [f"{'k':>2s} {'RRE(x_GP)':>10s} {'RRE(x_ab)':>10s} "

@@ -51,14 +51,14 @@ class BenchConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ConfigError(f"n must be at least 2, got {self.n}")
-        if not self.sigma_true > 0.0:
-            raise ConfigError(f"sigma_true must be positive, got {self.sigma_true}")
-        if not self.noise_level >= 0.0:
-            raise ConfigError(f"noise_level must be nonnegative, got {self.noise_level}")
-        if not self.lam > 0.0:
-            raise ConfigError(f"lambda must be positive, got {self.lam}")
-        if not self.tau > 0.0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
+        if not 0.0 < self.sigma_true < math.inf:
+            raise ConfigError(f"sigma_true must be positive and finite, got {self.sigma_true}")
+        if not 0.0 <= self.noise_level < math.inf:
+            raise ConfigError(f"noise_level must be nonnegative and finite, got {self.noise_level}")
+        if not 0.0 < self.lam < math.inf:
+            raise ConfigError(f"lambda must be positive and finite, got {self.lam}")
+        if not 0.0 < self.tau < math.inf:
+            raise ConfigError(f"tau must be positive and finite, got {self.tau}")
         if self.x_true_spec not in SIGNAL_SPECS:
             raise ConfigError(f"unknown signal spec {self.x_true_spec!r}")
 
@@ -112,8 +112,8 @@ def build_regularizer(x_true, tau: float) -> RowScaledOperator:
     x = x_true the squared norm approximates ||D x_true||_1; tau keeps the
     weights finite where the true signal is flat.
     """
-    if not tau > 0.0:
-        raise ConfigError(f"tau must be positive, got {tau}")
+    if not 0.0 < tau < math.inf:
+        raise ConfigError(f"tau must be positive and finite, got {tau}")
     x_true = np.asarray(x_true, dtype=float)
     diff = first_difference(x_true.size)
     weights = 1.0 / np.sqrt(np.abs(diff.matvec(x_true)) + tau)

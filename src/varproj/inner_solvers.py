@@ -19,8 +19,7 @@ import scipy.linalg
 
 from .linops import LinearOperator, StackedOperator, normal_band
 
-NORM_MODE_INTERNAL = "internal-bidiagonal"
-NORM_MODE_EXPLICIT = "explicit-svd"
+LSQR_MAX_ITERATIONS = 10000
 
 _EPS = float(np.finfo(float).eps)
 
@@ -37,47 +36,10 @@ class RankDeficiencyError(RuntimeError):
     """A materialized operator is numerically rank deficient."""
 
 
-@dataclass(frozen=True)
-class LsqrOptions:
-    """Stopping tolerance and controls for :func:`lsqr_solve`.
-
-    ``norm_estimate_mode`` selects how ||S|| in the stopping test is
-    obtained: ``internal-bidiagonal`` uses the running Frobenius-style
-    estimate accumulated by the bidiagonalization, ``explicit-svd`` computes
-    the true 2-norm of the materialized operator once up front (intended for
-    bound-verification runs).
-    """
-
-    tolerance: float
-    max_iterations: int = 10000
-    norm_estimate_mode: str = NORM_MODE_INTERNAL
-
-    def __post_init__(self):
-        if not self.tolerance > 0.0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        object.__setattr__(self, "norm_estimate_mode", check_lsqr_controls(
-            self.max_iterations, self.norm_estimate_mode))
-
-
-def check_lsqr_controls(max_iterations: int, norm_estimate_mode: str,
-                        cap_field: str = "max_iterations") -> str:
-    """Validate an LSQR iteration cap and norm mode; return the mode in lower case.
-
-    ``cap_field`` is the caller's name for the cap, used in the error message.
-    """
-    if max_iterations < 1:
-        raise ValueError(f"{cap_field} must be at least 1")
-    mode = str(norm_estimate_mode).lower()
-    if mode not in (NORM_MODE_INTERNAL, NORM_MODE_EXPLICIT):
-        raise ValueError(f"norm_estimate_mode: unknown mode {norm_estimate_mode!r}")
-    return mode
-
-
 @dataclass
 class InnerSolution:
     """Result of one inner solve.
 
-    ``residual`` is d - S x_bar recomputed from the returned iterate.
     ``achieved_criterion`` is the final value of the stopping test (0.0 for
     the degenerate zero-data and exactly-compatible cases, where the test is
     vacuous but the solution is exact). ``criterion_history`` holds the test
@@ -85,10 +47,8 @@ class InnerSolution:
     """
 
     x_bar: np.ndarray
-    residual: np.ndarray
     iterations: int
     achieved_criterion: float
-    operator_norm_estimate: float
     converged: bool
     criterion_history: np.ndarray
 
@@ -118,52 +78,59 @@ def _sym_ortho(a: float, b: float) -> tuple[float, float, float]:
     return c, s, r
 
 
-def _trivial_solution(op, d, iterations, criterion, norm_estimate):
-    x = np.zeros(op.cols)
+def _trivial_solution(op, criterion):
     return InnerSolution(
-        x_bar=x,
-        residual=d.copy(),
-        iterations=iterations,
+        x_bar=np.zeros(op.cols),
+        iterations=0,
         achieved_criterion=float(criterion),
-        operator_norm_estimate=float(norm_estimate),
         converged=True,
         criterion_history=np.empty(0),
     )
 
 
-def lsqr_solve(op: LinearOperator, d, opts: LsqrOptions) -> InnerSolution:
+def lsqr_solve(op: LinearOperator, d, tolerance: float, *,
+               max_iterations: int = LSQR_MAX_ITERATIONS,
+               operator_norm: float | None = None) -> InnerSolution:
     """Solve min_x ||op x - d||_2 by LSQR with a relative-gradient stop.
 
-    The stopping test ||op^T r|| / (||r|| ||op||) < opts.tolerance is
-    evaluated at every iteration from the explicitly recomputed residual
-    r = d - op x. A compatible system whose residual falls to the rounding
+    The stopping test ||op^T r|| / (||r|| ||op||) < tolerance is evaluated
+    at every iteration from the recomputed residual r = d - op x, with
+    ||op|| the given ``operator_norm`` (say, the true 2-norm) or else the
+    running Frobenius-style estimate of the bidiagonalization; ``op`` is
+    only applied. A compatible system whose residual falls to the rounding
     floor stops as converged with criterion 0, since the iterate is then
-    exact while the test itself is undefined. If the iteration cap is
+    exact while the test itself is undefined. If ``max_iterations`` is
     reached, the iterate with the smallest observed criterion is returned
     with ``converged=False``.
     """
-    d = _check_rhs(op, d)
-    explicit = opts.norm_estimate_mode == NORM_MODE_EXPLICIT
-    norm_fixed = None
-    if explicit:
-        norm_fixed = float(np.linalg.svd(op.to_dense(), compute_uv=False)[0])
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be at least 1")
+    if operator_norm is not None and not 0.0 < operator_norm < math.inf:
+        raise ValueError(f"operator_norm must be positive and finite, got {operator_norm}")
+    d = np.asarray(d, dtype=float)
+    if d.shape != (op.rows,):
+        raise ValueError(f"right-hand side must have length {op.rows}, got shape {d.shape}")
+    if not np.all(np.isfinite(d)):
+        raise ValueError("right-hand side must be finite")
 
     beta = d_norm = _norm(d)
     if beta == 0.0:
-        return _trivial_solution(op, d, 0, 0.0, norm_fixed if explicit else 0.0)
+        return _trivial_solution(op, 0.0)
 
     u = d / beta
     v = op.rmatvec(u)
     alfa = _norm(v)
     if alfa == 0.0:
         # d is orthogonal to the range of op: x = 0 is already optimal.
-        return _trivial_solution(op, d, 0, 0.0, norm_fixed if explicit else 0.0)
+        return _trivial_solution(op, 0.0)
 
     # Stopping test at the initial iterate x = 0, where ||op^T d|| = alfa*beta.
-    norm0 = norm_fixed if explicit else alfa
+    norm0 = alfa if operator_norm is None else operator_norm
     crit = alfa / norm0
-    if crit < opts.tolerance:
-        return _trivial_solution(op, d, 0, crit, norm0)
+    if crit < tolerance:
+        return _trivial_solution(op, crit)
 
     v = v / alfa
     w = v.copy()
@@ -173,7 +140,7 @@ def lsqr_solve(op: LinearOperator, d, opts: LsqrOptions) -> InnerSolution:
     anorm2 = 0.0
     history: list[float] = []
     best_crit = math.inf
-    best_x = x.copy()
+    best_x = x
     converged = False
     itn = 0
     # Give up once the criterion stops improving for this many iterations:
@@ -181,7 +148,7 @@ def lsqr_solve(op: LinearOperator, d, opts: LsqrOptions) -> InnerSolution:
     stall_window = max(200, 4 * op.cols)
     stall = 0
 
-    while itn < opts.max_iterations:
+    while itn < max_iterations:
         itn += 1
 
         # One Golub-Kahan step: beta*u = op*v - alfa*u, alfa*v = op^T*u - beta*v.
@@ -211,7 +178,7 @@ def lsqr_solve(op: LinearOperator, d, opts: LsqrOptions) -> InnerSolution:
             raise NumericalBreakdownError(
                 f"non-finite residual quantities at LSQR iteration {itn}"
             )
-        op_norm = norm_fixed if explicit else math.sqrt(anorm2)
+        op_norm = math.sqrt(anorm2) if operator_norm is None else operator_norm
 
         # Compatible system: the residual has hit the rounding floor, so the
         # iterate is exact and the relative-gradient test is vacuous.
@@ -221,8 +188,8 @@ def lsqr_solve(op: LinearOperator, d, opts: LsqrOptions) -> InnerSolution:
         stall = 0 if crit < 0.9 * best_crit else stall + 1
         if crit < best_crit:
             best_crit = crit
-            best_x = x.copy()
-        if crit < opts.tolerance:
+            best_x = x
+        if crit < tolerance:
             converged = True
             break
         if beta == 0.0 or alfa == 0.0:
@@ -235,25 +202,13 @@ def lsqr_solve(op: LinearOperator, d, opts: LsqrOptions) -> InnerSolution:
         x_out, achieved = x, crit
     else:
         x_out, achieved = best_x, best_crit
-    op_norm_out = norm_fixed if explicit else math.sqrt(anorm2)
     return InnerSolution(
         x_bar=x_out,
-        residual=d - op.matvec(x_out),
         iterations=itn,
         achieved_criterion=float(achieved),
-        operator_norm_estimate=float(op_norm_out),
         converged=converged,
         criterion_history=np.asarray(history),
     )
-
-
-def _check_rhs(op: LinearOperator, d) -> np.ndarray:
-    d = np.asarray(d, dtype=float)
-    if d.shape != (op.rows,):
-        raise ValueError(f"right-hand side must have length {op.rows}, got shape {d.shape}")
-    if not np.all(np.isfinite(d)):
-        raise ValueError("right-hand side must be finite")
-    return d
 
 
 class DirectFactorization:

@@ -20,13 +20,11 @@ import numpy as np
 import scipy.linalg
 
 from .inner_solvers import (
-    NORM_MODE_INTERNAL,
+    LSQR_MAX_ITERATIONS,
     DirectFactorization,
-    LsqrOptions,
     SingularSystemError,
     apply_pinv_transpose,
     apply_projector_perp,
-    check_lsqr_controls,
     condition_number,
     condition_number_bound,
     lsqr_solve,
@@ -37,6 +35,9 @@ _EPS = float(np.finfo(float).eps)
 
 SCHEDULE_KINDS = ("constant", "linear", "exponential", "fixed-small")
 FIXED_SMALL_TOLERANCE = 1e-11
+
+NORM_MODE_INTERNAL = "internal-bidiagonal"
+NORM_MODE_EXPLICIT = "explicit-svd"
 
 
 class SingularStepError(RuntimeError):
@@ -84,8 +85,8 @@ class ToleranceSchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if not self.epsilon0 > 0.0:
-            raise ValueError(f"epsilon0 must be positive, got {self.epsilon0}")
+        if not 0.0 < self.epsilon0 < np.inf:
+            raise ValueError(f"epsilon0 must be positive and finite, got {self.epsilon0}")
 
     def value(self, k: int) -> float:
         if k < 0:
@@ -108,28 +109,32 @@ class OuterOptions:
     The loop stops when the step norm falls to ``step_tolerance``, the
     gradient norm falls to ``gradient_tolerance``, or after
     ``max_outer_iterations`` Gauss-Newton steps, whichever happens first.
-    ``schedule`` is required by the inexact variant only. ``diagnostic``
-    makes the inexact variant additionally record, per iterate, the exact
-    inner solution, the exact gradient, and explicit-SVD operator norms.
+    ``schedule`` is required by the inexact variant only.
     ``lsqr_max_iterations`` and ``norm_estimate_mode`` are the inexact
     variant's LSQR controls; ``norm_estimate_mode`` is stored in lower case.
+    ``explicit-svd`` takes ||S|| in the LSQR stopping test from an SVD of
+    the materialized S (for bound-verification runs), ``internal-bidiagonal``
+    from LSQR's running estimate.
     """
 
     max_outer_iterations: int = 50
     step_tolerance: float = 1e-10
     gradient_tolerance: float = 0.0
     schedule: ToleranceSchedule | None = None
-    lsqr_max_iterations: int = 10000
+    lsqr_max_iterations: int = LSQR_MAX_ITERATIONS
     norm_estimate_mode: str = NORM_MODE_INTERNAL
-    diagnostic: bool = False
 
     def __post_init__(self):
         if self.max_outer_iterations < 1:
             raise ValueError("max_outer_iterations must be at least 1")
         if not (self.step_tolerance >= 0.0 and self.gradient_tolerance >= 0.0):
             raise ValueError("stopping tolerances must be nonnegative")
-        object.__setattr__(self, "norm_estimate_mode", check_lsqr_controls(
-            self.lsqr_max_iterations, self.norm_estimate_mode, "lsqr_max_iterations"))
+        if self.lsqr_max_iterations < 1:
+            raise ValueError("lsqr_max_iterations must be at least 1")
+        mode = str(self.norm_estimate_mode).lower()
+        if mode not in (NORM_MODE_INTERNAL, NORM_MODE_EXPLICIT):
+            raise ValueError(f"norm_estimate_mode: unknown mode {self.norm_estimate_mode!r}")
+        object.__setattr__(self, "norm_estimate_mode", mode)
 
 
 @dataclass
@@ -147,10 +152,6 @@ class IterationRecord:
     inner_criterion: float | None = None
     inner_converged: bool = True
     seconds: float = 0.0
-    x_exact: np.ndarray | None = None
-    gradient_exact: np.ndarray | None = None
-    kappa: float | None = None
-    op_norm: float | None = None
 
 
 @dataclass
@@ -378,9 +379,10 @@ def inexact_genvarpro(model: SeparableModel, b, L: LinearOperator, lam: float, y
 
     def lsqr_inner(k, y, fact, d, messages):
         eps_k = opts.schedule.value(k)
-        sol = lsqr_solve(fact.op, d, LsqrOptions(tolerance=eps_k,
-                                                 max_iterations=opts.lsqr_max_iterations,
-                                                 norm_estimate_mode=opts.norm_estimate_mode))
+        op_norm = (float(np.linalg.svd(fact.op.to_dense(), compute_uv=False)[0])
+                   if opts.norm_estimate_mode == NORM_MODE_EXPLICIT else None)
+        sol = lsqr_solve(fact.op, d, eps_k, max_iterations=opts.lsqr_max_iterations,
+                         operator_norm=op_norm)
         fields = dict(epsilon=eps_k, inner_iterations=sol.iterations,
                       inner_criterion=sol.achieved_criterion, inner_converged=sol.converged)
         if not sol.converged:
@@ -388,13 +390,6 @@ def inexact_genvarpro(model: SeparableModel, b, L: LinearOperator, lam: float, y
                 f"iteration {k}: LSQR reached its iteration cap with criterion "
                 f"{sol.achieved_criterion:.3e} >= tolerance {eps_k:.3e}"
             )
-        if opts.diagnostic:
-            x_exact = fact.solve_rhs(b)
-            fvec = fact.op.matvec(x_exact) - d
-            J = exact_jacobian(model, y, fact, x_exact, b)
-            svals = np.linalg.svd(fact.op.to_dense(), compute_uv=False)
-            fields.update(x_exact=x_exact, gradient_exact=gradient(J, fvec),
-                          op_norm=float(svals[0]), kappa=float(svals[0] / svals[-1]))
         return sol.x_bar, fields
 
     return _gauss_newton(model, b, L, lam, y, opts, lsqr_inner)

@@ -4,11 +4,13 @@ The expensive traces are session-scoped so the acceptance suite and the
 module tests share one run each.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 import varproj as vp
-from varproj.inner_solvers import NORM_MODE_EXPLICIT
+from varproj.varpro import NORM_MODE_EXPLICIT
 
 EPSILON0 = {2.0: 1.8718e-4, 4.0: 1.1239e-4}
 
@@ -32,18 +34,34 @@ def run_exact(problem, y0, iterations=50):
     return trace
 
 
-def run_inexact(problem, y0, kind, eps0, iterations=50, diagnostic=True):
+def run_inexact(problem, y0, kind, eps0, iterations=50):
     if kind == "fixed-small":
         schedule = vp.ToleranceSchedule("fixed-small")
     else:
         schedule = vp.ToleranceSchedule(kind, eps0)
     opts = vp.OuterOptions(max_outer_iterations=iterations, step_tolerance=0.0,
-                           schedule=schedule, diagnostic=diagnostic,
-                           norm_estimate_mode=NORM_MODE_EXPLICIT)
+                           schedule=schedule, norm_estimate_mode=NORM_MODE_EXPLICIT)
     trace = vp.inexact_genvarpro(problem.model, problem.b, problem.L, problem.lam,
                                  np.array([y0]), opts)
     assert not trace.failed
     return trace
+
+
+class ExactAt(NamedTuple):
+    fact: vp.DirectFactorization
+    x: np.ndarray
+    gradient: np.ndarray
+    kappa: float
+    op_norm: float
+
+
+def exact_at(problem, y):
+    """The exact inner solution x(y), the exact gradient, kappa and ||S||_2
+    at y, from the calls that `varproj bounds` and `varproj table` make."""
+    fact, x, fvec = vp.exact_residual(problem.model, y, problem.b, problem.L, problem.lam)
+    J = vp.exact_jacobian(problem.model, y, fact, x, problem.b)
+    s = np.linalg.svd(fact.op.to_dense(), compute_uv=False)
+    return ExactAt(fact, x, vp.gradient(J, fvec), float(s[0] / s[-1]), float(s[0]))
 
 
 @pytest.fixture(scope="session")
@@ -116,8 +134,7 @@ def certificate_corpus():
         d = rng.standard_normal(op.rows)
         eps = 10.0 ** rng.uniform(-10, -2)
         eps = min(eps, 0.5 / kappa)
-        sol = vp.lsqr_solve(op, d, vp.LsqrOptions(tolerance=eps,
-                                                  norm_estimate_mode=NORM_MODE_EXPLICIT))
+        sol = vp.lsqr_solve(op, d, eps, operator_norm=float(svals[0]))
         corpus.append({
             "op": op, "dense": dense, "d": d, "eps": eps,
             "norm": float(svals[0]), "kappa": kappa, "sol": sol,

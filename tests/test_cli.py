@@ -4,11 +4,15 @@ import csv
 import json
 import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
+import varproj as vp
 import varproj.cli as cli
 from varproj.cli import main
 from varproj.inner_solvers import RankDeficiencyError
@@ -77,8 +81,10 @@ class TestConfig:
         assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "turbo" in capsys.readouterr().err
 
-    # Each invalid [solver]/[schedules] value is a config error naming its
-    # key; the two stopping tolerances share one message.
+    # Each invalid value is a config error naming its section and key; the
+    # two stopping tolerances share one message. Infinite values are
+    # rejected too, except for the stopping tolerances, where they mean
+    # "stop at the first check".
     @pytest.mark.parametrize("section,key,value,named", [
         ("solver", "max_outer_iterations", "0", "max_outer_iterations"),
         ("solver", "lsqr_max_iterations", "0", "lsqr_max_iterations"),
@@ -89,6 +95,15 @@ class TestConfig:
         ("schedules", "safety", "0", "safety"),
         ("solver", "y0", "-1", "y0"),
         ("schedules", "epsilon0", "0", "epsilon0"),
+        ("problem", "lambda", "0", "lambda"),
+        ("problem", "lambda", "inf", "lambda"),
+        ("problem", "noise_level", "inf", "noise_level"),
+        ("problem", "tau", "inf", "tau"),
+        ("problem", "sigma_true", "inf", "sigma_true"),
+        ("problem", "n", "1", "n"),
+        ("solver", "y0", "inf", "y0"),
+        ("schedules", "epsilon0", "inf", "epsilon0"),
+        ("schedules", "safety", "inf", "safety"),
     ])
     def test_invalid_value_names_key(self, tmp_path, capsys, section, key, value, named):
         cfg = tmp_path / "bad.cfg"
@@ -263,6 +278,26 @@ class TestBounds:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["violations"] == []
 
+    def test_kappa_column_is_svd_condition_number(self, small_cfg, tmp_path, monkeypatch):
+        traces = []
+
+        def recording(*args, _solve=cli.inexact_genvarpro, **kwargs):
+            traces.append(_solve(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(cli, "inexact_genvarpro", recording)
+        out = tmp_path / "out"
+        assert main(["bounds", "--config", str(small_cfg), "--out", str(out)]) == 0
+        problem = vp.build_problem(cli.load_settings(str(small_cfg)).problem)
+        assert len(traces) == 2
+        for name, trace in zip(["ab", "s"], traces):
+            _, rows = _read_csv(out / f"bounds_{name}_y0_1p6.csv")
+            assert len(rows) == len(trace) == 9
+            for rec, row in zip(trace.records, rows):
+                s = np.linalg.svd(vp.stacked_operator(problem, rec.y[0]).to_dense(),
+                                  compute_uv=False)
+                assert float(row[2]) == s[0] / s[-1]
+
     def test_fatal_violation_exit_code(self, small_cfg, tmp_path, monkeypatch):
         # Force a violation by shrinking every computed bound to zero.
         monkeypatch.setattr(cli, "solution_bound", lambda *a: 0.0)
@@ -356,3 +391,12 @@ class TestTable:
         assert text.splitlines()[0].split() == ["k", "RRE(x_GP)", "RRE(x_ab)",
                                                 "y_GP", "y_ab", "|grad_GP|", "|grad_ab|"]
         assert len(text.splitlines()) == 9
+
+
+def test_python_m_varproj_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "varproj", "compare", "--help"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: varproj compare")

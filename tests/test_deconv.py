@@ -69,6 +69,8 @@ class TestRegularizer:
     def test_rejects_nonpositive_tau(self):
         with pytest.raises(ConfigError):
             vp.build_regularizer(np.zeros(8), 0.0)
+        with pytest.raises(ConfigError):
+            vp.build_regularizer(np.zeros(8), np.inf)
 
 
 class TestBuildProblem:
@@ -110,6 +112,10 @@ class TestBuildProblem:
         ("noise_level", -0.1, "noise_level"),
         ("lam", 0.0, "lambda"),
         ("tau", 0.0, "tau"),
+        ("sigma_true", np.inf, "sigma_true"),
+        ("noise_level", np.inf, "noise_level"),
+        ("lam", np.inf, "lambda"),
+        ("tau", np.inf, "tau"),
         ("x_true_spec", "nope", "nope"),
     ])
     def test_config_errors_name_field(self, field, value, message):

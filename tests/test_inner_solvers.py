@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import varproj as vp
 from varproj.inner_solvers import (
-    NORM_MODE_EXPLICIT,
     DirectFactorization,
     NumericalBreakdownError,
     RankDeficiencyError,
@@ -275,7 +274,7 @@ class TestLsqr:
     def test_identity_stack_converges_immediately(self):
         op = vp.stack(vp.DenseOperator(np.eye(3)), vp.DenseOperator(np.eye(3)), 0.0)
         d = np.array([4.0, 5.0, 6.0, 0.0, 0.0, 0.0])
-        sol = vp.lsqr_solve(op, d, vp.LsqrOptions(tolerance=1e-8))
+        sol = vp.lsqr_solve(op, d, 1e-8)
         assert sol.converged
         assert sol.iterations <= 3
         assert sol.achieved_criterion == 0.0
@@ -283,7 +282,7 @@ class TestLsqr:
 
     def test_zero_rhs(self):
         op = _identity_stack(3)
-        sol = vp.lsqr_solve(op, np.zeros(6), vp.LsqrOptions(tolerance=1e-10))
+        sol = vp.lsqr_solve(op, np.zeros(6), 1e-10)
         assert sol.converged
         assert sol.iterations == 0
         np.testing.assert_array_equal(sol.x_bar, np.zeros(3))
@@ -292,7 +291,7 @@ class TestLsqr:
         # range of [I; 0] stacked with lam=0 is the top block only
         op = vp.stack(vp.DenseOperator(np.eye(2)), vp.DenseOperator(np.eye(2)), 0.0)
         d = np.array([0.0, 0.0, 1.0, -1.0])
-        sol = vp.lsqr_solve(op, d, vp.LsqrOptions(tolerance=1e-10))
+        sol = vp.lsqr_solve(op, d, 1e-10)
         assert sol.converged
         assert sol.iterations == 0
         np.testing.assert_array_equal(sol.x_bar, np.zeros(2))
@@ -304,21 +303,43 @@ class TestLsqr:
         b = rng.standard_normal(5)
         d = np.concatenate([b, np.zeros(3)])
         eps = 1e-12
-        sol = vp.lsqr_solve(op, d, vp.LsqrOptions(tolerance=eps,
-                                                  norm_estimate_mode=NORM_MODE_EXPLICIT))
+        sol = vp.lsqr_solve(op, d, eps, operator_norm=np.linalg.norm(op.to_dense(), 2))
         assert sol.converged
         x = DirectFactorization(op).solve_rhs(b)
         kappa = vp.condition_number(op)
         bound = vp.solution_bound(kappa, np.linalg.norm(d), np.linalg.norm(op.to_dense(), 2), eps)
         assert np.linalg.norm(x - sol.x_bar) <= bound
 
-    def test_residual_field_recomputes(self):
+    def test_matrix_free(self, monkeypatch):
+        # LSQR only applies the operator: it never materializes it and
+        # takes no SVD, with or without a given operator norm.
+        class ApplyOnly(vp.LinearOperator):
+            def __init__(self, op):
+                super().__init__(op.rows, op.cols)
+                self.op = op
+
+            def _matvec(self, v):
+                return self.op.matvec(v)
+
+            def _rmatvec(self, w):
+                return self.op.rmatvec(w)
+
+            def to_dense(self):
+                raise AssertionError("lsqr_solve materialized its operator")
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("lsqr_solve took an SVD")
+
         rng = np.random.default_rng(14)
-        op = random_stacked(rng)
+        op = random_stacked(rng, m=30, n=15, q=5)
         d = rng.standard_normal(op.rows)
-        sol = vp.lsqr_solve(op, d, vp.LsqrOptions(tolerance=1e-8))
-        np.testing.assert_allclose(sol.residual, d - op.matvec(sol.x_bar),
-                                   rtol=0, atol=1e-14 * np.linalg.norm(d))
+        norm = float(np.linalg.svd(op.to_dense(), compute_uv=False)[0])
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        for operator_norm in (None, norm):
+            sol = vp.lsqr_solve(ApplyOnly(op), d, 1e-8, operator_norm=operator_norm)
+            assert sol.converged
+            np.testing.assert_array_equal(
+                sol.x_bar, vp.lsqr_solve(op, d, 1e-8, operator_norm=operator_norm).x_bar)
 
     def test_converged_implies_criterion_below_tolerance(self, certificate_corpus):
         for entry in certificate_corpus:
@@ -336,7 +357,7 @@ class TestLsqr:
         rng = np.random.default_rng(15)
         op = random_stacked(rng, m=30, n=15, q=5)
         d = rng.standard_normal(op.rows)
-        sol = vp.lsqr_solve(op, d, vp.LsqrOptions(tolerance=1e-15, max_iterations=3))
+        sol = vp.lsqr_solve(op, d, 1e-15, max_iterations=3)
         assert not sol.converged
         assert sol.iterations == 3
         assert sol.achieved_criterion == pytest.approx(np.min(sol.criterion_history))
@@ -344,8 +365,7 @@ class TestLsqr:
     def test_rejects_nonfinite_rhs(self):
         op = _identity_stack(2)
         with pytest.raises(ValueError):
-            vp.lsqr_solve(op, np.array([1.0, np.nan, 0.0, 0.0]),
-                          vp.LsqrOptions(tolerance=1e-6))
+            vp.lsqr_solve(op, np.array([1.0, np.nan, 0.0, 0.0]), 1e-6)
 
     def test_numerical_breakdown_raises(self):
         # An operator that starts emitting non-finite values mid-run must
@@ -366,19 +386,17 @@ class TestLsqr:
                 return np.ones(2) * w.sum()
 
         with pytest.raises(NumericalBreakdownError):
-            vp.lsqr_solve(EvilOperator(), np.array([1.0, 2.0, 3.0, 4.0]),
-                          vp.LsqrOptions(tolerance=1e-14))
+            vp.lsqr_solve(EvilOperator(), np.array([1.0, 2.0, 3.0, 4.0]), 1e-14)
 
-    def test_option_validation(self):
-        with pytest.raises(ValueError):
-            vp.LsqrOptions(tolerance=0.0)
-        with pytest.raises(ValueError):
-            vp.LsqrOptions(tolerance=1e-6, max_iterations=0)
-        with pytest.raises(ValueError):
-            vp.LsqrOptions(tolerance=1e-6, norm_estimate_mode="nope")
-        # case-insensitive mode names
-        opts = vp.LsqrOptions(tolerance=1e-6, norm_estimate_mode="explicit-SVD")
-        assert opts.norm_estimate_mode == NORM_MODE_EXPLICIT
+    @pytest.mark.parametrize("name,value", [
+        ("tolerance", 0.0), ("tolerance", math.inf), ("tolerance", math.nan),
+        ("max_iterations", 0),
+        ("operator_norm", 0.0), ("operator_norm", math.inf), ("operator_norm", math.nan),
+    ])
+    def test_argument_validation(self, name, value):
+        kwargs = {"tolerance": 1e-6, name: value}
+        with pytest.raises(ValueError, match=name):
+            vp.lsqr_solve(_identity_stack(2), np.ones(4), **kwargs)
 
 
 class TestCertificate:
