@@ -303,6 +303,8 @@ class _Outputs:
         self.settings = settings
         self.out_dir = out_dir
         self.problem = build_problem(settings.problem)
+        # Made only after the problem is built, so a bad config leaves none.
+        out_dir.mkdir(parents=True, exist_ok=True)
         self.files: list[str] = []
         self.timings: dict[str, float] = {}
         self.failed = False
@@ -560,11 +562,6 @@ def main(argv=None) -> int:
         if args.command == "gradcheck":
             return cmd_gradcheck(settings, corrupt=args.corrupt_derivative)
         out_dir = Path(args.out)
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            print(f"cannot create output directory {out_dir}: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
         if args.command == "compare":
             return cmd_compare(settings, out_dir)
         if args.command == "bounds":
@@ -584,3 +581,7 @@ def main(argv=None) -> int:
 
 def main_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

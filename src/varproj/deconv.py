@@ -49,8 +49,8 @@ class BenchConfig:
     x_true_spec: str = "piecewise"
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ConfigError(f"n must be at least 2, got {self.n}")
+        if self.n < 8:
+            raise ConfigError(f"n must be at least 8, got {self.n}")
         if not 0.0 < self.sigma_true < math.inf:
             raise ConfigError(f"sigma_true must be positive and finite, got {self.sigma_true}")
         if not 0.0 <= self.noise_level < math.inf:

@@ -7,8 +7,10 @@ turns a Tikhonov-regularized problem into an ordinary least-squares operator.
 Operators are matrix-free by contract but cheap to materialize at the scales
 used here; they are immutable after construction and safe to share across
 threads. A symmetric Toeplitz operator whose first row has a narrow nonzero
-band (2k + 1 <= n/2 for its last nonzero index k) applies that band with the
-BLAS banded product ``dsbmv`` instead of the dense matrix; see
+band (2k + 1 <= n/2 for its last nonzero index k) is applied as a block
+Toeplitz matrix with B x B blocks, B = max(k, 1), by one matrix-matrix
+product with its three distinct nonzero blocks, instead of with the dense
+matrix; see
 ``SymmetricToeplitzOperator``. For a stack of such an operator over a
 weighted first difference, ``normal_band`` builds the Gram matrix S^T S in
 LAPACK band storage when the Gram's half-bandwidth kd = 2k has
@@ -26,7 +28,6 @@ from functools import partial
 
 import numpy as np
 from scipy.linalg import toeplitz
-from scipy.linalg.blas import dsbmv
 
 # Gaussian kernel entries below sqrt(tiny), about 1.49e-154, are set to
 # zero; see gaussian_toeplitz.
@@ -112,18 +113,36 @@ class SymmetricToeplitzOperator(LinearOperator):
     The apply is chosen once, when the operator is built, from the first
     row's nonzero band. With k the index of its last nonzero entry, each
     row of the matrix has at most 2k + 1 nonzeros. When that is at most
-    n / 2, the band is kept in BLAS symmetric band storage and applied with
-    ``dsbmv``, which reads (k + 1) * n entries instead of the n * n a dense
-    apply streams. Otherwise the dense matrix is applied. The band apply
-    sums each row in another order, so its results differ from
-    ``to_dense() @ v`` by rounding only; the dense apply is
-    ``to_dense() @ v`` exactly. ``to_dense`` returns the dense matrix
-    either way.
+    n / 2, the matrix is applied as a block Toeplitz matrix with B x B
+    blocks, B = max(k, 1): only three block diagonals are nonzero, and
+    every block row holds the same three blocks T_-1, T_0 and T_+1. The
+    apply (``_block_toeplitz_apply``) multiplies the zero-padded vector, as
+    the rows of an nb x B matrix, by those three blocks in one level-3
+    product, then adds the three results shifted by one block. It reads a
+    3 x B x B array instead of the n x n matrix a dense apply streams.
+    Otherwise the dense matrix is applied. The block apply sums each row in
+    another order, so its results differ from ``to_dense() @ v`` by
+    rounding only; the dense apply is ``to_dense() @ v`` exactly.
+    ``to_dense`` returns the dense matrix either way.
 
-    With one BLAS thread on an Intel Xeon, at n = 1024 and Gaussian widths
-    2 to 4 (k = 53 to 106) a band apply on the vectors LSQR applies it to
-    took 24-65 us. At n = 128 the band apply was slower than the dense
-    one; only Gaussian kernels of width up to about 1.2 take it there.
+    With one BLAS thread on a 2-core Intel Xeon, a public ``matvec`` took
+    (us, median of 7 rounds of 300 calls; ``BENCH_block_apply.json``):
+
+    ====  ========  =======  =====  =================
+    n     k         dense    block  BLAS ``dsbmv``
+    ====  ========  =======  =====  =================
+    1024  53-106    398-430  20-28  41-62
+    1024  255       404      125    124
+    512   53        75       16     24
+    512   127       70       30     33
+    256   16-53     11-15    8-12   6-13
+    128   8-31      3-4      6-7    3-5
+    ====  ========  =======  =====  =================
+
+    k = 53 to 106 are the Gaussian widths 2 to 4. ``dsbmv``, a level-2
+    banded product, is listed for comparison. At n = 128 the block apply
+    is slower than the dense one; only widths up to about 1.2 take it
+    there.
     """
 
     def __init__(self, first_row):
@@ -139,16 +158,20 @@ class SymmetricToeplitzOperator(LinearOperator):
         self._dense = dense
         # 2k + 1 <= n/2 holds when every entry past index (n - 2) // 4 is zero.
         cut = (n - 2) // 4 + 1
-        self._band = None
+        self._band_k = None
         if cut > 0 and not np.count_nonzero(first_row[cut:]):
             nonzero = np.flatnonzero(first_row)
-            k = int(nonzero[-1]) if nonzero.size else 0
-            # Lower band storage: row d holds diagonal d, first_row[d] in
-            # every column (dsbmv never reads the last d columns of row d).
-            self._band = np.asfortranarray(np.broadcast_to(first_row[: k + 1, None], (k + 1, n)))
+            self._band_k = k = int(nonzero[-1]) if nonzero.size else 0
+            b = max(k, 1)
+            # n >= 4k + 2 >= 2b, and the entries past index k are zero, so
+            # the top-left 2b x 2b corner holds T_0, T_+1 and T_-1.
+            corner = dense[: 2 * b, : 2 * b]
+            blocks = np.array([corner[b:, :b].T, corner[:b, :b].T, corner[:b, b:].T])
+            blocks.setflags(write=False)
             # Shadows both dense methods on this instance only. The partial
             # holds no reference to the operator, so it makes no cycle.
-            self._matvec = self._rmatvec = partial(dsbmv, k, 1.0, self._band, lower=1)
+            self._matvec = self._rmatvec = partial(_block_toeplitz_apply, b, -(-n // b),
+                                                   blocks, n)
 
     def _matvec(self, v):
         return self._dense @ v
@@ -159,6 +182,27 @@ class SymmetricToeplitzOperator(LinearOperator):
 
     def to_dense(self):
         return self._dense
+
+
+def _block_toeplitz_apply(b: int, nb: int, blocks: np.ndarray, n: int,
+                          v: np.ndarray) -> np.ndarray:
+    """T v for the n x n Toeplitz T whose B x B block rows are [T_-1 T_0 T_+1].
+
+    ``blocks`` is the 3 x B x B array (T_-1^T, T_0^T, T_+1^T), ``b`` is B and
+    ``nb`` = ceil(n / B). With V the nb x B rows of v padded with zeros,
+    z[p] = V @ blocks[p] holds T_p v_j in its row j, and block i of T v is
+    T_-1 v_(i-1) + T_0 v_i + T_+1 v_(i+1): z[1] plus z[0] shifted down and
+    z[2] shifted up by one block, each a contiguous range of the flattened
+    z[p]. Every call allocates its own arrays, so an operator can be
+    applied from several threads at once.
+    """
+    padded = np.zeros(nb * b)
+    padded[:n] = v
+    z = (padded.reshape(nb, b) @ blocks).reshape(3, nb * b)
+    y = z[1]
+    y[b:] += z[0, :-b]
+    y[:-b] += z[2, b:]
+    return y[:n]
 
 
 class FirstDifferenceOperator(LinearOperator):
@@ -275,11 +319,11 @@ def normal_band(op: LinearOperator) -> np.ndarray | None:
     added directly.
     """
     if not (isinstance(op, StackedOperator) and isinstance(op.top, SymmetricToeplitzOperator)
-            and op.top._band is not None and isinstance(op.bottom, RowScaledOperator)
+            and op.top._band_k is not None and isinstance(op.bottom, RowScaledOperator)
             and isinstance(op.bottom.base, FirstDifferenceOperator)):
         return None
     n = op.cols
-    k = op.top._band.shape[0] - 1
+    k = op.top._band_k
     kd = max(2 * k, 1)
     if 2 * kd + 1 > n / 2:
         return None

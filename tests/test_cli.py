@@ -101,6 +101,7 @@ class TestConfig:
         ("problem", "tau", "inf", "tau"),
         ("problem", "sigma_true", "inf", "sigma_true"),
         ("problem", "n", "1", "n"),
+        ("problem", "n", "4", "n must be at least 8"),
         ("solver", "y0", "inf", "y0"),
         ("schedules", "epsilon0", "inf", "epsilon0"),
         ("schedules", "safety", "inf", "safety"),
@@ -393,10 +394,18 @@ class TestTable:
         assert len(text.splitlines()) == 9
 
 
-def test_python_m_varproj_runs_the_cli():
+def _compare_help_from(module):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-m", "varproj", "compare", "--help"],
+    done = subprocess.run([sys.executable, "-m", module, "compare", "--help"],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0
     assert done.stdout.startswith("usage: varproj compare")
+
+
+def test_python_m_varproj_runs_the_cli():
+    _compare_help_from("varproj")
+
+
+def test_python_m_varproj_cli_runs_the_cli():
+    _compare_help_from("varproj.cli")

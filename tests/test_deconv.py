@@ -108,6 +108,7 @@ class TestBuildProblem:
 
     @pytest.mark.parametrize("field,value,message", [
         ("n", 1, "n"),
+        ("n", 7, "n must be at least 8"),
         ("sigma_true", -1.0, "sigma_true"),
         ("noise_level", -0.1, "noise_level"),
         ("lam", 0.0, "lambda"),

@@ -1,6 +1,10 @@
 """Operator construction, adjoint consistency, and kernel derivatives."""
 
+import gc
 import math
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -93,21 +97,25 @@ class TestGaussianToeplitz:
     # 2k + 1 <= n/2: k = 53 / 81 / 106 at sigma = 2 / 3.07 / 4 (82 for the
     # sigma = 3.07 derivative), k = 13 at sigma = 0.5, and k = 0 at
     # sigma = 1e-3, where the derivative row is all zero. (2, 213) and
-    # (2, 214) straddle the switch.
+    # (2, 214) straddle the switch. At n = 1000 and 1023 the block size
+    # B = k = 53 does not divide n, so the last block is zero-padded.
     @pytest.mark.parametrize("sigma,n,banded", [
         (2.0, 1024, True), (3.07, 1024, True), (4.0, 1024, True), (0.5, 96, True),
         (1e-3, 4, True), (2.0, 302, True), (2.0, 214, True), (2.0, 213, False),
-        (3.0, 128, False), (0.5, 32, False),
+        (3.0, 128, False), (0.5, 32, False), (2.0, 1000, True), (2.0, 1023, True),
     ])
     def test_band_apply_matches_dense(self, sigma, n, banded):
         rng = np.random.default_rng(6)
         for kernel in (vp.gaussian_toeplitz, vp.gaussian_toeplitz_derivative):
             op = kernel(sigma, n)
-            assert (op._band is not None) == banded
+            assert (op._band_k is not None) == banded
             dense = op.to_dense()
             # Each entry of either product sums at most m = 2k + 1 nonzero
             # terms, so each lies within gamma_m (|A| |v|)_i of the exact
-            # value (Higham, Accuracy and Stability, sec. 3.1).
+            # value (Higham, Accuracy and Stability, sec. 3.1). The block
+            # apply also multiplies by the zero entries of its k x k blocks,
+            # but such a product is an exact zero and adding it is exact, so
+            # it still sums only the row's nonzero terms, in some order.
             m = int(np.count_nonzero(dense, axis=1).max())
             gamma = m * (EPS / 2) / (1.0 - m * EPS / 2)
             for _ in range(10):
@@ -345,3 +353,45 @@ def test_matvec_rejects_wrong_length():
         op.matvec(np.ones(9))
     with pytest.raises(ValueError):
         op.rmatvec(np.ones(7))
+
+
+def test_band_operator_freed_by_reference_counting():
+    # The band-route apply is stored on the instance. Had it been a bound
+    # method, each operator would sit in a reference cycle, and its 8 MB
+    # dense matrix (n = 1024) would live until the cyclic collector ran, so
+    # a run that builds an operator per outer iteration would hold many of
+    # them at once. Reference counting alone must free the operator and
+    # its stack.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        n = 1024
+        op = vp.gaussian_toeplitz(2.0, n)
+        assert op._band_k is not None
+        weights = np.linspace(0.5, 2.0, n - 1)
+        s = vp.stack(op, vp.RowScaledOperator(weights, vp.first_difference(n)), 0.1)
+        s.rmatvec(s.matvec(np.ones(n)))
+        refs = [weakref.ref(op), weakref.ref(s)]
+        del op, s
+        assert [r() for r in refs] == [None, None]
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_band_operator_shared_across_threads():
+    # The block apply allocates its work arrays per call, so one operator
+    # applied from more threads than cores gives the serial results.
+    op = vp.gaussian_toeplitz(2.0, 1000)
+    assert op._band_k is not None
+    vs = np.random.default_rng(8).standard_normal((64, 1000))
+    serial = [op.matvec(v) for v in vs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(op.matvec, np.repeat(vs, 4, axis=0), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for i, out in enumerate(results):
+        assert np.array_equal(out, serial[i // 4])
