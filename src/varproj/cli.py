@@ -167,7 +167,6 @@ _CONFIG_KEYS = (
     ("solver", "max_outer_iterations", "outer.max_outer_iterations", int),
     ("solver", "step_tolerance", "outer.step_tolerance", float),
     ("solver", "gradient_tolerance", "outer.gradient_tolerance", float),
-    ("solver", "lsqr_max_iterations", "outer.lsqr_max_iterations", int),
     ("solver", "norm_estimate_mode", "outer.norm_estimate_mode", str),
     ("schedules", "run", "schedules", _parse_schedule_list),
     ("schedules", "epsilon0", "epsilon0", _parse_epsilon0),
@@ -503,8 +502,8 @@ def cmd_table(settings: RunSettings, out_dir: Path) -> int:
     for y0 in settings.y0_list:
         tag = _y0_tag(y0)
         eps0 = resolve_epsilon0(settings, problem, y0)
-        trace_gp = out.solve(f"table_y0_{tag}", y0, **seven_steps)
-        trace_ab = out.solve(f"table_y0_{tag}", y0, "ab", eps0, **seven_steps)
+        trace_gp = out.solve(f"table_gp_y0_{tag}", y0, **seven_steps)
+        trace_ab = out.solve(f"table_ab_y0_{tag}", y0, "ab", eps0, **seven_steps)
         if trace_gp.failed or trace_ab.failed:
             continue
         rows = []

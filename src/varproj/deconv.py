@@ -181,7 +181,9 @@ def objective_grid(problem: ProblemInstance, lo: float, hi: float,
                    resolution: float) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate the reduced functional on a uniform grid of kernel widths.
 
-    Uses exact (normal-equations) inner solves at every grid point; the
+    The grid is lo + k * resolution for k = 0, 1, ... up to the last point
+    not beyond hi, allowing for rounding in (hi - lo) / resolution. Uses
+    exact (normal-equations) inner solves at every grid point; the
     regularizer Gram matrix is assembled once and reused. The bounds must be
     finite with lo <= hi.
     """
@@ -192,7 +194,7 @@ def objective_grid(problem: ProblemInstance, lo: float, hi: float,
             raise ValueError(f"{name} must be finite, got {value}")
     if lo > hi:
         raise ValueError(f"lo must not exceed hi, got lo={lo}, hi={hi}")
-    count = int(round((hi - lo) / resolution)) + 1
+    count = math.floor((hi - lo) / resolution * (1.0 + 1e-12)) + 1
     ys = lo + resolution * np.arange(count)
     gram_reg = _regularizer_gram(problem)
     fs = np.array([_objective_at(problem, gram_reg, y) for y in ys])

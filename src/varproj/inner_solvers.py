@@ -99,9 +99,10 @@ def lsqr_solve(op: LinearOperator, d, tolerance: float, *,
     running Frobenius-style estimate of the bidiagonalization; ``op`` is
     only applied. A compatible system whose residual falls to the rounding
     floor stops as converged with criterion 0, since the iterate is then
-    exact while the test itself is undefined. If ``max_iterations`` is
-    reached, the iterate with the smallest observed criterion is returned
-    with ``converged=False``.
+    exact while the test itself is undefined. A solve that stops short of
+    the tolerance (at ``max_iterations``, after max(200, 4n) iterations
+    without a 10% gain, or on a Krylov breakdown) returns the iterate with
+    the smallest observed criterion and ``converged=False``.
     """
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
@@ -217,32 +218,33 @@ class DirectFactorization:
     When ``normal_band`` gives S^T S in band storage, the band is factored
     with LAPACK ``dpbtrf`` and solved with ``dpbtrs``, and S is never
     materialized. Otherwise S is materialized, S^T S is formed densely and
-    factored with ``dpotrf``. The pseudoinverse and projector applications
+    factored with ``dpotrf``. The computed normal matrix is kept, read-only,
+    as ``normal`` (``banded`` tells which storage it has) for
+    ``condition_number_bound``. The pseudoinverse and projector applications
     below reuse the factorization and apply S through ``op``. Immutable
     after construction and shareable across threads.
     """
 
     def __init__(self, op: StackedOperator):
         self.op = op
-        band = normal_band(op)
+        normal = normal_band(op)
+        self.banded = normal is not None
+        if not self.banded:
+            dense = np.asarray(op.to_dense(), dtype=float)
+            normal = dense.T @ dense
+        normal.setflags(write=False)
+        self.normal = normal
         try:
-            if band is None:
-                dense = np.asarray(op.to_dense(), dtype=float)
-                normal = dense.T @ dense
+            if self.banded:
+                self._solve = partial(scipy.linalg.cho_solve_banded,
+                                      (scipy.linalg.cholesky_banded(normal, lower=True), True))
+            else:
                 self._solve = partial(scipy.linalg.cho_solve,
                                       scipy.linalg.cho_factor(normal, lower=True))
-            else:
-                self._solve = partial(scipy.linalg.cho_solve_banded,
-                                      (scipy.linalg.cholesky_banded(band, lower=True), True))
         except scipy.linalg.LinAlgError as exc:
-            if band is None:
-                smallest = float(np.linalg.eigvalsh(normal)[0])
-            else:
-                smallest = float(scipy.linalg.eigvals_banded(
-                    band, lower=True, select="i", select_range=(0, 0))[0])
             raise SingularSystemError(
                 "normal equations are not positive definite "
-                f"(smallest pivot {smallest:.6e})"
+                f"(smallest pivot {_normal_eigenvalues(self)[0]:.6e})"
             ) from exc
 
     def solve_normal(self, v) -> np.ndarray:
@@ -253,6 +255,14 @@ class DirectFactorization:
         """Inner solution for stacked data [b; 0]: (S^T S)^{-1} A^T b."""
         b = np.asarray(b, dtype=float)
         return self.solve_normal(self.op.top.rmatvec(b))
+
+
+def _normal_eigenvalues(fact: DirectFactorization) -> np.ndarray:
+    """Ascending eigenvalues of the normal matrix that ``fact`` holds: from
+    the band eigensolver ``dsbevd`` or the dense ``dsyevd``."""
+    if fact.banded:
+        return scipy.linalg.eigvals_banded(fact.normal, lower=True)
+    return scipy.linalg.eigh(fact.normal, eigvals_only=True, driver="evd")
 
 
 def apply_pinv(fact: DirectFactorization, z) -> np.ndarray:
@@ -287,15 +297,14 @@ def condition_number(op: LinearOperator) -> float:
     return float(s[0] / s[-1])
 
 
-def condition_number_bound(op: LinearOperator) -> float:
+def condition_number_bound(fact: DirectFactorization) -> float:
     """Certified upper bound on the 2-norm condition number, or ``inf``.
 
-    Takes the eigenvalues of a computed Gram matrix G = fl(S^T S) of the
-    m x n operator S, which costs far less than the SVD of S. When
-    ``normal_band`` gives G in band storage, its eigenvalues come from the
-    band eigensolver ``dsbevd`` and S is never materialized; otherwise S is
-    materialized, G is formed densely and ``dsyevd`` is used. The
-    certificate is the same on both routes:
+    Takes the eigenvalues of the computed Gram matrix G = fl(S^T S) that
+    the factorization of the m x n operator S holds, which costs far less
+    than the SVD of S: the band eigensolver ``dsbevd`` when G is in band
+    storage, else the dense ``dsyevd``. The certificate is the same on both
+    routes:
 
     - Gram rounding. Each entry of G is an inner product of two columns of
       S, summed in floating point over at most m products in some order
@@ -316,17 +325,8 @@ def condition_number_bound(op: LinearOperator) -> float:
     1 + 4 eps for the rounding of that formula. When lmin <= delta, S may
     be rank deficient and the bound is ``inf``.
     """
-    m, n = op.shape
-    band = normal_band(op)
-    if band is None:
-        dense = np.asarray(op.to_dense(), dtype=float)
-        # eigh reads one triangle of the symmetric G; the transpose of the
-        # C-ordered product is the F-ordered array it overwrites without a copy.
-        gram = (dense.T @ dense).T
-        del dense
-        evals = scipy.linalg.eigh(gram, eigvals_only=True, driver="evd", overwrite_a=True)
-    else:
-        evals = scipy.linalg.eigvals_banded(band, lower=True, overwrite_a_band=True)
+    m, n = fact.op.shape
+    evals = _normal_eigenvalues(fact)
     unit = _EPS / 2
     gram_rel = n * m * unit / (1.0 - m * unit)
     # delta = t ||S||_2^2, and ||S||_2^2 <= lmax / (1 - t) since lmax is

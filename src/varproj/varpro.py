@@ -20,7 +20,6 @@ import numpy as np
 import scipy.linalg
 
 from .inner_solvers import (
-    LSQR_MAX_ITERATIONS,
     DirectFactorization,
     SingularSystemError,
     apply_pinv_transpose,
@@ -110,18 +109,16 @@ class OuterOptions:
     gradient norm falls to ``gradient_tolerance``, or after
     ``max_outer_iterations`` Gauss-Newton steps, whichever happens first.
     ``schedule`` is required by the inexact variant only.
-    ``lsqr_max_iterations`` and ``norm_estimate_mode`` are the inexact
-    variant's LSQR controls; ``norm_estimate_mode`` is stored in lower case.
-    ``explicit-svd`` takes ||S|| in the LSQR stopping test from an SVD of
-    the materialized S (for bound-verification runs), ``internal-bidiagonal``
-    from LSQR's running estimate.
+    ``norm_estimate_mode``, the inexact variant's LSQR norm control, is
+    stored in lower case: ``explicit-svd`` takes ||S|| in the LSQR stopping
+    test from an SVD of the materialized S (for bound-verification runs),
+    ``internal-bidiagonal`` from LSQR's running estimate.
     """
 
     max_outer_iterations: int = 50
     step_tolerance: float = 1e-10
     gradient_tolerance: float = 0.0
     schedule: ToleranceSchedule | None = None
-    lsqr_max_iterations: int = LSQR_MAX_ITERATIONS
     norm_estimate_mode: str = NORM_MODE_INTERNAL
 
     def __post_init__(self):
@@ -129,8 +126,6 @@ class OuterOptions:
             raise ValueError("max_outer_iterations must be at least 1")
         if not (self.step_tolerance >= 0.0 and self.gradient_tolerance >= 0.0):
             raise ValueError("stopping tolerances must be nonnegative")
-        if self.lsqr_max_iterations < 1:
-            raise ValueError("lsqr_max_iterations must be at least 1")
         mode = str(self.norm_estimate_mode).lower()
         if mode not in (NORM_MODE_INTERNAL, NORM_MODE_EXPLICIT):
             raise ValueError(f"norm_estimate_mode: unknown mode {self.norm_estimate_mode!r}")
@@ -245,16 +240,16 @@ def _start(model: SeparableModel, b, y0) -> tuple[np.ndarray, np.ndarray]:
     return b, y
 
 
-# An inner strategy maps (k, y, fact, d, messages) at outer iterate k to the
+# An inner strategy maps (k, fact, d, messages) at outer iterate k to the
 # inner solution x of min ||S x - d|| for the stacked data d = [b; 0] and the
 # extra IterationRecord fields it fills; it may append warnings to ``messages``.
-InnerStrategy = Callable[[int, np.ndarray, DirectFactorization, np.ndarray, list],
+InnerStrategy = Callable[[int, DirectFactorization, np.ndarray, list],
                          tuple[np.ndarray, dict]]
 
 
 def _exact_inner(b: np.ndarray) -> InnerStrategy:
     """The exact inner solve x(y) = (S^T S)^{-1} A^T b."""
-    return lambda k, y, fact, d, messages: (fact.solve_rhs(b), {})
+    return lambda k, fact, d, messages: (fact.solve_rhs(b), {})
 
 
 def _evaluate(model, y, b, L, lam, inner: InnerStrategy, k: int, messages: list):
@@ -262,7 +257,7 @@ def _evaluate(model, y, b, L, lam, inner: InnerStrategy, k: int, messages: list)
     S = stack(model.operator(y), L, lam)
     fact = DirectFactorization(S)
     d = np.concatenate([b, np.zeros(L.rows)])
-    x, fields = inner(k, y, fact, d, messages)
+    x, fields = inner(k, fact, d, messages)
     return fact, x, S.matvec(x) - d, fields
 
 
@@ -304,6 +299,7 @@ def _gauss_newton(model, b, L, lam, y, opts: OuterOptions, inner: InnerStrategy)
             trace.status = "inner-failure"
             break
         J = exact_jacobian(model, y, fact, x, b)
+        del fact  # free its matrices before the next iterate factors its own
         rec = IterationRecord(k=k, y=y.copy(), x=x, f_value=0.5 * float(fvec @ fvec),
                               gradient=gradient(J, fvec), **fields)
         trace.records.append(rec)
@@ -345,50 +341,45 @@ def inexact_genvarpro(model: SeparableModel, b, L: LinearOperator, lam: float, y
     """Gauss-Newton with LSQR inner solves at a scheduled tolerance.
 
     Iteration k solves the inner problem to tolerance eps^(k), forms the
-    approximate residual and Jacobian from the LSQR iterate, and steps.
-    LSQR hitting its iteration cap is recorded as a warning and the run
-    continues with the best available iterate. Before the loop starts, it
-    warns when eps^(0) kappa0 >= 1, with kappa0 the condition number at y0.
-    A certified upper bound on kappa0 from the eigenvalues of S^T S
-    (``condition_number_bound``) settles eps^(0) kappa0 < 1 without an
-    SVD; only when the bound cannot does the exact ``condition_number``
-    decide. So the warning fires exactly when the SVD's kappa0 says so. A
-    stacked operator that is rank deficient at y0 has an infinite bound, so
-    the SVD runs and, when its smallest singular value is at most
-    max(m, n) eps times its largest, raises ``RankDeficiencyError``, where
-    ``genvarpro`` returns a trace with status ``inner-failure``.
+    approximate residual and Jacobian from the LSQR iterate, and steps. An
+    inner solve that stops unconverged is recorded as a warning and the run
+    continues with its best iterate. At y0 it warns when eps^(0) kappa0 >= 1,
+    with kappa0 the condition number of the stacked operator there. A
+    certified upper bound on kappa0 from the eigenvalues of the normal
+    matrix that iteration 0 factors (``condition_number_bound``) settles
+    eps^(0) kappa0 < 1 without an SVD; only when the bound cannot does the
+    exact ``condition_number`` decide. So the warning fires exactly when the
+    SVD's kappa0 says so. Normal equations that cannot be factored at y0
+    end the run with status ``inner-failure`` and no records, as in
+    ``genvarpro``; a system that factors but whose SVD finds it numerically
+    rank deficient raises ``RankDeficiencyError`` from that check.
     """
     if opts.schedule is None:
         raise ValueError("inexact_genvarpro requires OuterOptions.schedule")
     b, y = _start(model, b, y0)
 
-    eps0 = opts.schedule.value(0)
-    op0 = stack(model.operator(y), L, lam)
-    # The certified bound settles eps0 * kappa0 < 1 without an SVD; only
-    # when it cannot does the exact kappa0 decide, and word, the warning.
-    if eps0 * condition_number_bound(op0) >= 1.0:
-        kappa0 = condition_number(op0)
-        if eps0 * kappa0 >= 1.0:
-            warnings.warn(
-                f"initial tolerance times condition number is {eps0 * kappa0:.3g} >= 1; "
-                "inner-solve error bounds do not apply",
-                ToleranceWarning,
-                stacklevel=2,
-            )
-    del op0  # its dense matrices would otherwise stay alive through the run
-
-    def lsqr_inner(k, y, fact, d, messages):
+    def lsqr_inner(k, fact, d, messages):
         eps_k = opts.schedule.value(k)
+        # The certified bound settles eps0 * kappa0 < 1 without an SVD; only
+        # when it cannot does the exact kappa0 decide, and word, the warning.
+        if k == 0 and eps_k * condition_number_bound(fact) >= 1.0:
+            kappa0 = condition_number(fact.op)
+            if eps_k * kappa0 >= 1.0:
+                warnings.warn(
+                    f"initial tolerance times condition number is {eps_k * kappa0:.3g} >= 1; "
+                    "inner-solve error bounds do not apply",
+                    ToleranceWarning,
+                    stacklevel=5,  # lsqr_inner, _evaluate, _gauss_newton, inexact_genvarpro
+                )
         op_norm = (float(np.linalg.svd(fact.op.to_dense(), compute_uv=False)[0])
                    if opts.norm_estimate_mode == NORM_MODE_EXPLICIT else None)
-        sol = lsqr_solve(fact.op, d, eps_k, max_iterations=opts.lsqr_max_iterations,
-                         operator_norm=op_norm)
+        sol = lsqr_solve(fact.op, d, eps_k, operator_norm=op_norm)
         fields = dict(epsilon=eps_k, inner_iterations=sol.iterations,
                       inner_criterion=sol.achieved_criterion, inner_converged=sol.converged)
         if not sol.converged:
             messages.append(
-                f"iteration {k}: LSQR reached its iteration cap with criterion "
-                f"{sol.achieved_criterion:.3e} >= tolerance {eps_k:.3e}"
+                f"iteration {k}: LSQR stopped after {sol.iterations} iterations with "
+                f"criterion {sol.achieved_criterion:.3e} >= tolerance {eps_k:.3e}"
             )
         return sol.x_bar, fields
 

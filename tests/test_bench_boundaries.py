@@ -10,6 +10,9 @@ benchmark's own tests, so both are checked here.
 import ast
 import importlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -79,15 +82,15 @@ def test_solvers_look_up_wrapped_names_at_call_time(small_problem, monkeypatch, 
         warnings.simplefilter("always")
         trace = getattr(vp, solver)(p.model, p.b, p.L, p.lam, np.array([1.5]), opts)
     assert len(trace) == 3
-    # Two steps and the closing record: one factorization and one Jacobian
-    # per record; the inexact solver adds the stack of its kappa0 check and
-    # the LSQR solves. Its exact kappa0 SVD runs only when the certified
-    # bound cannot settle eps0 * kappa0 < 1, as with eps0 = 0.5, and then
-    # the warning fires.
+    # Two steps and the closing record: one stack, factorization and
+    # Jacobian per record; the inexact solver adds the LSQR solves, and its
+    # kappa0 check reads the first factorization. Its exact kappa0 SVD runs
+    # only when the certified bound cannot settle eps0 * kappa0 < 1, as with
+    # eps0 = 0.5, and then the warning fires.
     expected = {"stack": 3, "DirectFactorization": 3, "exact_jacobian": 3, "gauss_newton_step": 2}
     warns = schedule is not None and schedule.kind == "constant"
     if solver == "inexact_genvarpro":
-        expected.update(stack=4, lsqr_solve=3)
+        expected.update(lsqr_solve=3)
     if warns:
         expected.update(condition_number=1)
     assert calls == expected
@@ -129,3 +132,29 @@ def test_pinned_n128_lsqr_count():
                                "constant", cli.DEFAULT_INITIAL_TOLERANCES[2.0]))
     trace = vp.inexact_genvarpro(p.model, p.b, p.L, p.lam, np.array([2.0]), opts)
     assert sum(rec.inner_iterations for rec in trace.records) == pinned
+
+
+def test_pinned_n128_linear_count_single_threaded():
+    # Byte-identical outputs hold at a fixed BLAS thread count, and the
+    # benchmark runs single-threaded. The linear schedule from y0 = 2 is the
+    # pinned operation that moves first when the rounding of the n = 128
+    # normal equations or of LSQR changes, so it runs in a fresh process with
+    # every BLAS thread variable set to 1 (the count is read, never written).
+    root = Path(__file__).resolve().parents[1]
+    counts = root / "bench" / "baseline_counts.json"
+    pinned = json.loads(counts.read_text())["paper-n128"]["lsqr_iters_by_op"]["linear@y0=2"]
+    script = (
+        "import numpy as np, varproj as vp\n"
+        "from varproj import cli\n"
+        "p = vp.build_problem(vp.BenchConfig(n=128, rng_seed=1))\n"
+        "opts = vp.OuterOptions(max_outer_iterations=50, step_tolerance=0.0,\n"
+        "    schedule=vp.ToleranceSchedule('linear', cli.DEFAULT_INITIAL_TOLERANCES[2.0]))\n"
+        "trace = vp.inexact_genvarpro(p.model, p.b, p.L, p.lam, np.array([2.0]), opts)\n"
+        "print(sum(rec.inner_iterations for rec in trace.records))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(root / "src"),
+               **dict.fromkeys(cli.BLAS_THREAD_VARS, "1"))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) == pinned

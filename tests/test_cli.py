@@ -62,6 +62,12 @@ class TestConfig:
         assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "blur" in capsys.readouterr().err
 
+    def test_removed_lsqr_cap_key_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("[solver]\nlsqr_max_iterations = 10000\n")
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "unknown key 'lsqr_max_iterations'" in capsys.readouterr().err
+
     def test_unknown_section_named(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[plotting]\nx = 1\n")
@@ -87,7 +93,6 @@ class TestConfig:
     # "stop at the first check".
     @pytest.mark.parametrize("section,key,value,named", [
         ("solver", "max_outer_iterations", "0", "max_outer_iterations"),
-        ("solver", "lsqr_max_iterations", "0", "lsqr_max_iterations"),
         ("solver", "step_tolerance", "-1", "stopping tolerances"),
         ("solver", "gradient_tolerance", "-1", "stopping tolerances"),
         ("solver", "step_tolerance", "nan", "stopping tolerances"),
@@ -392,6 +397,9 @@ class TestTable:
         assert text.splitlines()[0].split() == ["k", "RRE(x_GP)", "RRE(x_ab)",
                                                 "y_GP", "y_ab", "|grad_GP|", "|grad_ab|"]
         assert len(text.splitlines()) == 9
+        # one timing per solver run
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["timings_seconds"]) == {"table_gp_y0_1p6", "table_ab_y0_1p6"}
 
 
 def _compare_help_from(module):

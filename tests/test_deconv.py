@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import varproj as vp
+from varproj import deconv
 from varproj.deconv import ConfigError
 
 # Frozen output of default_signal(16, "piecewise"); regenerating must
@@ -140,6 +141,20 @@ class TestReducedObjective:
         rec = gp_trace_y2.records[0]
         _, (value,) = vp.objective_grid(problem, rec.y[0], rec.y[0], 1.0)
         assert value == pytest.approx(rec.f_value, rel=1e-8)
+
+    def test_grid_stays_within_bounds(self, small_problem):
+        # (3 - 2) / 0.35 rounds up to 3, which would place a point at 3.05.
+        ys, fs = vp.objective_grid(small_problem, 2.0, 3.0, 0.35)
+        np.testing.assert_array_equal(ys, 2.0 + 0.35 * np.arange(3))
+        assert len(fs) == 3 and ys[-1] <= 3.0
+
+    def test_benchmark_grid_keeps_every_point(self, monkeypatch, problem):
+        # The reference scan's 20,001 points, bit for bit, and a grid whose
+        # (0.3 - 0.1) / 0.1 rounds to just below 2 keeps its end point.
+        monkeypatch.setattr(deconv, "_objective_at", lambda problem, gram, y: 0.0)
+        ys, _ = vp.objective_grid(problem, 2.0, 4.0, 1e-4)
+        np.testing.assert_array_equal(ys, 2.0 + 1e-4 * np.arange(20001))
+        assert len(vp.objective_grid(problem, 0.1, 0.3, 0.1)[0]) == 3
 
     @pytest.mark.parametrize("lo,hi,resolution,message", [
         (3.0, 2.0, 0.1, "lo must not exceed hi"),

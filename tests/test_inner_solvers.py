@@ -83,7 +83,7 @@ class TestDirectSolve:
         dense = scipy.linalg.cho_factor(s.T @ s, lower=True)
         # Both solve S^T S x = v backward stably, so they agree to about
         # eps kappa_2(S^T S) = eps kappa_2(S)^2 (1e-9 to 3e-9 here).
-        tol = EPS * condition_number_bound(op) ** 2
+        tol = EPS * condition_number_bound(fact) ** 2
         rng = np.random.default_rng(16)
         for _ in range(3):
             v = rng.standard_normal(n)
@@ -225,16 +225,20 @@ class TestConditionNumberBound:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(stacked_with_rank())
     def test_bounds_svd_condition_number(self, case):
-        # A rank-deficient stack has an infinite bound and makes
-        # condition_number raise; otherwise the bound dominates its kappa.
+        # A rank-deficient stack makes condition_number raise, and its normal
+        # equations either cannot be factored or give an infinite bound;
+        # otherwise the bound dominates its kappa.
         op, deficient = case
-        bound = condition_number_bound(op)
-        assert math.isinf(bound) == deficient
         if deficient:
             with pytest.raises(RankDeficiencyError):
                 vp.condition_number(op)
+            try:
+                fact = DirectFactorization(op)
+            except SingularSystemError:
+                return
+            assert math.isinf(condition_number_bound(fact))
         else:
-            assert vp.condition_number(op) <= bound
+            assert vp.condition_number(op) <= condition_number_bound(DirectFactorization(op))
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.integers(24, 96), st.data())
@@ -252,7 +256,7 @@ class TestConditionNumberBound:
                       vp.RowScaledOperator(10.0 ** rng.uniform(-1.0, 4.0, size=n - 1),
                                            vp.first_difference(n)), lam)
         assert normal_band(op) is not None
-        bound = condition_number_bound(op)
+        bound = condition_number_bound(DirectFactorization(op))
         try:
             kappa = vp.condition_number(op)
         except RankDeficiencyError:
@@ -267,7 +271,19 @@ class TestConditionNumberBound:
     def test_tight_on_benchmark_operators(self, y, n):
         op = vp.stacked_operator(vp.build_problem(vp.BenchConfig(n=n)), y)
         kappa = vp.condition_number(op)
-        assert 0.0 <= condition_number_bound(op) / kappa - 1.0 <= (1e-3 if n <= 128 else 5e-3)
+        bound = condition_number_bound(DirectFactorization(op))
+        assert 0.0 <= bound / kappa - 1.0 <= (1e-3 if n <= 128 else 5e-3)
+
+    # Recorded bounds for these operators from a separately formed dense
+    # Gram (n = 128) and Gram band (n = 512); the factorization's normal
+    # matrix must give the same values.
+    @pytest.mark.parametrize("n,banded,expected", [(128, False, 4454.572389806868),
+                                                   (512, True, 2759.8543654586874)])
+    def test_reads_the_factorizations_normal_matrix(self, n, banded, expected):
+        fact = DirectFactorization(vp.stacked_operator(vp.build_problem(vp.BenchConfig(n=n)), 2.0))
+        assert fact.banded == banded
+        assert not fact.normal.flags.writeable
+        assert condition_number_bound(fact) == pytest.approx(expected, rel=1e-13)
 
 
 class TestLsqr:
