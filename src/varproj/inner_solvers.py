@@ -244,7 +244,7 @@ class DirectFactorization:
         except scipy.linalg.LinAlgError as exc:
             raise SingularSystemError(
                 "normal equations are not positive definite "
-                f"(smallest pivot {_normal_eigenvalues(self)[0]:.6e})"
+                f"(smallest pivot {_normal_eigenvalues(self, smallest_only=True)[0]:.6e})"
             ) from exc
 
     def solve_normal(self, v) -> np.ndarray:
@@ -257,10 +257,14 @@ class DirectFactorization:
         return self.solve_normal(self.op.top.rmatvec(b))
 
 
-def _normal_eigenvalues(fact: DirectFactorization) -> np.ndarray:
+def _normal_eigenvalues(fact: DirectFactorization, smallest_only: bool = False) -> np.ndarray:
     """Ascending eigenvalues of the normal matrix that ``fact`` holds: from
-    the band eigensolver ``dsbevd`` or the dense ``dsyevd``."""
+    the band eigensolver ``dsbevd`` or the dense ``dsyevd``. With
+    ``smallest_only`` the band route computes only the smallest (``dsbevx``)."""
     if fact.banded:
+        if smallest_only:
+            return scipy.linalg.eigvals_banded(fact.normal, lower=True,
+                                               select="i", select_range=(0, 0))
         return scipy.linalg.eigvals_banded(fact.normal, lower=True)
     return scipy.linalg.eigh(fact.normal, eigvals_only=True, driver="evd")
 
