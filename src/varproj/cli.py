@@ -12,8 +12,8 @@ Four subcommands operate on the blind-deconvolution benchmark:
 * ``table`` emits reconstruction-error/parameter/gradient tables for the
   first seven iterations of the exact and exponential-schedule runs.
 
-Config files are INI-style with sections [problem], [solver], [schedules]
-and [output]; every key has a default, so an empty (or absent) file runs
+Config files are INI-style with sections [problem], [solver] and
+[schedules]; every key has a default, so an empty (or absent) file runs
 the default benchmark experiment. Exit codes: 0 success, 1 config or I/O
 error, 2 solver failure, 3 check failure.
 """
@@ -43,7 +43,6 @@ from .inner_solvers import (
     SingularSystemError,
     condition_number,
 )
-from .linops import DenseOperator
 from .varpro import (
     NORM_MODE_EXPLICIT,
     OuterOptions,
@@ -92,7 +91,6 @@ class RunSettings:
     schedules: tuple[str, ...] = tuple(SCHEDULE_NAMES)
     epsilon0: float | None = None  # None: resolve per y0
     safety: float = 0.1
-    gnuplot: bool = True
 
     def resolved(self) -> dict:
         out: dict[str, dict] = {}
@@ -107,47 +105,36 @@ class RunSettings:
         return out
 
 
-def _parse_bool(raw: str) -> bool:
-    return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+def _distinct(items: list) -> tuple:
+    """A nonempty list with no value twice: a repeat would rerun a solve and
+    overwrite its outputs."""
+    if not items:
+        raise ConfigError("the list is empty")
+    for i, item in enumerate(items):
+        if item in items[:i]:
+            raise ConfigError(f"{item!r} is listed twice")
+    return tuple(items)
 
 
 def _parse_float_list(raw: str) -> tuple[float, ...]:
-    items = tuple(float(part) for part in raw.split(",") if part.strip())
-    if not items:
-        raise ValueError(raw)
-    return items
+    return _distinct([float(part) for part in raw.split(",") if part.strip()])
 
 
-def _parse_schedule_list(raw) -> tuple[str, ...]:
-    names = []
-    for part in str(raw).split(","):
-        name = part.strip().lower()
-        if not name:
-            continue
-        # Accept full kind names as aliases for the short labels.
-        for short, kind in SCHEDULE_NAMES.items():
-            if name in (short, kind):
-                name = short
-                break
-        else:
-            raise ConfigError(f"unknown schedule {part.strip()!r} "
+def _parse_schedule_list(raw: str) -> tuple[str, ...]:
+    names = [part.strip().lower() for part in raw.split(",") if part.strip()]
+    for name in names:
+        if name not in SCHEDULE_NAMES:
+            raise ConfigError(f"unknown schedule {name!r} "
                               f"(expected one of {sorted(SCHEDULE_NAMES)})")
-        names.append(name)
-    if not names:
-        raise ConfigError("schedule list is empty")
-    return tuple(names)
+    return _distinct(names)
 
 
 def _parse_epsilon0(raw: str) -> float | None:
-    raw = raw.strip().lower()
-    if raw == "auto":
+    if raw.strip().lower() == "auto":
         return None
-    try:
-        epsilon0 = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[schedules] epsilon0: cannot parse {raw!r}") from exc
+    epsilon0 = float(raw)
     if not 0.0 < epsilon0 < np.inf:
-        raise ConfigError(f"[schedules] epsilon0 must be positive and finite, got {epsilon0}")
+        raise ConfigError(f"must be positive and finite, got {epsilon0}")
     return epsilon0
 
 
@@ -162,16 +149,13 @@ _CONFIG_KEYS = (
     ("problem", "lambda", "problem.lam", float),
     ("problem", "seed", "problem.rng_seed", int),
     ("problem", "tau", "problem.tau", float),
-    ("problem", "signal", "problem.x_true_spec", str),
     ("solver", "y0", "y0_list", _parse_float_list),
     ("solver", "max_outer_iterations", "outer.max_outer_iterations", int),
     ("solver", "step_tolerance", "outer.step_tolerance", float),
     ("solver", "gradient_tolerance", "outer.gradient_tolerance", float),
-    ("solver", "norm_estimate_mode", "outer.norm_estimate_mode", str),
     ("schedules", "run", "schedules", _parse_schedule_list),
     ("schedules", "epsilon0", "epsilon0", _parse_epsilon0),
     ("schedules", "safety", "safety", float),
-    ("output", "gnuplot", "gnuplot", _parse_bool),
 )
 
 
@@ -208,10 +192,9 @@ def load_settings(config_path: str | None, seed_override: int | None = None,
             continue
         try:
             value = parse(raw[section, key])
-        except ConfigError:  # a ValueError too: keep the parser's own message
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"[{section}] {key}: cannot parse {raw[section, key]!r}") from exc
+        except ValueError as exc:  # a ConfigError keeps the parser's own message
+            detail = exc if isinstance(exc, ConfigError) else f"cannot parse {raw[section, key]!r}"
+            raise ConfigError(f"[{section}] {key}: {detail}") from exc
         owner, _, name = field.rpartition(".")
         values[owner][name] = value
     if seed_override is not None:
@@ -383,7 +366,7 @@ def cmd_compare(settings: RunSettings, out_dir: Path) -> int:
             out.write_csv(gap_name, ["k", "gap"],
                           [[k, abs(y_gp[k] - y_in[k])] for k in range(count)])
             gap_files.append(gap_name)
-    if settings.gnuplot and gap_files:
+    if gap_files:
         out.write_text("plot_gaps.gp", _gnuplot_script(gap_files))
     return out.finish()
 
@@ -447,22 +430,10 @@ def cmd_bounds(settings: RunSettings, out_dir: Path) -> int:
     return EXIT_CHECK if fatal and code == EXIT_OK else code
 
 
-def cmd_gradcheck(settings: RunSettings, corrupt: bool = False) -> int:
-    """Finite-difference validation of the Jacobian and gradient at random y.
-
-    ``corrupt`` deliberately rescales the analytic derivative as a negative
-    control; the check must then fail.
-    """
+def cmd_gradcheck(settings: RunSettings) -> int:
+    """Finite-difference validation of the Jacobian and gradient at random y."""
     problem = build_problem(settings.problem)
     model = problem.model
-    if corrupt:
-        clean = model.derivative
-
-        def skewed(y, j):
-            return DenseOperator(1.05 * clean(y, j).to_dense())
-
-        model = replace(model, derivative=skewed)
-        problem = replace(problem, model=model)
     rng = np.random.default_rng(settings.problem.rng_seed + 1000003)
     sigma_true = settings.problem.sigma_true
     worst = 0.0
@@ -546,20 +517,17 @@ def main(argv=None) -> int:
         cmd = sub.add_parser(name, help=helptext)
         cmd.add_argument("--config", default=None, help="INI config file (all keys optional)")
         cmd.add_argument("--seed", type=int, default=None, help="override the noise seed")
-        cmd.add_argument("--schedules", default=None,
-                         help="comma-separated subset of b, lb, ab, s")
         if name != "gradcheck":
+            cmd.add_argument("--schedules", default=None,
+                             help="comma-separated subset of b, lb, ab, s")
             cmd.add_argument("--out", required=True, help="output directory")
-        else:
-            cmd.add_argument("--corrupt-derivative", action="store_true",
-                             help="negative control: perturb the analytic derivative")
 
     args = parser.parse_args(argv)
     try:
+        if args.command == "gradcheck":
+            return cmd_gradcheck(load_settings(args.config, seed_override=args.seed))
         settings = load_settings(args.config, seed_override=args.seed,
                                  schedules_override=args.schedules)
-        if args.command == "gradcheck":
-            return cmd_gradcheck(settings, corrupt=args.corrupt_derivative)
         out_dir = Path(args.out)
         if args.command == "compare":
             return cmd_compare(settings, out_dir)

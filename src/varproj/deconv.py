@@ -31,8 +31,6 @@ class ConfigError(ValueError):
     """A benchmark or run configuration field is invalid."""
 
 
-SIGNAL_SPECS = ("piecewise", "gaussian-bumps")
-
 DEFAULT_SEED = 1
 
 
@@ -46,7 +44,6 @@ class BenchConfig:
     lam: float = 0.0379
     rng_seed: int = DEFAULT_SEED
     tau: float = 1e-8
-    x_true_spec: str = "piecewise"
 
     def __post_init__(self):
         if self.n < 8:
@@ -59,8 +56,8 @@ class BenchConfig:
             raise ConfigError(f"lambda must be positive and finite, got {self.lam}")
         if not 0.0 < self.tau < math.inf:
             raise ConfigError(f"tau must be positive and finite, got {self.tau}")
-        if self.x_true_spec not in SIGNAL_SPECS:
-            raise ConfigError(f"unknown signal spec {self.x_true_spec!r}")
+        if self.rng_seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)
@@ -77,31 +74,22 @@ class ProblemInstance:
     noise_ratio: float
 
 
-def default_signal(n: int, spec: str = "piecewise") -> np.ndarray:
-    """Built-in ground-truth signals on n points with exact zero boundaries.
+def default_signal(n: int) -> np.ndarray:
+    """The piecewise ground-truth signal on n points, with exact zero boundaries.
 
-    ``piecewise`` (the default) combines a flat plateau, a linear ramp with a
-    jump at its end, and a compactly supported cosine bump, so the difference
-    D x has both exact zeros and order-one jumps. ``gaussian-bumps`` is a
-    smooth pair of Gaussian humps. All values lie in [0, 1].
+    It combines a flat plateau, a linear ramp with a jump at its end, and a
+    compactly supported cosine bump, so the difference D x has both exact
+    zeros and order-one jumps. All values lie in [0, 1].
     """
     if n < 8:
         raise ConfigError(f"signals need n >= 8, got n={n}")
     t = np.arange(n, dtype=float) / (n - 1)
     x = np.zeros(n)
-    if spec == "piecewise":
-        x[(t >= 0.15) & (t < 0.35)] = 0.75
-        ramp = (t >= 0.45) & (t < 0.60)
-        x[ramp] = 0.9 * (t[ramp] - 0.45) / 0.15
-        bump = np.abs(t - 0.78) < 0.10
-        x[bump] = 0.5 * (1.0 + np.cos(np.pi * (t[bump] - 0.78) / 0.10))
-    elif spec == "gaussian-bumps":
-        x = 0.9 * np.exp(-((t - 0.30) ** 2) / (2 * 0.06**2))
-        x += 0.65 * np.exp(-((t - 0.68) ** 2) / (2 * 0.09**2))
-        x[0] = 0.0
-        x[-1] = 0.0
-    else:
-        raise ConfigError(f"unknown signal spec {spec!r}")
+    x[(t >= 0.15) & (t < 0.35)] = 0.75
+    ramp = (t >= 0.45) & (t < 0.60)
+    x[ramp] = 0.9 * (t[ramp] - 0.45) / 0.15
+    bump = np.abs(t - 0.78) < 0.10
+    x[bump] = 0.5 * (1.0 + np.cos(np.pi * (t[bump] - 0.78) / 0.10))
     return x
 
 
@@ -139,7 +127,7 @@ def build_problem(cfg: BenchConfig) -> ProblemInstance:
     ||b - b_true|| / ||b_true|| equals the configured level exactly.
     """
     n = cfg.n
-    x_true = default_signal(n, cfg.x_true_spec)
+    x_true = default_signal(n)
     A = gaussian_toeplitz(cfg.sigma_true, n)
     b_true = A.matvec(x_true)
     if cfg.noise_level > 0.0:

@@ -73,18 +73,21 @@ class ToleranceSchedule:
 
     Kinds: ``constant`` keeps eps0; ``linear`` is eps0/k for k >= 1 (eps0 at
     k = 0); ``exponential`` halves every iteration; ``fixed-small`` always
-    returns 1e-11 whatever eps0 is. Values are clamped below at machine
-    epsilon so the exponential schedule bottoms out there instead of
-    underflowing.
+    returns 1e-11 whatever eps0 is, and is the only kind that needs none.
+    Values are clamped below at machine epsilon so the exponential schedule
+    bottoms out there instead of underflowing.
     """
 
     kind: str
-    epsilon0: float = FIXED_SMALL_TOLERANCE
+    epsilon0: float | None = None
 
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if not 0.0 < self.epsilon0 < np.inf:
+        if self.epsilon0 is None:
+            if self.kind != "fixed-small":
+                raise ValueError(f"a {self.kind} schedule needs epsilon0")
+        elif not 0.0 < self.epsilon0 < np.inf:
             raise ValueError(f"epsilon0 must be positive and finite, got {self.epsilon0}")
 
     def value(self, k: int) -> float:
@@ -109,10 +112,10 @@ class OuterOptions:
     gradient norm falls to ``gradient_tolerance``, or after
     ``max_outer_iterations`` Gauss-Newton steps, whichever happens first.
     ``schedule`` is required by the inexact variant only.
-    ``norm_estimate_mode``, the inexact variant's LSQR norm control, is
-    stored in lower case: ``explicit-svd`` takes ||S|| in the LSQR stopping
-    test from an SVD of the materialized S (for bound-verification runs),
-    ``internal-bidiagonal`` from LSQR's running estimate.
+    ``norm_estimate_mode`` is the inexact variant's LSQR norm control:
+    ``explicit-svd`` takes ||S|| in the LSQR stopping test from an SVD of the
+    materialized S (for bound-verification runs), ``internal-bidiagonal``
+    from LSQR's running estimate.
     """
 
     max_outer_iterations: int = 50
@@ -126,10 +129,8 @@ class OuterOptions:
             raise ValueError("max_outer_iterations must be at least 1")
         if not (self.step_tolerance >= 0.0 and self.gradient_tolerance >= 0.0):
             raise ValueError("stopping tolerances must be nonnegative")
-        mode = str(self.norm_estimate_mode).lower()
-        if mode not in (NORM_MODE_INTERNAL, NORM_MODE_EXPLICIT):
+        if self.norm_estimate_mode not in (NORM_MODE_INTERNAL, NORM_MODE_EXPLICIT):
             raise ValueError(f"norm_estimate_mode: unknown mode {self.norm_estimate_mode!r}")
-        object.__setattr__(self, "norm_estimate_mode", mode)
 
 
 @dataclass
@@ -240,24 +241,45 @@ def _start(model: SeparableModel, b, y0) -> tuple[np.ndarray, np.ndarray]:
     return b, y
 
 
-# An inner strategy maps (k, fact, d, messages) at outer iterate k to the
-# inner solution x of min ||S x - d|| for the stacked data d = [b; 0] and the
-# extra IterationRecord fields it fills; it may append warnings to ``messages``.
-InnerStrategy = Callable[[int, DirectFactorization, np.ndarray, list],
-                         tuple[np.ndarray, dict]]
+def _evaluate(model, y, b, L, lam, schedule: ToleranceSchedule | None = None, k: int = 0,
+              opts: OuterOptions | None = None, messages: list | None = None):
+    """Factor S = [A(y); lam L], solve the inner problem and form F = S x - [b; 0].
 
-
-def _exact_inner(b: np.ndarray) -> InnerStrategy:
-    """The exact inner solve x(y) = (S^T S)^{-1} A^T b."""
-    return lambda k, fact, d, messages: (fact.solve_rhs(b), {})
-
-
-def _evaluate(model, y, b, L, lam, inner: InnerStrategy, k: int, messages: list):
-    """Factor S = [A(y); lam L], solve the inner problem and form F = S x - [b; 0]."""
+    Without a schedule the inner solve is exact, x(y) = (S^T S)^{-1} A^T b.
+    With one, LSQR stops at tolerance eps^(k), an unconverged solve appends a
+    warning to ``messages``, and at k = 0 the check eps0 * kappa0 < 1 runs.
+    Returns ``(fact, x, F, fields)``, ``fields`` being the IterationRecord
+    fields of the inner solve.
+    """
     S = stack(model.operator(y), L, lam)
     fact = DirectFactorization(S)
     d = np.concatenate([b, np.zeros(L.rows)])
-    x, fields = inner(k, fact, d, messages)
+    if schedule is None:
+        x, fields = fact.solve_rhs(b), {}
+    else:
+        eps_k = schedule.value(k)
+        # The certified bound settles eps0 * kappa0 < 1 without an SVD; only
+        # when it cannot does the exact kappa0 decide, and word, the warning.
+        if k == 0 and eps_k * condition_number_bound(fact) >= 1.0:
+            kappa0 = condition_number(S)
+            if eps_k * kappa0 >= 1.0:
+                warnings.warn(
+                    f"initial tolerance times condition number is {eps_k * kappa0:.3g} >= 1; "
+                    "inner-solve error bounds do not apply",
+                    ToleranceWarning,
+                    stacklevel=4,  # _evaluate, _gauss_newton, inexact_genvarpro
+                )
+        op_norm = (float(np.linalg.svd(S.to_dense(), compute_uv=False)[0])
+                   if opts.norm_estimate_mode == NORM_MODE_EXPLICIT else None)
+        sol = lsqr_solve(S, d, eps_k, operator_norm=op_norm)
+        x = sol.x_bar
+        fields = dict(epsilon=eps_k, inner_iterations=sol.iterations,
+                      inner_criterion=sol.achieved_criterion, inner_converged=sol.converged)
+        if not sol.converged:
+            messages.append(
+                f"iteration {k}: LSQR stopped after {sol.iterations} iterations with "
+                f"criterion {sol.achieved_criterion:.3e} >= tolerance {eps_k:.3e}"
+            )
     return fact, x, S.matvec(x) - d, fields
 
 
@@ -270,18 +292,20 @@ def exact_residual(model: SeparableModel, y, b, L: LinearOperator, lam: float):
     Jacobian of F at y.
     """
     b = np.asarray(b, dtype=float)
-    fact, x, fvec, _ = _evaluate(model, _check_y(model, y), b, L, lam, _exact_inner(b), 0, [])
+    fact, x, fvec, _ = _evaluate(model, _check_y(model, y), b, L, lam)
     return fact, x, fvec
 
 
-def _gauss_newton(model, b, L, lam, y, opts: OuterOptions, inner: InnerStrategy) -> SolverTrace:
+def _gauss_newton(model, b, L, lam, y, opts: OuterOptions,
+                  schedule: ToleranceSchedule | None) -> SolverTrace:
     """Undamped Gauss-Newton on the reduced functional, shared by both solvers.
 
-    Each iteration factors the stacked operator, takes the inner solution
-    from ``inner``, assembles the Jacobian from it and steps. After the last
-    step a closing record is evaluated at the final iterate. An infeasible
-    iterate, a singular inner system or a singular step system aborts the
-    run with a partial trace and an error status.
+    Each iteration factors the stacked operator, solves the inner problem
+    exactly or, given a ``schedule``, by LSQR, assembles the Jacobian from
+    the inner solution and steps. After the last step a closing record is
+    evaluated at the final iterate. An infeasible iterate, a singular inner
+    system or a singular step system aborts the run with a partial trace and
+    an error status.
     """
     trace = SolverTrace()
     for k in range(opts.max_outer_iterations + 1):
@@ -293,7 +317,8 @@ def _gauss_newton(model, b, L, lam, y, opts: OuterOptions, inner: InnerStrategy)
             trace.status = "infeasible-iterate"
             break
         try:
-            fact, x, fvec, fields = _evaluate(model, y, b, L, lam, inner, k, trace.warnings)
+            fact, x, fvec, fields = _evaluate(model, y, b, L, lam, schedule, k, opts,
+                                              trace.warnings)
         except SingularSystemError as exc:
             trace.warnings.append(f"{at}: {exc}")
             trace.status = "inner-failure"
@@ -333,7 +358,7 @@ def genvarpro(model: SeparableModel, b, L: LinearOperator, lam: float, y0,
     including a system that is already singular at y0.
     """
     b, y = _start(model, b, y0)
-    return _gauss_newton(model, b, L, lam, y, opts or OuterOptions(), _exact_inner(b))
+    return _gauss_newton(model, b, L, lam, y, opts or OuterOptions(), None)
 
 
 def inexact_genvarpro(model: SeparableModel, b, L: LinearOperator, lam: float, y0,
@@ -357,30 +382,4 @@ def inexact_genvarpro(model: SeparableModel, b, L: LinearOperator, lam: float, y
     if opts.schedule is None:
         raise ValueError("inexact_genvarpro requires OuterOptions.schedule")
     b, y = _start(model, b, y0)
-
-    def lsqr_inner(k, fact, d, messages):
-        eps_k = opts.schedule.value(k)
-        # The certified bound settles eps0 * kappa0 < 1 without an SVD; only
-        # when it cannot does the exact kappa0 decide, and word, the warning.
-        if k == 0 and eps_k * condition_number_bound(fact) >= 1.0:
-            kappa0 = condition_number(fact.op)
-            if eps_k * kappa0 >= 1.0:
-                warnings.warn(
-                    f"initial tolerance times condition number is {eps_k * kappa0:.3g} >= 1; "
-                    "inner-solve error bounds do not apply",
-                    ToleranceWarning,
-                    stacklevel=5,  # lsqr_inner, _evaluate, _gauss_newton, inexact_genvarpro
-                )
-        op_norm = (float(np.linalg.svd(fact.op.to_dense(), compute_uv=False)[0])
-                   if opts.norm_estimate_mode == NORM_MODE_EXPLICIT else None)
-        sol = lsqr_solve(fact.op, d, eps_k, operator_norm=op_norm)
-        fields = dict(epsilon=eps_k, inner_iterations=sol.iterations,
-                      inner_criterion=sol.achieved_criterion, inner_converged=sol.converged)
-        if not sol.converged:
-            messages.append(
-                f"iteration {k}: LSQR stopped after {sol.iterations} iterations with "
-                f"criterion {sol.achieved_criterion:.3e} >= tolerance {eps_k:.3e}"
-            )
-        return sol.x_bar, fields
-
-    return _gauss_newton(model, b, L, lam, y, opts, lsqr_inner)
+    return _gauss_newton(model, b, L, lam, y, opts, opts.schedule)

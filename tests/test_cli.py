@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, file outputs, reproducibility."""
 
+import configparser
 import csv
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ import scipy
 
 import varproj as vp
 import varproj.cli as cli
+from varproj import deconv
 from varproj.cli import main
 from varproj.inner_solvers import RankDeficiencyError
 
@@ -68,6 +71,19 @@ class TestConfig:
         assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "unknown key 'lsqr_max_iterations'" in capsys.readouterr().err
 
+    # A config that sets a removed setting fails like any other unknown
+    # section or key.
+    @pytest.mark.parametrize("text,named", [
+        ("[output]\ngnuplot = true\n", "unknown config section [output]"),
+        ("[problem]\nsignal = piecewise\n", "unknown key 'signal'"),
+        ("[solver]\nnorm_estimate_mode = explicit-svd\n", "unknown key 'norm_estimate_mode'"),
+    ])
+    def test_removed_keys_are_unknown(self, tmp_path, capsys, text, named):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(text)
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert named in capsys.readouterr().err
+
     def test_unknown_section_named(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[plotting]\nx = 1\n")
@@ -87,6 +103,31 @@ class TestConfig:
         assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "turbo" in capsys.readouterr().err
 
+    def test_full_kind_name_is_unknown_schedule(self, tmp_path, capsys):
+        cfg = tmp_path / "full.cfg"
+        cfg.write_text("[schedules]\nrun = exponential\n")
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "unknown schedule 'exponential'" in capsys.readouterr().err
+
+    # A repeated value would rerun a solve and overwrite its outputs.
+    @pytest.mark.parametrize("section,key,value,repeated", [
+        ("schedules", "run", "b, ab, b", "'b'"),
+        ("solver", "y0", "2, 2.0", "2.0"),
+    ])
+    def test_repeated_value_names_key(self, tmp_path, capsys, section, key, value, repeated):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: [{section}] {key}: {repeated} is listed twice")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["compare", "gradcheck"])
+    def test_negative_seed_override(self, tmp_path, capsys, command):
+        out = [] if command == "gradcheck" else ["--out", str(tmp_path / "o")]
+        assert main([command, "--seed", "-1", *out]) == 1
+        assert capsys.readouterr().err.startswith("config error: [problem] seed")
+
     # Each invalid value is a config error naming its section and key; the
     # two stopping tolerances share one message. Infinite values are
     # rejected too, except for the stopping tolerances, where they mean
@@ -96,7 +137,6 @@ class TestConfig:
         ("solver", "step_tolerance", "-1", "stopping tolerances"),
         ("solver", "gradient_tolerance", "-1", "stopping tolerances"),
         ("solver", "step_tolerance", "nan", "stopping tolerances"),
-        ("solver", "norm_estimate_mode", "bogus", "norm_estimate_mode"),
         ("schedules", "safety", "0", "safety"),
         ("solver", "y0", "-1", "y0"),
         ("schedules", "epsilon0", "0", "epsilon0"),
@@ -107,6 +147,7 @@ class TestConfig:
         ("problem", "sigma_true", "inf", "sigma_true"),
         ("problem", "n", "1", "n"),
         ("problem", "n", "4", "n must be at least 8"),
+        ("problem", "seed", "-5", "seed"),
         ("solver", "y0", "inf", "y0"),
         ("schedules", "epsilon0", "inf", "epsilon0"),
         ("schedules", "safety", "inf", "safety"),
@@ -127,17 +168,14 @@ class TestConfig:
         assert settings.schedules == ("b", "lb", "ab", "s")
         assert settings.epsilon0 is None
 
-    def test_full_kind_names_accepted(self, tmp_path):
-        cfg = tmp_path / "full.cfg"
-        cfg.write_text("[schedules]\nrun = exponential, fixed-small\n")
-        settings = cli.load_settings(str(cfg))
-        assert settings.schedules == ("ab", "s")
-
-    def test_norm_mode_case_insensitive(self, tmp_path):
-        cfg = tmp_path / "mode.cfg"
-        cfg.write_text("[solver]\nnorm_estimate_mode = Explicit-SVD\n")
-        resolved = cli.load_settings(str(cfg)).resolved()
-        assert resolved["solver"]["norm_estimate_mode"] == "explicit-svd"
+    def test_readme_schema_lists_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"### Config file schema.*?```ini\n(.*?)```", readme, re.S).group(1)
+        schema = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        schema.read_string(block)
+        documented = {(section, key) for section in schema.sections()
+                      for key in schema.options(section)}
+        assert documented == {(section, key) for section, key, _, _ in cli._CONFIG_KEYS}
 
     def test_seed_and_schedule_overrides(self, small_cfg):
         settings = cli.load_settings(str(small_cfg), seed_override=99,
@@ -335,9 +373,19 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "max relative error" in out
 
-    def test_corrupted_derivative_fails(self, small_cfg):
-        assert main(["gradcheck", "--config", str(small_cfg),
-                     "--corrupt-derivative"]) == 3
+    def test_corrupted_derivative_fails(self, small_cfg, monkeypatch):
+        # Negative control: a derivative 5% off must fail the check.
+        clean = deconv.gaussian_toeplitz_derivative
+        monkeypatch.setattr(deconv, "gaussian_toeplitz_derivative",
+                            lambda sigma, n: vp.DenseOperator(1.05 * clean(sigma, n).to_dense()))
+        assert main(["gradcheck", "--config", str(small_cfg)]) == 3
+
+    def test_help_lists_only_config_and_seed(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["gradcheck", "--help"])
+        usage = capsys.readouterr().out
+        assert "--config" in usage and "--seed" in usage
+        assert "--corrupt-derivative" not in usage and "--schedules" not in usage
 
 
 class TestTable:

@@ -9,7 +9,7 @@ import varproj as vp
 from varproj import deconv
 from varproj.deconv import ConfigError
 
-# Frozen output of default_signal(16, "piecewise"); regenerating must
+# Frozen output of default_signal(16); regenerating must
 # reproduce it bit for bit.
 PIECEWISE_16 = np.array([
     0.0, 0.0, 0.0,
@@ -22,29 +22,24 @@ PIECEWISE_16 = np.array([
 
 
 class TestDefaultSignal:
-    @pytest.mark.parametrize("spec", ["piecewise", "gaussian-bumps"])
     @pytest.mark.parametrize("n", [8, 16, 128, 301])
-    def test_zero_boundaries_and_range(self, spec, n):
-        x = vp.default_signal(n, spec)
+    def test_zero_boundaries_and_range(self, n):
+        x = vp.default_signal(n)
         assert x[0] == 0.0 and x[-1] == 0.0
         assert np.all(x >= 0.0) and np.all(x <= 1.0)
 
     def test_piecewise_exercises_both_weight_regimes(self):
-        x = vp.default_signal(128, "piecewise")
+        x = vp.default_signal(128)
         d = vp.first_difference(128).matvec(x)
         assert np.sum(d == 0.0) >= 1          # plateau: exact zeros
         assert np.sum(np.abs(d) >= 0.05) >= 1  # jump: order-one difference
 
     def test_frozen_fixture_n16(self):
-        np.testing.assert_array_equal(vp.default_signal(16, "piecewise"), PIECEWISE_16)
+        np.testing.assert_array_equal(vp.default_signal(16), PIECEWISE_16)
 
     def test_rejects_small_n(self):
         with pytest.raises(ConfigError):
             vp.default_signal(4)
-
-    def test_rejects_unknown_spec(self):
-        with pytest.raises(ConfigError, match="wiggles"):
-            vp.default_signal(32, "wiggles")
 
 
 class TestRegularizer:
@@ -55,7 +50,7 @@ class TestRegularizer:
         np.testing.assert_allclose(L.to_dense(), expected, rtol=1e-12)
 
     def test_weighted_norm_approximates_total_variation(self):
-        x = vp.default_signal(128, "piecewise")
+        x = vp.default_signal(128)
         L = vp.build_regularizer(x, 1e-8)
         lx2 = float(np.sum(L.matvec(x) ** 2))
         tv = float(np.sum(np.abs(vp.first_difference(128).matvec(x))))
@@ -118,7 +113,7 @@ class TestBuildProblem:
         ("noise_level", np.inf, "noise_level"),
         ("lam", np.inf, "lambda"),
         ("tau", np.inf, "tau"),
-        ("x_true_spec", "nope", "nope"),
+        ("rng_seed", -1, "seed"),
     ])
     def test_config_errors_name_field(self, field, value, message):
         with pytest.raises(ConfigError, match=message):

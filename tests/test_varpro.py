@@ -295,6 +295,11 @@ class TestToleranceSchedule:
             with pytest.raises(ValueError, match="epsilon0"):
                 vp.ToleranceSchedule("constant", bad)
 
+    @pytest.mark.parametrize("kind", ["constant", "linear", "exponential"])
+    def test_epsilon0_required_where_read(self, kind):
+        with pytest.raises(ValueError, match=f"a {kind} schedule needs epsilon0"):
+            vp.ToleranceSchedule(kind)
+
 
 class TestOuterLoops:
     def test_constant_model_stops_at_start(self):
