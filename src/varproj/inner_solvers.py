@@ -219,10 +219,10 @@ class DirectFactorization:
     with LAPACK ``dpbtrf`` and solved with ``dpbtrs``, and S is never
     materialized. Otherwise S is materialized, S^T S is formed densely and
     factored with ``dpotrf``. The computed normal matrix is kept, read-only,
-    as ``normal`` (``banded`` tells which storage it has) for
-    ``condition_number_bound``. The pseudoinverse and projector applications
-    below reuse the factorization and apply S through ``op``. Immutable
-    after construction and shareable across threads.
+    as ``normal`` (``banded`` tells which storage it has) for the kappa0
+    check of ``condition_number_below``. The pseudoinverse and projector
+    applications below reuse the factorization and apply S through ``op``.
+    Immutable after construction and shareable across threads.
     """
 
     def __init__(self, op: StackedOperator):
@@ -244,7 +244,7 @@ class DirectFactorization:
         except scipy.linalg.LinAlgError as exc:
             raise SingularSystemError(
                 "normal equations are not positive definite "
-                f"(smallest pivot {_normal_eigenvalues(self, smallest_only=True)[0]:.6e})"
+                f"(smallest eigenvalue {_smallest_eigenvalue(self):.6e})"
             ) from exc
 
     def solve_normal(self, v) -> np.ndarray:
@@ -257,16 +257,15 @@ class DirectFactorization:
         return self.solve_normal(self.op.top.rmatvec(b))
 
 
-def _normal_eigenvalues(fact: DirectFactorization, smallest_only: bool = False) -> np.ndarray:
-    """Ascending eigenvalues of the normal matrix that ``fact`` holds: from
-    the band eigensolver ``dsbevd`` or the dense ``dsyevd``. With
-    ``smallest_only`` the band route computes only the smallest (``dsbevx``)."""
+def _smallest_eigenvalue(fact: DirectFactorization) -> float:
+    """Smallest eigenvalue of the normal matrix that ``fact`` holds, for the
+    message of a failed factorization: ``dsbevx`` on the band, else ``dsyevr``."""
     if fact.banded:
-        if smallest_only:
-            return scipy.linalg.eigvals_banded(fact.normal, lower=True,
-                                               select="i", select_range=(0, 0))
-        return scipy.linalg.eigvals_banded(fact.normal, lower=True)
-    return scipy.linalg.eigh(fact.normal, eigvals_only=True, driver="evd")
+        evals = scipy.linalg.eigvals_banded(fact.normal, lower=True,
+                                            select="i", select_range=(0, 0))
+    else:
+        evals = scipy.linalg.eigh(fact.normal, eigvals_only=True, subset_by_index=[0, 0])
+    return float(evals[0])
 
 
 def apply_pinv(fact: DirectFactorization, z) -> np.ndarray:
@@ -301,45 +300,90 @@ def condition_number(op: LinearOperator) -> float:
     return float(s[0] / s[-1])
 
 
-def condition_number_bound(fact: DirectFactorization) -> float:
-    """Certified upper bound on the 2-norm condition number, or ``inf``.
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u = eps / 2 the unit roundoff."""
+    ku = k * _EPS / 2
+    return ku / (1.0 - ku)
 
-    Takes the eigenvalues of the computed Gram matrix G = fl(S^T S) that
-    the factorization of the m x n operator S holds, which costs far less
-    than the SVD of S: the band eigensolver ``dsbevd`` when G is in band
-    storage, else the dense ``dsyevd``. The certificate is the same on both
-    routes:
+
+def condition_number_below(fact: DirectFactorization, limit: float) -> bool:
+    """True only when kappa_2(S) < ``limit`` is certified, S the m x n operator
+    that ``fact`` factored.
+
+    Works on the computed Gram matrix G = fl(S^T S) that the factorization
+    holds, in band storage (``cholesky_banded``, ``dpbtrf``) or dense
+    (``cho_factor``, ``dpotrf``), with one Gershgorin sweep and one
+    Cholesky factorization of a shifted copy. False means only that the
+    certificate failed, not that kappa_2(S) >= ``limit``. The certificate,
+    with u = eps / 2 and no underflow or overflow:
 
     - Gram rounding. Each entry of G is an inner product of two columns of
       S, summed in floating point over at most m products in some order
       (the band route leaves out products that are exact zeros, and its
       entries outside the band are exactly zero). So G differs from S^T S by
-      at most gamma_m |S|^T |S| entrywise, whose 2-norm is at most
-      gamma_m n ||S||_2^2 (Higham, Accuracy and Stability of Numerical
+      E with |E| <= gamma_m |S|^T |S| entrywise, and ||E||_2 <= g ||S||_2^2
+      with g = gamma_m n (Higham, Accuracy and Stability of Numerical
       Algorithms, sec. 3.5 and Lemma 6.6).
-    - Eigensolver backward error. ``dsyevd`` and ``dsbevd`` both reduce G
-      to tridiagonal form by orthogonal transformations and return the
-      eigenvalues of G + E with ||E||_2 <= p(n) eps ||G||_2, the bound the
-      LAPACK Users' Guide (sec. 4.7) states for all its symmetric
-      eigensolvers, dense and band alike; it is taken here with p(n) = n.
-
-    So every computed eigenvalue lies within delta of the matching
-    eigenvalue of S^T S, and by Weyl's inequality
-    sqrt((lmax + delta) / (lmin - delta)) >= kappa_2(S), with a last factor
-    1 + 4 eps for the rounding of that formula. When lmin <= delta, S may
-    be rank deficient and the bound is ``inf``.
+    - Largest eigenvalue. The largest Gershgorin row sum r of G bounds
+      lambda_max(G), and its sum of at most N terms (N = 2 kd + 1 on the
+      band, n dense) is computed within gamma_N. Since ||S||_2^2 <=
+      lambda_max(G) + g ||S||_2^2, lmax = r / ((1 - gamma_N)(1 - g)) bounds
+      ||S||_2^2 = lambda_max(S^T S), and delta = g lmax bounds ||E||_2.
+    - Shifted Cholesky. A copy H = fl(G - sigma I) is factored, and the
+      shift rounds each diagonal entry by at most u |G_ii - sigma| <=
+      u (max_i G_ii + sigma). A Cholesky factorization that completes gives
+      R^T R = H + F with |F| <= gamma_{p+2} |R^T| |R|, p = kd on the band and
+      n - 1 dense, its inner products having at most p + 1 terms in any
+      order, blocked or not (Higham, Theorem 10.3). By Cauchy-Schwarz
+      ||(|R^T| |R|)||_2 <= trace(R^T R) <= trace(H) / (1 - gamma_{p+2}), and
+      trace(H) <= trace(G) because each fl(G_ii - sigma) <= G_ii. So
+      ||F||_2 <= rho = gamma_{p+2} / (1 - gamma_{p+2}) trace(G), with
+      trace(G) computed within gamma_n.
+    - Conclusion. With tau = lmax / limit^2, sigma is chosen so that
+      sigma - u (max_i G_ii + sigma) = tau + delta + rho, and a last factor
+      1 + 16 eps on it covers the rounding of the few operations that form
+      it. R has a positive diagonal, so R^T R is positive definite and
+      lambda_min(G) > sigma - u (max_i G_ii + sigma) - rho = tau + delta.
+      By Weyl's inequality lambda_min(S^T S) > tau, and kappa_2(S)^2 =
+      lambda_max(S^T S) / lambda_min(S^T S) < lmax / tau = limit^2. A
+      rank-deficient S has lambda_min(S^T S) = 0, so the factorization
+      cannot complete and every finite ``limit`` gives False.
     """
+    if not 1.0 < limit < math.inf:
+        return False
     m, n = fact.op.shape
-    evals = _normal_eigenvalues(fact)
+    normal = fact.normal
+    if fact.banded:
+        kd = normal.shape[0] - 1
+        magnitude = np.abs(normal)
+        # magnitude[d, j] = |G[j + d, j]| = |G[j, j + d]|: the column sums
+        # give each row's diagonal and right part, and row d shifted right by
+        # d its left part.
+        row_sums = magnitude.sum(axis=0)
+        for d in range(1, kd + 1):
+            row_sums[d:] += magnitude[d, : n - d]
+        diagonal, terms, p = normal[0], 2 * kd + 1, kd
+    else:
+        row_sums = np.abs(normal).sum(axis=1)
+        diagonal, terms, p = np.diagonal(normal), n, n - 1
+    gram, rows, chol, trace = n * _gamma(m), _gamma(terms), _gamma(p + 2), _gamma(n)
+    lmax = float(row_sums.max()) / ((1.0 - rows) * (1.0 - gram))
+    tau = lmax / (limit * limit)
+    if not tau >= np.finfo(float).tiny:
+        return False
     unit = _EPS / 2
-    gram_rel = n * m * unit / (1.0 - m * unit)
-    # delta = t ||S||_2^2, and ||S||_2^2 <= lmax / (1 - t) since lmax is
-    # itself within t ||S||_2^2 of ||S||_2^2.
-    t = gram_rel + n * _EPS * (1.0 + gram_rel)
-    lmin, lmax = float(evals[0]), float(evals[-1])
-    if not (t < 1.0 and lmax > 0.0):
-        return math.inf
-    delta = t * lmax / (1.0 - t)
-    if lmin <= delta:
-        return math.inf
-    return math.sqrt((lmax + delta) / (lmin - delta)) * (1.0 + 4.0 * _EPS)
+    rho = chol / (1.0 - chol) * float(diagonal.sum()) / (1.0 - trace)
+    sigma = ((tau + gram * lmax + rho + unit * float(diagonal.max())) / (1.0 - unit)
+             * (1.0 + 16.0 * _EPS))
+    shifted = np.array(normal, order="F")
+    try:
+        if fact.banded:
+            shifted[0] -= sigma
+            scipy.linalg.cholesky_banded(shifted, lower=True, overwrite_ab=True,
+                                         check_finite=False)
+        else:
+            shifted.flat[:: n + 1] -= sigma
+            scipy.linalg.cho_factor(shifted, lower=True, overwrite_a=True, check_finite=False)
+    except scipy.linalg.LinAlgError:
+        return False
+    return True

@@ -25,7 +25,7 @@ from .inner_solvers import (
     apply_pinv_transpose,
     apply_projector_perp,
     condition_number,
-    condition_number_bound,
+    condition_number_below,
     lsqr_solve,
 )
 from .linops import LinearOperator, stack
@@ -258,9 +258,10 @@ def _evaluate(model, y, b, L, lam, schedule: ToleranceSchedule | None = None, k:
         x, fields = fact.solve_rhs(b), {}
     else:
         eps_k = schedule.value(k)
-        # The certified bound settles eps0 * kappa0 < 1 without an SVD; only
-        # when it cannot does the exact kappa0 decide, and word, the warning.
-        if k == 0 and eps_k * condition_number_bound(fact) >= 1.0:
+        # One shifted Cholesky of the normal matrix settles eps0 * kappa0 < 1
+        # without an SVD; only when it cannot does the exact kappa0 decide,
+        # and word, the warning.
+        if k == 0 and not condition_number_below(fact, 1.0 / eps_k):
             kappa0 = condition_number(S)
             if eps_k * kappa0 >= 1.0:
                 warnings.warn(
@@ -369,12 +370,12 @@ def inexact_genvarpro(model: SeparableModel, b, L: LinearOperator, lam: float, y
     approximate residual and Jacobian from the LSQR iterate, and steps. An
     inner solve that stops unconverged is recorded as a warning and the run
     continues with its best iterate. At y0 it warns when eps^(0) kappa0 >= 1,
-    with kappa0 the condition number of the stacked operator there. A
-    certified upper bound on kappa0 from the eigenvalues of the normal
-    matrix that iteration 0 factors (``condition_number_bound``) settles
-    eps^(0) kappa0 < 1 without an SVD; only when the bound cannot does the
-    exact ``condition_number`` decide. So the warning fires exactly when the
-    SVD's kappa0 says so. Normal equations that cannot be factored at y0
+    with kappa0 the condition number of the stacked operator there. One
+    Cholesky factorization of a shifted copy of the normal matrix that
+    iteration 0 factors (``condition_number_below``) settles
+    eps^(0) kappa0 < 1 without an eigensolver or an SVD; only when it
+    cannot does the exact ``condition_number`` decide. So the warning fires exactly when the SVD's
+    kappa0 says so. Normal equations that cannot be factored at y0
     end the run with status ``inner-failure`` and no records, as in
     ``genvarpro``; a system that factors but whose SVD finds it numerically
     rank deficient raises ``RankDeficiencyError`` from that check.

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import varproj as vp
 from varproj import cli, deconv, linops, varpro
@@ -95,6 +96,31 @@ def test_solvers_look_up_wrapped_names_at_call_time(small_problem, monkeypatch, 
         expected.update(condition_number=1)
     assert calls == expected
     assert sum(issubclass(w.category, varpro.ToleranceWarning) for w in caught) == warns
+
+
+@pytest.mark.parametrize("n,y0", [(128, 2.0), (128, 4.0), (1024, 2.0)])
+def test_benchmark_kappa0_checks_need_no_eigensolver_or_svd(monkeypatch, n, y0):
+    # The benchmark's inexact operations start from the shipped eps0 at
+    # n = 128 (eps0 kappa0 = 0.83 and 0.76) and from initial_tolerance(kappa0)
+    # at n = 1024 (0.1). The shifted Cholesky certifies each of these, so no
+    # eigensolver and no SVD runs inside the solve.
+    p = vp.build_problem(vp.BenchConfig(n=n, rng_seed=1))
+    eps0 = (cli.DEFAULT_INITIAL_TOLERANCES[y0] if n == 128 else
+            vp.initial_tolerance(vp.condition_number(deconv.stacked_operator(p, y0))))
+    calls = Counter()
+    for module, name in ((varpro, "condition_number"), (scipy.linalg, "eigvals_banded"),
+                         (scipy.linalg, "eigh")):
+        def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    opts = vp.OuterOptions(max_outer_iterations=1,
+                           schedule=vp.ToleranceSchedule("constant", eps0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", varpro.ToleranceWarning)
+        trace = vp.inexact_genvarpro(p.model, p.b, p.L, p.lam, np.array([y0]), opts)
+    assert not trace.failed
+    assert calls == {}
 
 
 @pytest.mark.parametrize("tolerance,cap", [(1e-8, 10000), (1e-14, 25)],

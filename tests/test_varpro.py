@@ -395,8 +395,9 @@ class TestOuterLoops:
 
     @pytest.mark.parametrize("side", [1.0, -1.0])
     def test_warning_decided_by_exact_kappa0(self, small_problem, side):
-        # The certified bound exceeds kappa0 here by about 7e-6, so on both
-        # sides the exact kappa0 decides, and only eps0 * kappa0 >= 1 warns.
+        # The shifted Cholesky certifies kappa0 < limit here only from about
+        # limit = 1.0154 kappa0, so on both sides the exact kappa0 decides,
+        # and only eps0 * kappa0 >= 1 warns.
         p = small_problem
         kappa0 = vp.condition_number(vp.stacked_operator(p, 1.5))
         eps0 = (1.0 + side * 1e-6) / kappa0
