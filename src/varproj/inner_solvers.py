@@ -3,7 +3,12 @@
 Two routes are provided. LSQR (Golub-Kahan bidiagonalization) stops on the
 relative-gradient test ||S^T r|| / (||r|| ||S||) < epsilon, which certifies
 that the returned iterate solves a least-squares problem whose operator is a
-rank-one perturbation of S of norm below epsilon * ||S||. The direct route
+rank-one perturbation of S of norm below epsilon * ||S||. The test is always
+evaluated on the recomputed residual r = d - S x, which costs one apply of
+S and one of S^T. It runs at every iteration from the first one at which
+the free recurrence estimate of the criterion (Paige and Saunders 1982)
+comes within a margin of the tolerance or of the rounding floor, so an
+LSQR iteration costs between two and four applies. The direct route
 factors the normal equations S^T S once and reuses the factorization for
 pseudoinverse and projector applications needed by Jacobian assembly.
 """
@@ -22,6 +27,12 @@ from .linops import LinearOperator, StackedOperator, normal_band
 LSQR_MAX_ITERATIONS = 10000
 
 _EPS = float(np.finfo(float).eps)
+
+# lsqr_solve starts its true stopping test once the estimated criterion is
+# below _SCREEN_MARGIN times the tolerance, or the estimated residual norm
+# below _FLOOR_MARGIN times the compatible-system floor.
+_SCREEN_MARGIN = 10.0
+_FLOOR_MARGIN = 10.0
 
 
 class NumericalBreakdownError(RuntimeError):
@@ -43,7 +54,9 @@ class InnerSolution:
     ``achieved_criterion`` is the final value of the stopping test (0.0 for
     the degenerate zero-data and exactly-compatible cases, where the test is
     vacuous but the solution is exact). ``criterion_history`` holds the test
-    value at every iteration performed.
+    value at every iteration at which the test ran, in order: the last ones
+    of the solve, from the first iteration the screen of ``lsqr_solve`` let
+    through.
     """
 
     x_bar: np.ndarray
@@ -94,15 +107,27 @@ def lsqr_solve(op: LinearOperator, d, tolerance: float, *,
     """Solve min_x ||op x - d||_2 by LSQR with a relative-gradient stop.
 
     The stopping test ||op^T r|| / (||r|| ||op||) < tolerance is evaluated
-    at every iteration from the recomputed residual r = d - op x, with
-    ||op|| the given ``operator_norm`` (say, the true 2-norm) or else the
-    running Frobenius-style estimate of the bidiagonalization; ``op`` is
-    only applied. A compatible system whose residual falls to the rounding
-    floor stops as converged with criterion 0, since the iterate is then
-    exact while the test itself is undefined. A solve that stops short of
-    the tolerance (at ``max_iterations``, after max(200, 4n) iterations
-    without a 10% gain, or on a Krylov breakdown) returns the iterate with
-    the smallest observed criterion and ``converged=False``.
+    from the recomputed residual r = d - op x, with ||op|| the given
+    ``operator_norm`` (say, the true 2-norm) or else the running
+    Frobenius-style estimate of the bidiagonalization; ``op`` is only
+    applied. A compatible system whose residual falls to the rounding floor
+    10 eps (||d|| + ||op|| ||x||) stops as converged with criterion 0, since
+    the iterate is then exact while the test itself is undefined.
+
+    The test costs two applies, so it is screened first by the recurrences
+    of the bidiagonalization, which cost nothing: phibar estimates ||r||
+    and phibar * alfa * |c| estimates ||op^T r||, so alfa |c| / ||op||
+    estimates the criterion. The test runs at every iteration from the
+    first one at which that estimate is below 10 * tolerance, the estimated
+    ||op^T r|| / ||op|| is below the floor, phibar is within 10 times the
+    floor, the Krylov space breaks down, the iteration is the last one
+    allowed, or the estimate is not finite; it never stops running after
+    that. ``criterion_history`` holds the values of those checked
+    iterations. Every decision reads the true criterion: the stop, the
+    returned iterate, and the stall rule. A solve that stops short of the
+    tolerance (at ``max_iterations``, after max(200, 4n) checked iterations
+    without a 10% gain, or on a Krylov breakdown) returns the checked
+    iterate with the smallest criterion and ``converged=False``.
     """
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
@@ -136,6 +161,7 @@ def lsqr_solve(op: LinearOperator, d, tolerance: float, *,
     v = v / alfa
     w = v.copy()
     x = np.zeros(op.cols)
+    r = np.empty(op.rows)
     rhobar = alfa
     phibar = beta
     anorm2 = 0.0
@@ -143,6 +169,7 @@ def lsqr_solve(op: LinearOperator, d, tolerance: float, *,
     best_crit = math.inf
     best_x = x
     converged = False
+    checking = False
     itn = 0
     # Give up once the criterion stops improving for this many iterations:
     # it has hit its rounding floor and the tolerance is unreachable.
@@ -153,15 +180,18 @@ def lsqr_solve(op: LinearOperator, d, tolerance: float, *,
         itn += 1
 
         # One Golub-Kahan step: beta*u = op*v - alfa*u, alfa*v = op^T*u - beta*v.
-        u = op.matvec(v) - alfa * u
+        # u, v, w and r are this solve's own arrays, updated in place.
+        u *= alfa
+        np.subtract(op.matvec(v), u, out=u)
         beta = _norm(u)
         anorm2 += alfa * alfa + beta * beta
         if beta > 0.0:
-            u = u / beta
-            v = op.rmatvec(u) - beta * v
+            u /= beta
+            v *= beta
+            np.subtract(op.rmatvec(u), v, out=v)
             alfa = _norm(v)
             if alfa > 0.0:
-                v = v / alfa
+                v /= alfa
 
         c, s, rho = _sym_ortho(rhobar, beta)
         theta = s * alfa
@@ -169,21 +199,35 @@ def lsqr_solve(op: LinearOperator, d, tolerance: float, *,
         phi = c * phibar
         phibar = s * phibar
 
-        x = x + (phi / rho) * w
-        w = v - (theta / rho) * w
+        # x is rebound, never written in place: best_x may hold it.
+        step = (phi / rho) * w
+        step += x
+        x = step
+        w *= theta / rho
+        np.subtract(v, w, out=w)
 
-        r = d - op.matvec(x)
+        op_norm = math.sqrt(anorm2) if operator_norm is None else operator_norm
+        # Compatible system: a residual at this rounding floor makes the
+        # iterate exact and the relative-gradient test vacuous.
+        floor = 10.0 * _EPS * (d_norm + op_norm * _norm(x))
+        if not checking:
+            # Screen: ||op^T r|| ~ phibar*alfa*|c| and ||r|| ~ phibar (Paige
+            # and Saunders 1982). Written so that a NaN starts the checks.
+            screen = alfa * abs(c) / op_norm
+            checking = not (_SCREEN_MARGIN * tolerance <= screen < math.inf
+                            and screen * phibar >= floor
+                            and phibar > _FLOOR_MARGIN * floor
+                            and beta > 0.0 and alfa > 0.0 and itn < max_iterations)
+            if not checking:
+                continue
+
+        np.subtract(d, op.matvec(x), out=r)
         rnorm = _norm(r)
         grad_norm = _norm(op.rmatvec(r))
         if not (math.isfinite(rnorm) and math.isfinite(grad_norm)):
             raise NumericalBreakdownError(
                 f"non-finite residual quantities at LSQR iteration {itn}"
             )
-        op_norm = math.sqrt(anorm2) if operator_norm is None else operator_norm
-
-        # Compatible system: the residual has hit the rounding floor, so the
-        # iterate is exact and the relative-gradient test is vacuous.
-        floor = 10.0 * _EPS * (d_norm + op_norm * _norm(x))
         crit = 0.0 if rnorm <= floor else grad_norm / (rnorm * op_norm)
         history.append(crit)
         stall = 0 if crit < 0.9 * best_crit else stall + 1

@@ -48,8 +48,9 @@ def _as_vector(v, length: int, what: str) -> np.ndarray:
 class LinearOperator:
     """A rows-by-cols linear map with forward and adjoint actions.
 
-    Subclasses implement ``_matvec`` and ``_rmatvec``. ``to_dense`` has a
-    generic column-by-column fallback that structured subclasses override.
+    Subclasses implement ``_matvec`` and ``_rmatvec``, each returning a new
+    array that the caller may overwrite. ``to_dense`` has a generic
+    column-by-column fallback that structured subclasses override.
     """
 
     def __init__(self, rows: int, cols: int):
@@ -217,9 +218,10 @@ class FirstDifferenceOperator(LinearOperator):
         return v[1:] - v[:-1]
 
     def _rmatvec(self, w):
-        out = np.zeros(self.cols)
-        out[:-1] -= w
-        out[1:] += w
+        out = np.empty(self.cols)
+        out[0] = -w[0]
+        np.subtract(w[:-1], w[1:], out=out[1:-1])
+        out[-1] = w[-1]
         return out
 
     def to_dense(self):
@@ -249,7 +251,9 @@ class RowScaledOperator(LinearOperator):
         self.base = base
 
     def _matvec(self, v):
-        return self.weights * self.base._matvec(v)
+        out = self.base._matvec(v)
+        out *= self.weights
+        return out
 
     def _rmatvec(self, w):
         return self.base._rmatvec(self.weights * w)
@@ -290,10 +294,17 @@ class StackedOperator(LinearOperator):
         return self.bottom.rows
 
     def _matvec(self, v):
-        return np.concatenate([self.top._matvec(v), self.lam * self.bottom._matvec(v)])
+        out = np.empty(self.rows)
+        out[: self.m] = self.top._matvec(v)
+        np.multiply(self.lam, self.bottom._matvec(v), out=out[self.m :])
+        return out
 
     def _rmatvec(self, w):
-        return self.top._rmatvec(w[: self.m]) + self.lam * self.bottom._rmatvec(w[self.m :])
+        out = self.top._rmatvec(w[: self.m])
+        bottom = self.bottom._rmatvec(w[self.m :])
+        bottom *= self.lam
+        out += bottom
+        return out
 
     def to_dense(self):
         return np.vstack([self.top.to_dense(), self.lam * self.bottom.to_dense()])

@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 
 import varproj as vp
 from varproj.inner_solvers import (
+    LSQR_MAX_ITERATIONS,
     DirectFactorization,
     NumericalBreakdownError,
     RankDeficiencyError,
     SingularSystemError,
+    _norm,
+    _sym_ortho,
     apply_pinv,
     condition_number_below,
 )
@@ -403,13 +406,26 @@ class TestLsqr:
             assert np.all(hist >= 0.0)
 
     def test_iteration_cap_returns_best_iterate(self):
+        # The last allowed iteration is always checked, so a capped solve
+        # has a true criterion to report.
         rng = np.random.default_rng(15)
         op = random_stacked(rng, m=30, n=15, q=5)
         d = rng.standard_normal(op.rows)
         sol = vp.lsqr_solve(op, d, 1e-15, max_iterations=3)
         assert not sol.converged
         assert sol.iterations == 3
-        assert sol.achieved_criterion == pytest.approx(np.min(sol.criterion_history))
+        assert len(sol.criterion_history) >= 1
+        assert sol.achieved_criterion == np.min(sol.criterion_history)
+
+    def test_compatible_system_stops_at_the_floor(self):
+        rng = np.random.default_rng(17)
+        op = random_stacked(rng, m=30, n=15, q=5)
+        x = rng.standard_normal(op.cols)
+        sol = vp.lsqr_solve(op, op.matvec(x), 1e-15)
+        assert sol.converged
+        assert sol.achieved_criterion == 0.0
+        assert sol.criterion_history[-1] == 0.0
+        np.testing.assert_allclose(sol.x_bar, x, rtol=0, atol=1e-10 * np.linalg.norm(x))
 
     def test_rejects_nonfinite_rhs(self):
         op = _identity_stack(2)
@@ -423,19 +439,29 @@ class TestLsqr:
             def __init__(self):
                 super().__init__(4, 2)
                 self.calls = 0
+                self.applies = 0
+
+            a = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 9.0]])
 
             def _matvec(self, v):
                 self.calls += 1
-                out = np.ones(4) * v.sum()
+                self.applies += 1
+                out = self.a @ v
                 if self.calls > 1:
                     out[0] = np.inf
                 return out
 
             def _rmatvec(self, w):
-                return np.ones(2) * w.sum()
+                self.applies += 1
+                return self.a.T @ w
 
-        with pytest.raises(NumericalBreakdownError):
-            vp.lsqr_solve(EvilOperator(), np.array([1.0, 2.0, 3.0, 4.0]), 1e-14)
+        op = EvilOperator()
+        with pytest.raises(NumericalBreakdownError), np.errstate(invalid="ignore"):
+            vp.lsqr_solve(op, np.array([1.0, 2.0, 3.0, 4.0]), 1e-14)
+        # The second Golub-Kahan step makes the screen NaN, which starts the
+        # checks at once: the solve raises after a handful of applies instead
+        # of running unchecked to the iteration cap.
+        assert op.applies <= 8
 
     @pytest.mark.parametrize("name,value", [
         ("tolerance", 0.0), ("tolerance", math.inf), ("tolerance", math.nan),
@@ -446,6 +472,156 @@ class TestLsqr:
         kwargs = {"tolerance": 1e-6, name: value}
         with pytest.raises(ValueError, match=name):
             vp.lsqr_solve(_identity_stack(2), np.ones(4), **kwargs)
+
+
+def _reference_lsqr(op, d, tolerance, operator_norm=None):
+    """LSQR with the true criterion at every iteration: the loop that
+    ``lsqr_solve`` ran before it screened. Returns (x_bar, iterations,
+    achieved_criterion, converged) for a nonzero ``d`` not orthogonal to the
+    range of ``op``."""
+    beta = d_norm = _norm(d)
+    u = d / beta
+    v = op.rmatvec(u)
+    alfa = _norm(v)
+    crit = alfa / (alfa if operator_norm is None else operator_norm)
+    if crit < tolerance:
+        return np.zeros(op.cols), 0, crit, True
+    v = v / alfa
+    w = v.copy()
+    x = best_x = np.zeros(op.cols)
+    rhobar, phibar, anorm2 = alfa, beta, 0.0
+    best_crit, stall, itn = math.inf, 0, 0
+    while itn < LSQR_MAX_ITERATIONS:
+        itn += 1
+        u = op.matvec(v) - alfa * u
+        beta = _norm(u)
+        anorm2 += alfa * alfa + beta * beta
+        if beta > 0.0:
+            u = u / beta
+            v = op.rmatvec(u) - beta * v
+            alfa = _norm(v)
+            if alfa > 0.0:
+                v = v / alfa
+        c, s, rho = _sym_ortho(rhobar, beta)
+        theta = s * alfa
+        rhobar = -c * alfa
+        phi = c * phibar
+        phibar = s * phibar
+        x = x + (phi / rho) * w
+        w = v - (theta / rho) * w
+        r = d - op.matvec(x)
+        rnorm = _norm(r)
+        grad_norm = _norm(op.rmatvec(r))
+        op_norm = math.sqrt(anorm2) if operator_norm is None else operator_norm
+        floor = 10.0 * EPS * (d_norm + op_norm * _norm(x))
+        crit = 0.0 if rnorm <= floor else grad_norm / (rnorm * op_norm)
+        stall = 0 if crit < 0.9 * best_crit else stall + 1
+        if crit < best_crit:
+            best_crit, best_x = crit, x
+        if crit < tolerance:
+            return x, itn, crit, True
+        if beta == 0.0 or alfa == 0.0 or stall >= max(200, 4 * op.cols):
+            break
+    return best_x, itn, best_crit, False
+
+
+def _assert_same_solve(op, d, tolerance, operator_norm=None):
+    sol = vp.lsqr_solve(op, d, tolerance, operator_norm=operator_norm)
+    x, iterations, achieved, converged = _reference_lsqr(op, d, tolerance, operator_norm)
+    assert (sol.iterations, sol.converged, sol.achieved_criterion) == (
+        iterations, converged, achieved)
+    assert sol.x_bar.tobytes() == x.tobytes()
+    return sol
+
+
+class TestScreenedLsqr:
+    """The screen changes which iterations are checked, never the result:
+    iterations, convergence, criterion and iterate are those of the loop that
+    checks every iteration, bit for bit."""
+
+    @pytest.mark.parametrize("y", [2.0, 3.0754, 4.0])
+    def test_matches_every_iteration_loop_at_n128(self, problem, y):
+        op = vp.stacked_operator(problem, y)
+        d = np.concatenate([problem.b, np.zeros(problem.L.rows)])
+        norm = float(np.linalg.svd(op.to_dense(), compute_uv=False)[0])
+        unconverged = 0
+        for tolerance in (1e-2, 1e-6, 1e-9, 1e-11, 1e-13, 1e-15):
+            for operator_norm in (None, norm):
+                sol = _assert_same_solve(op, d, tolerance, operator_norm)
+                unconverged += not sol.converged
+        # 1e-13 and 1e-15 are below the rounding floor: those solves stall.
+        assert unconverged == 4
+
+    @pytest.mark.parametrize("tolerance", [1e-4, 1e-8])
+    def test_matches_every_iteration_loop_on_band_operator(self, tolerance):
+        problem = vp.build_problem(vp.BenchConfig(n=1024))
+        op = vp.stacked_operator(problem, 2.0)
+        assert normal_band(op) is not None
+        sol = _assert_same_solve(op, np.concatenate([problem.b, np.zeros(problem.L.rows)]),
+                                 tolerance)
+        assert sol.converged
+        assert len(sol.criterion_history) < sol.iterations
+
+
+@st.composite
+def screened_systems(draw):
+    """A random stacked system [A; lam L], data d and tolerance epsilon.
+
+    With ``conditioned``, the stack is U diag(s) V^T with log-spaced singular
+    values and kappa within a factor of ten of 1 / epsilon (lam = 0 gives
+    [A; 0] with A of that form); otherwise A and L are Gaussian. d is in the
+    range of the stack when ``compatible``, else Gaussian.
+    """
+    n = draw(st.integers(1, 10))
+    q = draw(st.integers(0, 6))
+    lam = draw(st.one_of(st.just(0.0), st.floats(0.1, 2.0)))
+    m = draw(st.integers(max(n - q, 1) if lam > 0.0 else n, 16))
+    tolerance = 10.0 ** draw(st.floats(-14.0, -2.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = m + q if lam > 0.0 else m
+    if draw(st.booleans()):
+        kappa = min(10.0 ** draw(st.floats(-1.0, 1.0)) / tolerance, 1e12)
+        u, _ = np.linalg.qr(rng.standard_normal((rows, n)))
+        v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        full = (u * np.geomspace(1.0, 1.0 / max(kappa, 1.0), n)) @ v.T
+    else:
+        full = rng.standard_normal((rows, n))
+    bottom = full[m:] / lam if lam > 0.0 else rng.standard_normal((q, n))
+    op = vp.stack(vp.DenseOperator(full[:m]), vp.DenseOperator(bottom), lam)
+    if draw(st.booleans()):
+        d = op.matvec(rng.standard_normal(n))
+    else:
+        d = rng.standard_normal(op.rows)
+    return op, d, tolerance
+
+
+class TestScreenedLsqrProperties:
+    """Extends the fixed 200-system corpus of ``certificate_corpus``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(screened_systems())
+    def test_certificate_from_the_true_residual(self, case):
+        op, d, tolerance = case
+        dense = op.to_dense()
+        norm = float(np.linalg.svd(dense, compute_uv=False)[0])
+        if norm == 0.0:
+            return
+        sol = vp.lsqr_solve(op, d, tolerance, operator_norm=norm)
+        if not sol.converged:
+            assert sol.achieved_criterion == np.min(sol.criterion_history)
+            return
+        # Recompute the criterion of the returned iterate, as lsqr_solve
+        # computes it, from its true residual.
+        r = d - op.matvec(sol.x_bar)
+        rnorm = np.linalg.norm(r)
+        floor = 10.0 * EPS * (np.linalg.norm(d) + norm * np.linalg.norm(sol.x_bar))
+        if sol.achieved_criterion == 0.0:
+            assert rnorm <= floor or sol.iterations == 0
+            return
+        criterion = np.linalg.norm(op.rmatvec(r)) / (rnorm * norm)
+        assert criterion == sol.achieved_criterion < tolerance
+        E = vp.backward_perturbation(dense, sol.x_bar, d)
+        assert np.linalg.norm(E, 2) <= tolerance * norm
 
 
 class TestCertificate:

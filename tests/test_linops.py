@@ -239,6 +239,14 @@ class TestFirstDifference:
                              [0.0, 0.0, -1.0, 1.0]])
         np.testing.assert_array_equal(dense, expected)
 
+    @pytest.mark.parametrize("n", [2, 3, 40])
+    def test_adjoint_matches_dense_transpose(self, n):
+        op = vp.first_difference(n)
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            w = rng.standard_normal(n - 1)
+            assert np.all(op.rmatvec(w) == op.to_dense().T @ w)
+
     def test_null_space_dimension_is_one(self):
         s = np.linalg.svd(vp.first_difference(128).to_dense(), compute_uv=False)
         # All n-1 singular values positive: rank n-1, null dimension exactly 1.
