@@ -68,8 +68,12 @@ class InnerSolution:
 
 def _norm(v: np.ndarray) -> float:
     """Euclidean norm of a 1-d float vector: the sqrt(v.dot(v)) that
-    ``np.linalg.norm`` computes, without its argument handling."""
-    return math.sqrt(v.dot(v))
+    ``np.linalg.norm`` computes, without its argument handling. LSQR divides
+    by such norms, so one that is not finite is a numerical breakdown."""
+    norm = math.sqrt(v.dot(v))
+    if not math.isfinite(norm):
+        raise NumericalBreakdownError("non-finite vector norm in LSQR")
+    return norm
 
 
 def _sym_ortho(a: float, b: float) -> tuple[float, float, float]:
@@ -127,7 +131,9 @@ def lsqr_solve(op: LinearOperator, d, tolerance: float, *,
     returned iterate, and the stall rule. A solve that stops short of the
     tolerance (at ``max_iterations``, after max(200, 4n) checked iterations
     without a 10% gain, or on a Krylov breakdown) returns the checked
-    iterate with the smallest criterion and ``converged=False``.
+    iterate with the smallest criterion and ``converged=False``. A vector
+    norm that is not finite (of d, u, v, x, r or op^T r) raises
+    ``NumericalBreakdownError`` before anything is divided by it.
     """
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
@@ -224,10 +230,6 @@ def lsqr_solve(op: LinearOperator, d, tolerance: float, *,
         np.subtract(d, op.matvec(x), out=r)
         rnorm = _norm(r)
         grad_norm = _norm(op.rmatvec(r))
-        if not (math.isfinite(rnorm) and math.isfinite(grad_norm)):
-            raise NumericalBreakdownError(
-                f"non-finite residual quantities at LSQR iteration {itn}"
-            )
         crit = 0.0 if rnorm <= floor else grad_norm / (rnorm * op_norm)
         history.append(crit)
         stall = 0 if crit < 0.9 * best_crit else stall + 1

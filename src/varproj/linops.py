@@ -4,18 +4,18 @@ The solvers only need a small operator algebra: dense matrices, symmetric
 Toeplitz convolutions with a normalized Gaussian kernel, the first-difference
 regularizer, diagonal row scaling, and the vertical stack [A; lambda*L] that
 turns a Tikhonov-regularized problem into an ordinary least-squares operator.
-Operators are matrix-free by contract but cheap to materialize at the scales
-used here; they are immutable after construction and safe to share across
-threads. A symmetric Toeplitz operator whose first row has a narrow nonzero
-band (2k + 1 <= n/2 for its last nonzero index k) is applied as a block
-Toeplitz matrix with B x B blocks, B = max(k, 1), by one matrix-matrix
-product with its three distinct nonzero blocks, instead of with the dense
-matrix; see
-``SymmetricToeplitzOperator``. For a stack of such an operator over a
-weighted first difference, ``normal_band`` builds the Gram matrix S^T S in
-LAPACK band storage when the Gram's half-bandwidth kd = 2k has
-2 kd + 1 <= n/2; the direct inner solver and the condition-number bound
-then use band LAPACK routines instead of the dense n x n Gram. The Gaussian
+Operators are matrix-free by contract: ``to_dense`` materializes one on
+request, for tests, reports and the dense direct solve. They are immutable
+after construction and safe to share across threads. A symmetric Toeplitz
+operator whose first row has a narrow nonzero band (2k + 1 <= n/2 for its
+last nonzero index k) is applied as a block Toeplitz matrix with B x B
+blocks, B = max(k, 1), by one matrix-matrix product with its three distinct
+nonzero blocks, and holds no n x n matrix; see ``SymmetricToeplitzOperator``.
+For a stack of such an operator over a weighted first difference,
+``normal_band`` builds the Gram matrix S^T S from the first row in LAPACK
+band storage when the Gram's half-bandwidth kd = 2k has 2 kd + 1 <= n/2;
+the direct inner solver and the condition-number bound then use band LAPACK
+routines instead of the dense n x n Gram. The Gaussian
 kernels drop their first-row entries below sqrt(tiny), so no product of
 kernel entries, and no product of a kernel entry with a vector entry of at
 least sqrt(tiny), is subnormal.
@@ -120,30 +120,19 @@ class SymmetricToeplitzOperator(LinearOperator):
     apply (``_block_toeplitz_apply``) multiplies the zero-padded vector, as
     the rows of an nb x B matrix, by those three blocks in one level-3
     product, then adds the three results shifted by one block. It reads a
-    3 x B x B array instead of the n x n matrix a dense apply streams.
-    Otherwise the dense matrix is applied. The block apply sums each row in
-    another order, so its results differ from ``to_dense() @ v`` by
-    rounding only; the dense apply is ``to_dense() @ v`` exactly.
-    ``to_dense`` returns the dense matrix either way.
+    3 x B x B array instead of the n x n matrix a dense apply streams, and
+    the operator keeps only those blocks, built from the first 2B entries
+    of the first row. Otherwise the dense matrix is built once and applied.
+    The block apply sums each row in another order, so its results differ
+    from ``to_dense() @ v`` by rounding only; the dense apply is
+    ``to_dense() @ v`` exactly. ``to_dense`` returns the read-only dense
+    matrix either way: the kept one on the dense route, and on the block
+    route a new one at each call, which the operator does not keep.
 
-    With one BLAS thread on a 2-core Intel Xeon, a public ``matvec`` took
-    (us, median of 7 rounds of 300 calls; ``BENCH_block_apply.json``):
-
-    ====  ========  =======  =====  =================
-    n     k         dense    block  BLAS ``dsbmv``
-    ====  ========  =======  =====  =================
-    1024  53-106    398-430  20-28  41-62
-    1024  255       404      125    124
-    512   53        75       16     24
-    512   127       70       30     33
-    256   16-53     11-15    8-12   6-13
-    128   8-31      3-4      6-7    3-5
-    ====  ========  =======  =====  =================
-
-    k = 53 to 106 are the Gaussian widths 2 to 4. ``dsbmv``, a level-2
-    banded product, is listed for comparison. At n = 128 the block apply
-    is slower than the dense one; only widths up to about 1.2 take it
-    there.
+    With one BLAS thread on a 2-core Intel Xeon, a block ``matvec`` took
+    20-28 us against 398-430 us dense at n = 1024 and widths 2 to 4; at
+    n = 128, which only widths up to about 1.2 take, it is slower than the
+    dense one (the README and ``BENCH_block_apply.json`` have the table).
     """
 
     def __init__(self, first_row):
@@ -154,9 +143,6 @@ class SymmetricToeplitzOperator(LinearOperator):
         super().__init__(n, n)
         first_row.setflags(write=False)
         self.first_row = first_row
-        dense = toeplitz(first_row)
-        dense.setflags(write=False)
-        self._dense = dense
         # 2k + 1 <= n/2 holds when every entry past index (n - 2) // 4 is zero.
         cut = (n - 2) // 4 + 1
         self._band_k = None
@@ -166,13 +152,20 @@ class SymmetricToeplitzOperator(LinearOperator):
             b = max(k, 1)
             # n >= 4k + 2 >= 2b, and the entries past index k are zero, so
             # the top-left 2b x 2b corner holds T_0, T_+1 and T_-1.
-            corner = dense[: 2 * b, : 2 * b]
+            corner = toeplitz(first_row[: 2 * b])
             blocks = np.array([corner[b:, :b].T, corner[:b, :b].T, corner[:b, b:].T])
             blocks.setflags(write=False)
             # Shadows both dense methods on this instance only. The partial
             # holds no reference to the operator, so it makes no cycle.
             self._matvec = self._rmatvec = partial(_block_toeplitz_apply, b, -(-n // b),
                                                    blocks, n)
+        else:
+            self._dense = self._build_dense()
+
+    def _build_dense(self) -> np.ndarray:
+        dense = toeplitz(self.first_row)
+        dense.setflags(write=False)
+        return dense
 
     def _matvec(self, v):
         return self._dense @ v
@@ -182,7 +175,7 @@ class SymmetricToeplitzOperator(LinearOperator):
         return self._dense @ w
 
     def to_dense(self):
-        return self._dense
+        return self._build_dense() if self._band_k is not None else self._dense
 
 
 def _block_toeplitz_apply(b: int, nb: int, blocks: np.ndarray, n: int,
@@ -321,8 +314,8 @@ def normal_band(op: LinearOperator) -> np.ndarray | None:
     ``band[d, j]`` is (S^T S)[j + d, j], and the last d entries of row d are
     zero.
 
-    A^T A = A^2 is taken from the dense Toeplitz matrix by gemm on blocks of
-    columns, each restricted to the rows and columns its band touches. So
+    A^T A = A^2 is formed by gemm on blocks of columns, each restricted to
+    the rows and columns its band touches and read from A's first row. So
     every entry is the same inner product of two columns of A as in the
     dense fl(A^T A), without terms that are exact zeros, summed in some
     order, and every entry outside the band is exactly zero, as it is in
@@ -338,7 +331,7 @@ def normal_band(op: LinearOperator) -> np.ndarray | None:
     kd = max(2 * k, 1)
     if 2 * kd + 1 > n / 2:
         return None
-    a = op.top._dense
+    row = op.top.first_row
     band = np.zeros((kd + 1, n), order="F")
     for j0 in range(0, n, _GRAM_BLOCK):
         j1 = min(j0 + _GRAM_BLOCK, n)
@@ -346,9 +339,13 @@ def normal_band(op: LinearOperator) -> np.ndarray | None:
         # Columns j0..j1-1 of A are nonzero in rows i0..i1-1 only, and the
         # Gram rows they meet below the diagonal end before r1.
         i0, i1, r1 = max(j0 - k, 0), min(j1 + k, n), min(j1 + 2 * k, n)
+        # window = A[i0:i1, j0:r1], read from the first row. Both factors
+        # start at its first entry, so the last block, where r1 = j1, is
+        # the same symmetric product (syrk) as one of A with itself.
+        window = row[np.abs(np.arange(i0, i1)[:, None] - np.arange(j0, r1))]
         # block[r - j0, c - j0] = (A^T A)[r, c]; the rows past r1 stay zero.
         block = np.zeros((w + 2 * k, w))
-        np.matmul(a[i0:i1, j0:r1].T, a[i0:i1, j0:j1], out=block[: r1 - j0])
+        np.matmul(window.T, window[:, :w], out=block[: r1 - j0])
         cols = np.arange(w)
         band[: 2 * k + 1, j0:j1] = block[np.arange(2 * k + 1)[:, None] + cols, cols]
     scaled = op.lam * op.bottom.weights

@@ -115,6 +115,19 @@ def random_stacked(rng, m=None, n=None, q=None, lam=None):
     return vp.stack(A, L, lam)
 
 
+def band_route_stack(n, k, seed, lam):
+    """A random symmetric Toeplitz top with last nonzero index k over a
+    randomly weighted first difference; its Gram band (kd = max(2k, 1)) is
+    taken when 2 kd + 1 <= n/2."""
+    rng = np.random.default_rng(seed)
+    row = np.zeros(n)
+    row[: k + 1] = rng.standard_normal(k + 1)
+    row[k] = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.0)
+    return vp.stack(vp.SymmetricToeplitzOperator(row),
+                    vp.RowScaledOperator(10.0 ** rng.uniform(-1.0, 4.0, size=n - 1),
+                                         vp.first_difference(n)), lam)
+
+
 @pytest.fixture(scope="session")
 def certificate_corpus():
     """200 random stacked systems solved by LSQR with epsilon*kappa < 1/2.

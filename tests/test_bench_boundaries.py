@@ -85,15 +85,13 @@ def test_solvers_look_up_wrapped_names_at_call_time(small_problem, monkeypatch, 
     assert len(trace) == 3
     # Two steps and the closing record: one stack, factorization and
     # Jacobian per record; the inexact solver adds the LSQR solves, and its
-    # kappa0 check reads the first factorization. Its exact kappa0 SVD runs
-    # only when the certified bound cannot settle eps0 * kappa0 < 1, as with
-    # eps0 = 0.5, and then the warning fires.
+    # kappa0 check reads the first factorization. No solve calls the SVD
+    # condition_number: the warning fires whenever the certificate cannot
+    # settle eps0 * kappa0 < 1, as with eps0 = 0.5.
     expected = {"stack": 3, "DirectFactorization": 3, "exact_jacobian": 3, "gauss_newton_step": 2}
     warns = schedule is not None and schedule.kind == "constant"
     if solver == "inexact_genvarpro":
         expected.update(lsqr_solve=3)
-    if warns:
-        expected.update(condition_number=1)
     assert calls == expected
     assert sum(issubclass(w.category, varpro.ToleranceWarning) for w in caught) == warns
 

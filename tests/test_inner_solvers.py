@@ -1,6 +1,7 @@
 """Direct and LSQR inner solves, pseudoinverse applications, certificates."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import varproj as vp
+from varproj import cli
 from varproj.inner_solvers import (
     LSQR_MAX_ITERATIONS,
     DirectFactorization,
@@ -22,7 +24,7 @@ from varproj.inner_solvers import (
 )
 from varproj.linops import normal_band
 
-from conftest import random_stacked
+from conftest import band_route_stack, random_stacked
 
 
 EPS = np.finfo(float).eps
@@ -264,18 +266,10 @@ class TestConditionNumberBound:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.integers(24, 96), st.data())
     def test_bounds_condition_number_on_band_route(self, n, data):
-        # A random symmetric Toeplitz top with last nonzero index k over a
-        # randomly weighted first difference, narrow enough that the Gram
-        # band (kd = max(2k, 1), 2 kd + 1 <= n/2) is taken.
-        k = data.draw(st.integers(0, (n // 2 - 1) // 4))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        row = np.zeros(n)
-        row[: k + 1] = rng.standard_normal(k + 1)
-        row[k] = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.0)
-        lam = data.draw(st.floats(1e-3, 2.0))
-        op = vp.stack(vp.SymmetricToeplitzOperator(row),
-                      vp.RowScaledOperator(10.0 ** rng.uniform(-1.0, 4.0, size=n - 1),
-                                           vp.first_difference(n)), lam)
+        # k is small enough that the Gram band is taken.
+        op = band_route_stack(n, data.draw(st.integers(0, (n // 2 - 1) // 4)),
+                              data.draw(st.integers(0, 2**32 - 1)),
+                              data.draw(st.floats(1e-3, 2.0)))
         assert normal_band(op) is not None
         s = data.draw(RELATIVE_MARGINS)
         try:
@@ -456,12 +450,13 @@ class TestLsqr:
                 return self.a.T @ w
 
         op = EvilOperator()
-        with pytest.raises(NumericalBreakdownError), np.errstate(invalid="ignore"):
-            vp.lsqr_solve(op, np.array([1.0, 2.0, 3.0, 4.0]), 1e-14)
-        # The second Golub-Kahan step makes the screen NaN, which starts the
-        # checks at once: the solve raises after a handful of applies instead
-        # of running unchecked to the iteration cap.
-        assert op.applies <= 8
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalBreakdownError, match="non-finite vector norm"):
+                vp.lsqr_solve(op, np.array([1.0, 2.0, 3.0, 4.0]), 1e-14)
+        # The second Golub-Kahan step makes beta infinite, and the solve
+        # raises before it divides by it, with no numpy warning.
+        assert op.applies == 4
 
     @pytest.mark.parametrize("name,value", [
         ("tolerance", 0.0), ("tolerance", math.inf), ("tolerance", math.nan),
@@ -622,6 +617,28 @@ class TestScreenedLsqrProperties:
         assert criterion == sol.achieved_criterion < tolerance
         E = vp.backward_perturbation(dense, sol.x_bar, d)
         assert np.linalg.norm(E, 2) <= tolerance * norm
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(screened_systems())
+    def test_converged_solves_within_error_bounds(self, case):
+        # Where the bounds must hold: a converged solve with eps kappa < 1 at
+        # a tolerance above the CLI's must-hold floor.
+        op, d, tolerance = case
+        dense = op.to_dense()
+        s = np.linalg.svd(dense, compute_uv=False)
+        if s[-1] <= max(dense.shape) * EPS * s[0]:
+            return
+        norm, kappa = float(s[0]), float(s[0] / s[-1])
+        if not (tolerance * kappa < 1.0 and tolerance > cli.MUST_HOLD_EPSILON):
+            return
+        sol = vp.lsqr_solve(op, d, tolerance, operator_norm=norm)
+        if not sol.converged:
+            return
+        x = np.linalg.lstsq(dense, d, rcond=None)[0]
+        d_norm = float(np.linalg.norm(d))
+        assert np.linalg.norm(sol.x_bar - x) <= vp.solution_bound(kappa, d_norm, norm, tolerance)
+        assert np.linalg.norm(dense @ (sol.x_bar - x)) <= vp.residual_bound(kappa, d_norm,
+                                                                             tolerance)
 
 
 class TestCertificate:

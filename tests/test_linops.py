@@ -3,14 +3,21 @@
 import gc
 import math
 import sys
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import varproj as vp
+from varproj import linops
 from varproj.linops import normal_band
+
+from conftest import band_route_stack
 
 # Kernel entries below sqrt(tiny) are set to zero.
 FLUSH = np.sqrt(np.finfo(float).tiny)
@@ -184,6 +191,72 @@ class TestNormalBand:
                                     vp.RowScaledOperator(np.ones(255), diff), 0.5)) is None
         assert normal_band(vp.stack(top, vp.DenseOperator(rng.standard_normal((3, 256))),
                                     0.5)) is None
+
+    @pytest.mark.parametrize("n,y", [(512, 2.0), (512, 3.07), (1024, 2.0), (1024, 3.07)])
+    def test_first_row_band_equals_dense_slice_band(self, n, y):
+        op = vp.stacked_operator(vp.build_problem(vp.BenchConfig(n=n)), y)
+        expected = dense_slice_band(op)
+        band = normal_band(op)
+        assert (band is None) == (expected is None) == (n == 512 and y == 3.07)
+        assert band is None or np.array_equal(band, expected)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(24, 96), st.data())
+    def test_first_row_band_equals_dense_slice_band_on_random_stacks(self, n, data):
+        op = band_route_stack(n, data.draw(st.integers(0, (n // 2 - 1) // 4)),
+                              data.draw(st.integers(0, 2**32 - 1)),
+                              data.draw(st.floats(1e-3, 2.0)))
+        assert np.array_equal(normal_band(op), dense_slice_band(op))
+
+
+def dense_slice_band(op):
+    """The Gram band as ``normal_band`` built it when it sliced the dense
+    Toeplitz matrix, kept as an oracle: the band read from the first row
+    takes the same gemm shapes on the same entries, so it is bit-identical."""
+    if normal_band(op) is None:
+        return None
+    n, k = op.cols, op.top._band_k
+    kd = max(2 * k, 1)
+    a = scipy.linalg.toeplitz(op.top.first_row)
+    band = np.zeros((kd + 1, n), order="F")
+    for j0 in range(0, n, linops._GRAM_BLOCK):
+        j1 = min(j0 + linops._GRAM_BLOCK, n)
+        w = j1 - j0
+        i0, i1, r1 = max(j0 - k, 0), min(j1 + k, n), min(j1 + 2 * k, n)
+        block = np.zeros((w + 2 * k, w))
+        np.matmul(a[i0:i1, j0:r1].T, a[i0:i1, j0:j1], out=block[: r1 - j0])
+        cols = np.arange(w)
+        band[: 2 * k + 1, j0:j1] = block[np.arange(2 * k + 1)[:, None] + cols, cols]
+    sq = (op.lam * op.bottom.weights) ** 2
+    band[0, :-1] += sq
+    band[0, 1:] += sq
+    band[1, :-1] -= sq
+    return band
+
+
+class TestBandRouteMemory:
+    @pytest.mark.parametrize("kernel", [vp.gaussian_toeplitz, vp.gaussian_toeplitz_derivative])
+    def test_build_holds_no_dense_matrix(self, kernel):
+        # The dense 4096 x 4096 matrix would take 128 MiB.
+        tracemalloc.start()
+        try:
+            op = kernel(2.0, 4096)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert op._band_k is not None
+        assert peak < 2 * 2**20
+
+    def test_to_dense_on_request_and_not_kept(self):
+        op = vp.gaussian_toeplitz(2.0, 512)
+        assert op._band_k is not None
+        first, second = op.to_dense(), op.to_dense()
+        assert first is not second
+        assert not first.flags.writeable
+        assert np.array_equal(first, scipy.linalg.toeplitz(op.first_row))
+        dense_route = vp.gaussian_toeplitz(3.0, 128)
+        assert dense_route._band_k is None
+        assert dense_route.to_dense() is dense_route.to_dense()
 
 
 class TestGaussianToeplitzDerivative:

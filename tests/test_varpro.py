@@ -7,9 +7,14 @@ import numpy as np
 import pytest
 
 import varproj as vp
-from varproj.inner_solvers import DirectFactorization
+from varproj import varpro
+from varproj.inner_solvers import DirectFactorization, condition_number_below
 from varproj.linops import normal_band
 from varproj.varpro import SingularStepError, ToleranceWarning
+
+
+class MaterializedError(RuntimeError):
+    """Raised by a patched ``to_dense``: something materialized an operator."""
 
 
 def _dense_builder(mats):
@@ -393,21 +398,78 @@ class TestOuterLoops:
         # attributed to the caller of inexact_genvarpro, not to the library
         assert [w.filename for w in caught] == [__file__]
 
-    @pytest.mark.parametrize("side", [1.0, -1.0])
-    def test_warning_decided_by_exact_kappa0(self, small_problem, side):
-        # The shifted Cholesky certifies kappa0 < limit here only from about
-        # limit = 1.0154 kappa0, so on both sides the exact kappa0 decides,
-        # and only eps0 * kappa0 >= 1 warns.
+    @pytest.mark.parametrize("margin", [1e-6, -1e-6, -0.05])
+    def test_warning_decided_by_certificate(self, small_problem, margin):
+        # The warning fires exactly when condition_number_below fails. At
+        # n = 48 the shifted Cholesky certifies kappa0 < limit only from
+        # about limit = 1.0154 kappa0, so it also fires for eps0 kappa0
+        # just below 1, and not for eps0 kappa0 = 0.95.
         p = small_problem
-        kappa0 = vp.condition_number(vp.stacked_operator(p, 1.5))
-        eps0 = (1.0 + side * 1e-6) / kappa0
+        op = vp.stacked_operator(p, 1.5)
+        kappa0 = vp.condition_number(op)
+        eps0 = (1.0 + margin) / kappa0
+        certified = condition_number_below(DirectFactorization(op), 1.0 / eps0)
+        assert certified == (margin < -0.01)
         opts = vp.OuterOptions(max_outer_iterations=1,
                                schedule=vp.ToleranceSchedule("constant", eps0))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             vp.inexact_genvarpro(p.model, p.b, p.L, p.lam, np.array([1.5]), opts)
-        warned = any(issubclass(w.category, ToleranceWarning) for w in caught)
-        assert warned == (side > 0)
+        messages = [str(w.message) for w in caught if issubclass(w.category, ToleranceWarning)]
+        assert messages == ([] if certified else
+                            [f"could not certify eps0 * kappa0 < 1 for eps0 = {eps0:.3g}; "
+                             "inner-solve error bounds may not apply"])
+
+    def test_kappa0_check_needs_no_svd(self, small_problem, monkeypatch):
+        # eps0 = 0.5 is far past 1 / kappa0, so the check fails and warns,
+        # without the SVD the warning was once decided by.
+        def refuse(*args, **kwargs):
+            raise AssertionError("SVD called")
+        monkeypatch.setattr(varpro, "condition_number", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        p = small_problem
+        opts = vp.OuterOptions(max_outer_iterations=3,
+                               schedule=vp.ToleranceSchedule("constant", 0.5))
+        with pytest.warns(ToleranceWarning, match="could not certify"):
+            trace = vp.inexact_genvarpro(p.model, p.b, p.L, p.lam, np.array([1.5]), opts)
+        assert len(trace) == 4
+        assert not trace.failed
+
+    @pytest.fixture
+    def no_materializing(self, monkeypatch):
+        def refuse(self):
+            raise MaterializedError(type(self).__name__)
+        for cls in (vp.LinearOperator, vp.DenseOperator, vp.SymmetricToeplitzOperator,
+                    vp.FirstDifferenceOperator, vp.RowScaledOperator, vp.StackedOperator):
+            monkeypatch.setattr(cls, "to_dense", refuse)
+
+    def test_band_route_solves_materialize_nothing(self, no_materializing):
+        # At n = 512 and widths 2 to 2.1 the normal equations take the band
+        # route, so neither solver needs any operator as a matrix.
+        p = vp.build_problem(vp.BenchConfig(n=512, sigma_true=2.0))
+        y0 = np.array([2.0])
+        assert normal_band(vp.stacked_operator(p, 2.0)) is not None
+        exact = vp.genvarpro(p.model, p.b, p.L, p.lam, y0, vp.OuterOptions(max_outer_iterations=3))
+        opts = vp.OuterOptions(max_outer_iterations=3,
+                               schedule=vp.ToleranceSchedule("linear", 1e-6))
+        inexact = vp.inexact_genvarpro(p.model, p.b, p.L, p.lam, y0, opts)
+        for trace in (exact, inexact):
+            assert trace.status == "max-iterations"
+            assert len(trace) == 4
+
+    @pytest.mark.parametrize("schedule", [None, vp.ToleranceSchedule("fixed-small")],
+                             ids=["genvarpro", "inexact_genvarpro"])
+    def test_dense_route_materializes_in_the_factorization(self, problem, no_materializing,
+                                                            schedule):
+        # The n = 128 normal equations are dense: DirectFactorization
+        # materializes S to form them, and the solver lets the error through.
+        solve = vp.genvarpro if schedule is None else vp.inexact_genvarpro
+        with pytest.raises(MaterializedError) as caught:
+            solve(problem.model, problem.b, problem.L, problem.lam, np.array([2.0]),
+                  vp.OuterOptions(schedule=schedule))
+        assert str(caught.value) == "StackedOperator"
+        assert [(entry.path.name, entry.name) for entry in caught.traceback][-2:] == [
+            ("inner_solvers.py", "__init__"), ("test_varpro.py", "refuse")]
 
     def test_unconverged_inner_solves_reported_without_a_cause(self, small_problem):
         # Eleven inner solves stop unconverged after 512-514 iterations, far
