@@ -36,7 +36,6 @@ from .linops import (
     DenseOperator,
     FirstDifferenceOperator,
     LinearOperator,
-    RowScaledOperator,
     StackedOperator,
     SymmetricToeplitzOperator,
     first_difference,

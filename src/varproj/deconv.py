@@ -14,12 +14,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.blas import dgemv, dsyrk
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .linops import (
-    LinearOperator,
-    RowScaledOperator,
-    first_difference,
+    FirstDifferenceOperator,
     gaussian_toeplitz,
     gaussian_toeplitz_derivative,
     stack,
@@ -68,7 +67,7 @@ class ProblemInstance:
     b: np.ndarray
     b_true: np.ndarray
     x_true: np.ndarray
-    L: LinearOperator
+    L: FirstDifferenceOperator
     lam: float
     config: BenchConfig
     noise_ratio: float
@@ -93,7 +92,7 @@ def default_signal(n: int) -> np.ndarray:
     return x
 
 
-def build_regularizer(x_true, tau: float) -> RowScaledOperator:
+def build_regularizer(x_true, tau: float) -> FirstDifferenceOperator:
     """Reweighted first difference L = W D with W_ii = (|D x_true|_i + tau)^(-1/2).
 
     The weights make ||L x||^2 = sum_i (D x)_i^2 / (|D x_true|_i + tau), so at
@@ -103,9 +102,7 @@ def build_regularizer(x_true, tau: float) -> RowScaledOperator:
     if not 0.0 < tau < math.inf:
         raise ConfigError(f"tau must be positive and finite, got {tau}")
     x_true = np.asarray(x_true, dtype=float)
-    diff = first_difference(x_true.size)
-    weights = 1.0 / np.sqrt(np.abs(diff.matvec(x_true)) + tau)
-    return RowScaledOperator(weights, diff)
+    return FirstDifferenceOperator(1.0 / np.sqrt(np.abs(np.diff(x_true)) + tau))
 
 
 def gaussian_blur_model(n: int) -> SeparableModel:
@@ -151,18 +148,29 @@ def stacked_operator(problem: ProblemInstance, y_value: float):
     return stack(problem.model.operator(np.array([float(y_value)])), problem.L, problem.lam)
 
 
-def _objective_at(problem: ProblemInstance, gram_reg: np.ndarray, y_value: float) -> float:
-    Ad = problem.model.operator(np.array([float(y_value)])).to_dense()
-    normal = Ad.T @ Ad + gram_reg
+def _objective_at(problem: ProblemInstance, y_value: float) -> float:
+    """f(y) = 0.5 (||A x - b||^2 + ||lam L x||^2) at the exact inner solution x.
+
+    Every matrix product and the Cholesky factorization go through scipy's
+    BLAS and LAPACK. numpy and scipy may each bundle their own OpenBLAS with
+    its own thread pool, and alternating the two in this loop made a point
+    about 20 times slower under default threading. The symmetric A is passed
+    as its Fortran view A^T = A, so no call copies it.
+    """
+    a = problem.model.operator(np.array([float(y_value)])).to_dense().T
+    n = a.shape[0]
+    normal = dsyrk(1.0, a, trans=1, lower=1)
+    # Fortran order: the diagonal and subdiagonal are strided views of the flat array.
+    flat = normal.reshape(-1, order="F")
+    problem.L.add_gram(problem.lam, flat[:: n + 1], flat[1 :: n + 1])
+    chol, info = dpotrf(normal, lower=1, overwrite_a=1)
+    if info:
+        raise np.linalg.LinAlgError(f"normal matrix not positive definite at y = {y_value}")
     b = problem.b
-    x = scipy.linalg.cho_solve(scipy.linalg.cho_factor(normal, lower=True), Ad.T @ b)
-    misfit = Ad @ x - b
-    return 0.5 * float(misfit @ misfit + x @ (gram_reg @ x))
-
-
-def _regularizer_gram(problem: ProblemInstance) -> np.ndarray:
-    Ld = problem.L.to_dense()
-    return (problem.lam**2) * (Ld.T @ Ld)
+    x, _ = dpotrs(chol, dgemv(1.0, a, b), lower=1)
+    misfit = dgemv(1.0, a, x, beta=-1.0, y=b, trans=1)
+    penalty = problem.lam * problem.L.matvec(x)
+    return 0.5 * float(misfit @ misfit + penalty @ penalty)
 
 
 def objective_grid(problem: ProblemInstance, lo: float, hi: float,
@@ -171,8 +179,8 @@ def objective_grid(problem: ProblemInstance, lo: float, hi: float,
 
     The grid is lo + k * resolution for k = 0, 1, ... up to the last point
     not beyond hi, allowing for rounding in (hi - lo) / resolution. Uses
-    exact (normal-equations) inner solves at every grid point; the
-    regularizer Gram matrix is assembled once and reused. The bounds must be
+    exact (normal-equations) inner solves at every grid point: A^T A plus
+    the tridiagonal lam^2 L^T L that ``L.add_gram`` adds. The bounds must be
     finite with lo <= hi.
     """
     if not resolution > 0.0:
@@ -184,8 +192,7 @@ def objective_grid(problem: ProblemInstance, lo: float, hi: float,
         raise ValueError(f"lo must not exceed hi, got lo={lo}, hi={hi}")
     count = math.floor((hi - lo) / resolution * (1.0 + 1e-12)) + 1
     ys = lo + resolution * np.arange(count)
-    gram_reg = _regularizer_gram(problem)
-    fs = np.array([_objective_at(problem, gram_reg, y) for y in ys])
+    fs = np.array([_objective_at(problem, y) for y in ys])
     return ys, fs
 
 

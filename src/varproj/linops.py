@@ -1,8 +1,8 @@
 """Linear operators for regularized separable least-squares problems.
 
 The solvers only need a small operator algebra: dense matrices, symmetric
-Toeplitz convolutions with a normalized Gaussian kernel, the first-difference
-regularizer, diagonal row scaling, and the vertical stack [A; lambda*L] that
+Toeplitz convolutions with a normalized Gaussian kernel, the weighted
+first-difference regularizer W D, and the vertical stack [A; lambda*L] that
 turns a Tikhonov-regularized problem into an ordinary least-squares operator.
 Operators are matrix-free by contract: ``to_dense`` materializes one on
 request, for tests, reports and the dense direct solve. They are immutable
@@ -200,17 +200,28 @@ def _block_toeplitz_apply(b: int, nb: int, blocks: np.ndarray, n: int,
 
 
 class FirstDifferenceOperator(LinearOperator):
-    """The (n-1) x n forward-difference matrix: -1 on the diagonal, +1 above."""
+    """The weighted (n-1) x n forward difference W D, W = diag(weights).
 
-    def __init__(self, n: int):
-        if n < 2:
-            raise ValueError(f"first difference needs n >= 2, got n={n}")
-        super().__init__(n - 1, n)
+    D has -1 on the diagonal and +1 above; ``first_difference(n)`` is the
+    plain D, with unit weights. ``add_gram`` adds the tridiagonal of
+    lam^2 D^T W^2 D to a Gram matrix, for ``normal_band`` and the grid scan.
+    """
+
+    def __init__(self, weights):
+        weights = np.array(weights, dtype=float)
+        if weights.ndim != 1 or weights.size < 1:
+            raise ValueError(f"weights must be a nonempty 1-d array, got shape {weights.shape}")
+        super().__init__(weights.size, weights.size + 1)
+        weights.setflags(write=False)
+        self.weights = weights
 
     def _matvec(self, v):
-        return v[1:] - v[:-1]
+        out = v[1:] - v[:-1]
+        out *= self.weights
+        return out
 
     def _rmatvec(self, w):
+        w = self.weights * w
         out = np.empty(self.cols)
         out[0] = -w[0]
         np.subtract(w[:-1], w[1:], out=out[1:-1])
@@ -222,37 +233,16 @@ class FirstDifferenceOperator(LinearOperator):
         i = np.arange(self.rows)
         d[i, i] = -1.0
         d[i, i + 1] = 1.0
-        return d
+        return self.weights[:, None] * d
 
-
-class RowScaledOperator(LinearOperator):
-    """diag(weights) @ base; used for the reweighted difference regularizer.
-
-    The base is applied through its unchecked ``_matvec``/``_rmatvec``: the
-    public apply of this operator has already validated the input.
-    """
-
-    def __init__(self, weights, base: LinearOperator):
-        weights = np.array(weights, dtype=float)
-        if weights.shape != (base.rows,):
-            raise ValueError(
-                f"weights must have length {base.rows}, got shape {weights.shape}"
-            )
-        super().__init__(base.rows, base.cols)
-        weights.setflags(write=False)
-        self.weights = weights
-        self.base = base
-
-    def _matvec(self, v):
-        out = self.base._matvec(v)
-        out *= self.weights
-        return out
-
-    def _rmatvec(self, w):
-        return self.base._rmatvec(self.weights * w)
-
-    def to_dense(self):
-        return self.weights[:, None] * self.base.to_dense()
+    def add_gram(self, lam: float, diagonal: np.ndarray, subdiagonal: np.ndarray) -> None:
+        """Add the diagonal (length n) and subdiagonal (length n - 1) of
+        lam^2 D^T W^2 D to ``diagonal`` and ``subdiagonal`` in place."""
+        scaled = lam * self.weights
+        sq = scaled * scaled
+        diagonal[:-1] += sq
+        diagonal[1:] += sq
+        subdiagonal -= sq
 
 
 class StackedOperator(LinearOperator):
@@ -307,24 +297,23 @@ def normal_band(op: LinearOperator) -> np.ndarray | None:
     """The Gram matrix S^T S of S = [A; lam W D] in LAPACK lower band storage, or None.
 
     Built only when A is a ``SymmetricToeplitzOperator`` whose first row has
-    its last nonzero at index k, the bottom block is a ``RowScaledOperator``
-    of a ``FirstDifferenceOperator``, and the Gram's half-bandwidth
-    kd = max(2k, 1) has 2 kd + 1 <= n / 2; for any other operator this
-    returns None. Row d of the returned (kd + 1) x n array holds diagonal d:
-    ``band[d, j]`` is (S^T S)[j + d, j], and the last d entries of row d are
-    zero.
+    its last nonzero at index k, the bottom block is a
+    ``FirstDifferenceOperator`` (W = I for the plain D), and the Gram's
+    half-bandwidth kd = max(2k, 1) has 2 kd + 1 <= n / 2; for any other
+    operator this returns None. Row d of the returned (kd + 1) x n array
+    holds diagonal d: ``band[d, j]`` is (S^T S)[j + d, j], and the last d
+    entries of row d are zero.
 
     A^T A = A^2 is formed by gemm on blocks of columns, each restricted to
     the rows and columns its band touches and read from A's first row. So
     every entry is the same inner product of two columns of A as in the
     dense fl(A^T A), without terms that are exact zeros, summed in some
     order, and every entry outside the band is exactly zero, as it is in
-    fl(A^T A). L^T L = D^T W^2 D is tridiagonal, and its (lam w_i)^2 terms are
-    added directly.
+    fl(A^T A). L^T L = D^T W^2 D is tridiagonal, and
+    ``FirstDifferenceOperator.add_gram`` adds its (lam w_i)^2 terms directly.
     """
     if not (isinstance(op, StackedOperator) and isinstance(op.top, SymmetricToeplitzOperator)
-            and op.top._band_k is not None and isinstance(op.bottom, RowScaledOperator)
-            and isinstance(op.bottom.base, FirstDifferenceOperator)):
+            and op.top._band_k is not None and isinstance(op.bottom, FirstDifferenceOperator)):
         return None
     n = op.cols
     k = op.top._band_k
@@ -348,11 +337,7 @@ def normal_band(op: LinearOperator) -> np.ndarray | None:
         np.matmul(window.T, window[:, :w], out=block[: r1 - j0])
         cols = np.arange(w)
         band[: 2 * k + 1, j0:j1] = block[np.arange(2 * k + 1)[:, None] + cols, cols]
-    scaled = op.lam * op.bottom.weights
-    sq = scaled * scaled
-    band[0, :-1] += sq
-    band[0, 1:] += sq
-    band[1, :-1] -= sq
+    op.bottom.add_gram(op.lam, band[0], band[1, :-1])
     return band
 
 
@@ -362,8 +347,10 @@ def stack(top: LinearOperator, bottom: LinearOperator, lam: float) -> StackedOpe
 
 
 def first_difference(n: int) -> FirstDifferenceOperator:
-    """The (n-1) x n discrete first-derivative operator."""
-    return FirstDifferenceOperator(n)
+    """The (n-1) x n discrete first-derivative operator D (unit weights)."""
+    if n < 2:
+        raise ValueError(f"first difference needs n >= 2, got n={n}")
+    return FirstDifferenceOperator(np.ones(n - 1))
 
 
 def _validate_kernel_args(sigma: float, n: int) -> None:

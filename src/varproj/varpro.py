@@ -157,7 +157,8 @@ class SolverTrace:
     ``status`` is one of ``step-tolerance``, ``gradient-tolerance``,
     ``max-iterations``, ``inner-failure``, ``singular-step``,
     ``infeasible-iterate``. The last three mark aborted runs with a
-    partial record list.
+    partial record list, and ``warnings`` holds the reason. The status of
+    each inner solve is in its record.
     """
 
     records: list[IterationRecord] = field(default_factory=list)
@@ -242,12 +243,12 @@ def _start(model: SeparableModel, b, y0) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _evaluate(model, y, b, L, lam, schedule: ToleranceSchedule | None = None, k: int = 0,
-              opts: OuterOptions | None = None, messages: list | None = None):
+              opts: OuterOptions | None = None):
     """Factor S = [A(y); lam L], solve the inner problem and form F = S x - [b; 0].
 
     Without a schedule the inner solve is exact, x(y) = (S^T S)^{-1} A^T b.
-    With one, LSQR stops at tolerance eps^(k), an unconverged solve appends a
-    warning to ``messages``, and at k = 0 the check eps0 * kappa0 < 1 runs.
+    With one, LSQR stops at tolerance eps^(k), and at k = 0 the check
+    eps0 * kappa0 < 1 runs.
     Returns ``(fact, x, F, fields)``, ``fields`` being the IterationRecord
     fields of the inner solve.
     """
@@ -272,11 +273,6 @@ def _evaluate(model, y, b, L, lam, schedule: ToleranceSchedule | None = None, k:
         x = sol.x_bar
         fields = dict(epsilon=eps_k, inner_iterations=sol.iterations,
                       inner_criterion=sol.achieved_criterion, inner_converged=sol.converged)
-        if not sol.converged:
-            messages.append(
-                f"iteration {k}: LSQR stopped after {sol.iterations} iterations with "
-                f"criterion {sol.achieved_criterion:.3e} >= tolerance {eps_k:.3e}"
-            )
     return fact, x, S.matvec(x) - d, fields
 
 
@@ -314,8 +310,7 @@ def _gauss_newton(model, b, L, lam, y, opts: OuterOptions,
             trace.status = "infeasible-iterate"
             break
         try:
-            fact, x, fvec, fields = _evaluate(model, y, b, L, lam, schedule, k, opts,
-                                              trace.warnings)
+            fact, x, fvec, fields = _evaluate(model, y, b, L, lam, schedule, k, opts)
         except SingularSystemError as exc:
             trace.warnings.append(f"{at}: {exc}")
             trace.status = "inner-failure"
@@ -364,8 +359,9 @@ def inexact_genvarpro(model: SeparableModel, b, L: LinearOperator, lam: float, y
 
     Iteration k solves the inner problem to tolerance eps^(k), forms the
     approximate residual and Jacobian from the LSQR iterate, and steps. An
-    inner solve that stops unconverged is recorded as a warning and the run
-    continues with its best iterate. At y0 it warns unless eps^(0) kappa0 < 1
+    inner solve that stops unconverged is recorded in its record
+    (``inner_converged``, ``inner_iterations``, ``inner_criterion``) and the
+    run continues with its best iterate. At y0 it warns unless eps^(0) kappa0 < 1
     is certified, kappa0 being the condition number of the stacked operator
     there: one Cholesky factorization of a shifted copy of the normal matrix
     that iteration 0 factors (``condition_number_below``) certifies it,

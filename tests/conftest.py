@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 
 import varproj as vp
+from varproj.cli import DEFAULT_INITIAL_TOLERANCES as EPSILON0
 from varproj.varpro import NORM_MODE_EXPLICIT
-
-EPSILON0 = {2.0: 1.8718e-4, 4.0: 1.1239e-4}
 
 
 @pytest.fixture(scope="session")
@@ -124,8 +123,7 @@ def band_route_stack(n, k, seed, lam):
     row[: k + 1] = rng.standard_normal(k + 1)
     row[k] = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.0)
     return vp.stack(vp.SymmetricToeplitzOperator(row),
-                    vp.RowScaledOperator(10.0 ** rng.uniform(-1.0, 4.0, size=n - 1),
-                                         vp.first_difference(n)), lam)
+                    vp.FirstDifferenceOperator(10.0 ** rng.uniform(-1.0, 4.0, size=n - 1)), lam)
 
 
 @pytest.fixture(scope="session")

@@ -10,12 +10,11 @@ import time
 import numpy as np
 
 import varproj as vp
+from varproj.cli import MUST_HOLD_EPSILON
 from varproj.inner_solvers import DirectFactorization
 
 from conftest import exact_at
 from test_varpro import toy_linear_model, toy_trig_model, _fd_jacobian, _toy_setup
-
-MUST_HOLD_EPSILON = 1e3 * float(np.finfo(float).eps)
 
 
 def _report(num, name, ok, detail=""):

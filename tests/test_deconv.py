@@ -130,12 +130,17 @@ class TestReducedObjective:
         # interior minimum, not a boundary artifact
         assert fs[0] > fs.min() and fs[-1] > fs.min()
 
-    def test_reduced_objective_matches_solver_record(self, problem, gp_trace_y2):
+    def test_reduced_objective_matches_solver_record(self, problem):
         # The two paths assemble the normal matrix differently (dense S^T S
-        # vs A^T A + lam^2 L^T L), so agreement is limited by kappa(N)*eps.
-        rec = gp_trace_y2.records[0]
-        _, (value,) = vp.objective_grid(problem, rec.y[0], rec.y[0], 1.0)
-        assert value == pytest.approx(rec.f_value, rel=1e-8)
+        # vs A^T A + lam^2 L^T L), so agreement is limited by kappa(N)*eps;
+        # checked at both ends of the scan and at its minimizer.
+        for y in (2.0, 3.0754, 4.0):
+            trace = vp.genvarpro(problem.model, problem.b, problem.L, problem.lam,
+                                 np.array([y]), vp.OuterOptions(max_outer_iterations=1))
+            rec = trace.records[0]
+            assert rec.y[0] == y
+            _, (value,) = vp.objective_grid(problem, y, y, 1.0)
+            assert value == pytest.approx(rec.f_value, rel=1e-8)
 
     def test_grid_stays_within_bounds(self, small_problem):
         # (3 - 2) / 0.35 rounds up to 3, which would place a point at 3.05.
@@ -146,7 +151,7 @@ class TestReducedObjective:
     def test_benchmark_grid_keeps_every_point(self, monkeypatch, problem):
         # The reference scan's 20,001 points, bit for bit, and a grid whose
         # (0.3 - 0.1) / 0.1 rounds to just below 2 keeps its end point.
-        monkeypatch.setattr(deconv, "_objective_at", lambda problem, gram, y: 0.0)
+        monkeypatch.setattr(deconv, "_objective_at", lambda problem, y: 0.0)
         ys, _ = vp.objective_grid(problem, 2.0, 4.0, 1e-4)
         np.testing.assert_array_equal(ys, 2.0 + 1e-4 * np.arange(20001))
         assert len(vp.objective_grid(problem, 0.1, 0.3, 0.1)[0]) == 3

@@ -153,29 +153,31 @@ class TestNormalBand:
         (2.0, 425, False), (2.0, 426, True),
     ])
     def test_within_rounding_of_dense_gram(self, sigma, n, banded):
+        # A randomly weighted difference, and the plain D (unit weights).
         rng = np.random.default_rng(8)
         weights = 10.0 ** rng.uniform(-1.0, 4.0, size=n - 1)
-        op = vp.stack(vp.gaussian_toeplitz(sigma, n),
-                      vp.RowScaledOperator(weights, vp.first_difference(n)), 0.0379)
-        band = normal_band(op)
-        assert (band is not None) == banded
-        if not banded:
-            return
-        kd = band.shape[0] - 1
-        assert 2 * kd + 1 <= n / 2
-        s = op.to_dense()
-        gram = s.T @ s
-        # Both band and gram are fl(S^T S) summed in different orders, so
-        # each lies within gamma_m (|S|^T |S|) of S^T S entrywise
-        # (Higham, Accuracy and Stability, sec. 3.5).
-        m = s.shape[0]
-        gamma = m * (EPS / 2) / (1.0 - m * EPS / 2)
-        slack = 2 * gamma * (np.abs(s).T @ np.abs(s))
-        for d in range(kd + 1):
-            assert np.all(np.abs(band[d, : n - d] - np.diagonal(gram, -d))
-                          <= np.diagonal(slack, -d))
-            assert np.all(band[d, n - d:] == 0.0)
-        assert not np.any(np.tril(gram, -kd - 1))
+        top = vp.gaussian_toeplitz(sigma, n)
+        for bottom in (vp.FirstDifferenceOperator(weights), vp.first_difference(n)):
+            op = vp.stack(top, bottom, 0.0379)
+            band = normal_band(op)
+            assert (band is not None) == banded
+            if not banded:
+                continue
+            kd = band.shape[0] - 1
+            assert 2 * kd + 1 <= n / 2
+            s = op.to_dense()
+            gram = s.T @ s
+            # Both band and gram are fl(S^T S) summed in different orders, so
+            # each lies within gamma_m (|S|^T |S|) of S^T S entrywise
+            # (Higham, Accuracy and Stability, sec. 3.5).
+            m = s.shape[0]
+            gamma = m * (EPS / 2) / (1.0 - m * EPS / 2)
+            slack = 2 * gamma * (np.abs(s).T @ np.abs(s))
+            for d in range(kd + 1):
+                assert np.all(np.abs(band[d, : n - d] - np.diagonal(gram, -d))
+                              <= np.diagonal(slack, -d))
+                assert np.all(band[d, n - d:] == 0.0)
+            assert not np.any(np.tril(gram, -kd - 1))
 
     @pytest.mark.parametrize("y", [1.5, 2.0, 3.07, 4.0])
     def test_n128_benchmark_operators_take_dense_path(self, problem, y):
@@ -186,9 +188,10 @@ class TestNormalBand:
         top = vp.gaussian_toeplitz(1.0, 256)
         diff = vp.first_difference(256)
         assert normal_band(top) is None
-        assert normal_band(vp.stack(top, diff, 0.5)) is None
-        assert normal_band(vp.stack(vp.DenseOperator(top.to_dense()),
-                                    vp.RowScaledOperator(np.ones(255), diff), 0.5)) is None
+        # The plain D is the weighted difference with W = I: banded.
+        assert normal_band(vp.stack(top, diff, 0.5)) is not None
+        assert normal_band(vp.stack(vp.DenseOperator(top.to_dense()), diff, 0.5)) is None
+        assert normal_band(vp.stack(top, vp.DenseOperator(diff.to_dense()), 0.5)) is None
         assert normal_band(vp.stack(top, vp.DenseOperator(rng.standard_normal((3, 256))),
                                     0.5)) is None
 
@@ -283,17 +286,38 @@ class TestGaussianToeplitzDerivative:
                 assert dense[i, j] == pytest.approx(expected_row[abs(i - j)], rel=1e-14)
 
 
-class TestRowScaled:
-    def test_applies_bit_identical_to_scaled_base(self):
+class TestWeightedDifference:
+    def test_weighted_equals_weights_times_unweighted(self):
         rng = np.random.default_rng(5)
         diff = vp.first_difference(30)
         weights = rng.uniform(0.5, 2.0, size=29)
-        op = vp.RowScaledOperator(weights, diff)
+        op = vp.FirstDifferenceOperator(weights)
         for _ in range(20):
             v = rng.standard_normal(30)
             w = rng.standard_normal(29)
             assert np.all(op.matvec(v) == weights * diff.matvec(v))
             assert np.all(op.rmatvec(w) == diff.rmatvec(weights * w))
+        assert np.all(op.to_dense() == weights[:, None] * diff.to_dense())
+
+    @pytest.mark.parametrize("n", [2, 3, 40, 128])
+    def test_add_gram_is_tridiagonal_of_dense_gram(self, n):
+        # add_gram adds the diagonal and subdiagonal of lam^2 (WD)^T (WD);
+        # each entry sums at most two products, so it is within a few ulps.
+        rng = np.random.default_rng(n)
+        op = vp.FirstDifferenceOperator(10.0 ** rng.uniform(-1.0, 4.0, size=n - 1))
+        lam = 0.0379
+        scaled = lam * op.to_dense()
+        gram = scaled.T @ scaled
+        diagonal, subdiagonal = np.zeros(n), np.zeros(n - 1)
+        op.add_gram(lam, diagonal, subdiagonal)
+        np.testing.assert_allclose(diagonal, np.diagonal(gram), rtol=4 * EPS, atol=0.0)
+        np.testing.assert_allclose(subdiagonal, np.diagonal(gram, -1), rtol=4 * EPS, atol=0.0)
+        assert not np.any(np.tril(gram, -2))
+
+    @pytest.mark.parametrize("weights", [[], [[1.0]]])
+    def test_rejects_bad_weights(self, weights):
+        with pytest.raises(ValueError, match="weights"):
+            vp.FirstDifferenceOperator(weights)
 
 
 class TestFirstDifference:
@@ -346,7 +370,7 @@ class TestStack:
     def test_forward_bit_identical_to_block_concatenation(self):
         rng = np.random.default_rng(1)
         top = vp.gaussian_toeplitz(2.0, 40)
-        bottom = vp.RowScaledOperator(rng.uniform(0.5, 2.0, size=39), vp.first_difference(40))
+        bottom = vp.FirstDifferenceOperator(rng.uniform(0.5, 2.0, size=39))
         for lam in (0.5, 0.0):
             op = vp.stack(top, bottom, lam)
             for _ in range(20):
@@ -357,7 +381,7 @@ class TestStack:
     def test_adjoint_bit_identical_to_block_sum(self):
         rng = np.random.default_rng(2)
         top = vp.gaussian_toeplitz(2.0, 40)
-        bottom = vp.RowScaledOperator(rng.uniform(0.5, 2.0, size=39), vp.first_difference(40))
+        bottom = vp.FirstDifferenceOperator(rng.uniform(0.5, 2.0, size=39))
         for lam in (0.5, 0.0):
             op = vp.stack(top, bottom, lam)
             for _ in range(20):
@@ -392,12 +416,11 @@ class TestStack:
 
 def _sample_operators():
     rng = np.random.default_rng(3)
-    diff = vp.first_difference(12)
     ops = [
         vp.DenseOperator(rng.standard_normal((7, 4))),
         vp.gaussian_toeplitz(1.5, 12),
-        diff,
-        vp.RowScaledOperator(rng.uniform(0.5, 2.0, size=11), diff),
+        vp.first_difference(12),
+        vp.FirstDifferenceOperator(rng.uniform(0.5, 2.0, size=11)),
         vp.stack(vp.gaussian_toeplitz(1.5, 12), vp.first_difference(12), 0.3),
         # narrow enough for the band apply: 2k + 1 = 37 <= n/2 = 40
         vp.gaussian_toeplitz(0.5, 80),
@@ -450,7 +473,7 @@ def test_band_operator_freed_by_reference_counting():
         op = vp.gaussian_toeplitz(2.0, n)
         assert op._band_k is not None
         weights = np.linspace(0.5, 2.0, n - 1)
-        s = vp.stack(op, vp.RowScaledOperator(weights, vp.first_difference(n)), 0.1)
+        s = vp.stack(op, vp.FirstDifferenceOperator(weights), 0.1)
         s.rmatvec(s.matvec(np.ones(n)))
         refs = [weakref.ref(op), weakref.ref(s)]
         del op, s
