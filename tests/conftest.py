@@ -126,6 +126,25 @@ def band_route_stack(n, k, seed, lam):
                     vp.FirstDifferenceOperator(10.0 ** rng.uniform(-1.0, 4.0, size=n - 1)), lam)
 
 
+def decaying_band_stack(n, seed, lam):
+    """A random Gaussian-like symmetric Toeplitz top over a randomly weighted
+    first difference, with its Gram band taken. The first row is
+    exp(-t^2 / (2 s^2)) times factors drawn from [0.5, 1] with random signs
+    past t = 0, cut below sqrt(tiny) as ``gaussian_toeplitz`` cuts, and its
+    width s is drawn so that the last nonzero index k has 2 max(2k, 1) + 1
+    <= n/2. Unlike the rows of ``band_route_stack`` it decays, so
+    ``normal_band`` drops its far diagonals."""
+    rng = np.random.default_rng(seed)
+    # The cut falls at t of about 26.6 s.
+    s = rng.uniform(0.15, ((n // 2 - 1) // 4) / 27.0)
+    t = np.arange(n)
+    row = np.exp(-t**2 / (2.0 * s * s)) * rng.uniform(0.5, 1.0, size=n)
+    row[1:] *= rng.choice([-1.0, 1.0], size=n - 1)
+    row[np.abs(row) < np.sqrt(np.finfo(float).tiny)] = 0.0
+    return vp.stack(vp.SymmetricToeplitzOperator(row),
+                    vp.FirstDifferenceOperator(10.0 ** rng.uniform(-1.0, 4.0, size=n - 1)), lam)
+
+
 @pytest.fixture(scope="session")
 def certificate_corpus():
     """200 random stacked systems solved by LSQR with epsilon*kappa < 1/2.

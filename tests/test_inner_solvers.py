@@ -24,7 +24,7 @@ from varproj.inner_solvers import (
 )
 from varproj.linops import normal_band
 
-from conftest import band_route_stack, random_stacked
+from conftest import band_route_stack, decaying_band_stack, random_stacked
 
 
 EPS = np.finfo(float).eps
@@ -96,6 +96,19 @@ class TestDirectSolve:
             assert np.linalg.norm(fact.solve_normal(v) - expected) <= tol * np.linalg.norm(expected)
         expected = scipy.linalg.cho_solve(dense, s[:n].T @ problem.b)
         assert np.linalg.norm(fact.solve_rhs(problem.b) - expected) <= tol * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("y", [2.0, 2.9, 3.07, 4.0])
+    def test_band_solve_matches_lstsq(self, y):
+        # The band keeps 24 to 49 of the 106 to 212 diagonals of S^T S here;
+        # the solution still agrees with an SVD-based least-squares solve.
+        problem = vp.build_problem(vp.BenchConfig(n=1024))
+        op = vp.stacked_operator(problem, y)
+        fact = DirectFactorization(op)
+        assert fact.banded and fact.normal.shape[0] - 1 < 2 * op.top._band_k
+        expected = np.linalg.lstsq(op.to_dense(), np.concatenate([problem.b, np.zeros(op.q)]),
+                                   rcond=None)[0]
+        x = fact.solve_rhs(problem.b)
+        assert np.linalg.norm(x - expected) <= 1e-9 * np.linalg.norm(expected)
 
 
 @pytest.fixture()
@@ -283,6 +296,25 @@ class TestConditionNumberBound:
         else:
             limit = kappa * (1.0 + s)
             assert kappa < limit or not condition_number_below(DirectFactorization(op), limit)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(64, 256), st.integers(0, 2**32 - 1), st.floats(1e-3, 2.0),
+           RELATIVE_MARGINS)
+    def test_bounds_condition_number_on_trimmed_band(self, n, seed, lam, s):
+        # The band drops the far diagonals of these Gram matrices.
+        op = decaying_band_stack(n, seed, lam)
+        try:
+            fact = DirectFactorization(op)
+        except SingularSystemError:
+            return
+        assert fact.banded and fact.normal.shape[0] - 1 < 2 * op.top._band_k
+        try:
+            kappa = vp.condition_number(op)
+        except RankDeficiencyError:
+            assert not condition_number_below(fact, 1e150)
+        else:
+            limit = kappa * (1.0 + s)
+            assert kappa < limit or not condition_number_below(fact, limit)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(exactly_rank_deficient(), st.floats(1.0, 1e300, exclude_min=True))

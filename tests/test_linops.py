@@ -17,7 +17,7 @@ import varproj as vp
 from varproj import linops
 from varproj.linops import normal_band
 
-from conftest import band_route_stack
+from conftest import band_route_stack, decaying_band_stack
 
 # Kernel entries below sqrt(tiny) are set to zero.
 FLUSH = np.sqrt(np.finfo(float).tiny)
@@ -145,7 +145,8 @@ class TestGaussianToeplitz:
 class TestNormalBand:
     # The Gram band is taken when kd = 2k has 2 kd + 1 <= n/2: k = 26 / 53 /
     # 79 / 106 at widths 1 / 2 / 3 / 4, so n >= 210 / 426 / 634 / 850.
-    # (2, 425) and (2, 426) straddle the switch.
+    # (2, 425) and (2, 426) straddle the switch. It keeps kd' = 12 / 24 /
+    # 37 / 49 of those kd = 52 / 106 / 158 / 212 diagonals.
     @pytest.mark.parametrize("sigma,n,banded", [
         (1.0, 256, True), (2.0, 256, False), (3.0, 256, False), (4.0, 256, False),
         (1.0, 512, True), (2.0, 512, True), (3.0, 512, False), (4.0, 512, False),
@@ -163,8 +164,10 @@ class TestNormalBand:
             assert (band is not None) == banded
             if not banded:
                 continue
-            kd = band.shape[0] - 1
+            kd = 2 * top._band_k
+            kept = band.shape[0] - 1
             assert 2 * kd + 1 <= n / 2
+            assert kept == KEPT_DIAGONALS[sigma]
             s = op.to_dense()
             gram = s.T @ s
             # Both band and gram are fl(S^T S) summed in different orders, so
@@ -173,15 +176,38 @@ class TestNormalBand:
             m = s.shape[0]
             gamma = m * (EPS / 2) / (1.0 - m * EPS / 2)
             slack = 2 * gamma * (np.abs(s).T @ np.abs(s))
-            for d in range(kd + 1):
+            for d in range(kept + 1):
                 assert np.all(np.abs(band[d, : n - d] - np.diagonal(gram, -d))
                               <= np.diagonal(slack, -d))
                 assert np.all(band[d, n - d:] == 0.0)
             assert not np.any(np.tril(gram, -kd - 1))
+            assert_trim_bound(gram, kept, top.first_row)
+
+    @pytest.mark.parametrize("sigma", [1.0, 2.0, 3.0, 4.0])
+    def test_kept_width_is_the_smallest_within_the_bound(self, sigma):
+        row = vp.gaussian_toeplitz(sigma, 1024).first_row
+        k = int(np.flatnonzero(row)[-1])
+        kept = linops._kept_diagonals(row, k)
+        assert kept == KEPT_DIAGONALS[sigma]
+        # c_d summed term by term over the symmetric row a_-k..a_k.
+        full = np.abs(np.concatenate([row[k:0:-1], row[: k + 1]]))
+        c = [sum(full[t] * full[t + d] for t in range(2 * k + 1 - d)) for d in range(2 * k + 1)]
+        assert 2 * sum(c[kept + 1:]) <= EPS / 2 * c[0] / 2
+        assert 2 * sum(c[kept:]) > EPS / 2 * c[0] / 2
 
     @pytest.mark.parametrize("y", [1.5, 2.0, 3.07, 4.0])
     def test_n128_benchmark_operators_take_dense_path(self, problem, y):
         assert normal_band(vp.stacked_operator(problem, y)) is None
+
+    @pytest.mark.parametrize("n", [128, 256, 425, 426, 512, 1024])
+    def test_eligibility_rule_unchanged(self, n):
+        # The band is taken exactly when 2 max(2k, 1) + 1 <= n/2 on the
+        # kernel's own k, however few diagonals it keeps.
+        for sigma in np.arange(1, 81) / 20.0:
+            op = vp.stack(vp.gaussian_toeplitz(sigma, n), vp.first_difference(n), 0.0379)
+            k = op.top._band_k
+            eligible = k is not None and 2 * max(2 * k, 1) + 1 <= n / 2
+            assert (normal_band(op) is not None) == eligible
 
     def test_other_blocks_take_dense_path(self):
         rng = np.random.default_rng(9)
@@ -195,13 +221,18 @@ class TestNormalBand:
         assert normal_band(vp.stack(top, vp.DenseOperator(rng.standard_normal((3, 256))),
                                     0.5)) is None
 
-    @pytest.mark.parametrize("n,y", [(512, 2.0), (512, 3.07), (1024, 2.0), (1024, 3.07)])
+    @pytest.mark.parametrize("y", [1.0, 2.0, 3.0, 3.07, 4.0])
+    @pytest.mark.parametrize("n", [512, 1024, 2048])
     def test_first_row_band_equals_dense_slice_band(self, n, y):
         op = vp.stacked_operator(vp.build_problem(vp.BenchConfig(n=n)), y)
         expected = dense_slice_band(op)
         band = normal_band(op)
-        assert (band is None) == (expected is None) == (n == 512 and y == 3.07)
-        assert band is None or np.array_equal(band, expected)
+        assert (band is None) == (expected is None) == (n == 512 and y >= 3.0)
+        if band is not None:
+            kept = band.shape[0] - 1
+            assert kept == KEPT_DIAGONALS[y] < expected.shape[0] - 1
+            assert np.array_equal(band, expected[: kept + 1])
+            assert_trim_bound(band_to_dense(expected), kept, op.top.first_row)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.integers(24, 96), st.data())
@@ -211,11 +242,51 @@ class TestNormalBand:
                               data.draw(st.floats(1e-3, 2.0)))
         assert np.array_equal(normal_band(op), dense_slice_band(op))
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(64, 512), st.integers(0, 2**32 - 1), st.floats(1e-3, 2.0))
+    def test_trim_bound_on_decaying_stacks(self, n, seed, lam):
+        op = decaying_band_stack(n, seed, lam)
+        band = normal_band(op)
+        expected = dense_slice_band(op)
+        kept = band.shape[0] - 1
+        assert kept < 2 * op.top._band_k
+        assert np.array_equal(band, expected[: kept + 1])
+        s = op.to_dense()
+        assert_trim_bound(s.T @ s, kept, op.top.first_row)
+        assert_trim_bound(band_to_dense(expected), kept, op.top.first_row)
+
+
+# kd' of gaussian_toeplitz(sigma, n) for every n at which its band is taken.
+KEPT_DIAGONALS = {1.0: 12, 2.0: 24, 3.0: 37, 3.07: 37, 4.0: 49}
+
+
+def assert_trim_bound(gram, kept, first_row):
+    """The part of the symmetric n x n ``gram`` outside diagonals -kept..kept
+    has infinity norm at most u c_0 / 2, c_0 the squared 2-norm of the
+    symmetric row a_-k..a_k: the bound ``normal_band`` keeps its band to.
+    The slack 1e-10 covers the rounding of a computed Gram and of the sums."""
+    c0 = 2.0 * float(first_row @ first_row) - first_row[0] ** 2
+    n = gram.shape[0]
+    i = np.arange(n)
+    dropped = np.abs(np.where(np.abs(i[:, None] - i) > kept, gram, 0.0))
+    assert dropped.sum(axis=1).max() <= (1 + 1e-10) * (EPS / 2) * c0 / 2
+
+
+def band_to_dense(band):
+    """The symmetric n x n matrix whose lower band storage is ``band``."""
+    n = band.shape[1]
+    dense = np.zeros((n, n))
+    for d in range(band.shape[0]):
+        dense[np.arange(d, n), np.arange(n - d)] = band[d, : n - d]
+    return dense + np.tril(dense, -1).T
+
 
 def dense_slice_band(op):
-    """The Gram band as ``normal_band`` built it when it sliced the dense
-    Toeplitz matrix, kept as an oracle: the band read from the first row
-    takes the same gemm shapes on the same entries, so it is bit-identical."""
+    """The Gram band as ``normal_band`` built it, with all kd = max(2k, 1)
+    diagonals, when it sliced the dense Toeplitz matrix, kept as an oracle.
+    The band read from the first row takes the same gemms on the same
+    entries, with the rows of the dropped diagonals left out of the first
+    factor, and its kept rows are bit-identical."""
     if normal_band(op) is None:
         return None
     n, k = op.cols, op.top._band_k
