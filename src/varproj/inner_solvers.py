@@ -11,6 +11,13 @@ comes within a margin of the tolerance or of the rounding floor, so an
 LSQR iteration costs between two and four applies. The direct route
 factors the normal equations S^T S once and reuses the factorization for
 pseudoinverse and projector applications needed by Jacobian assembly.
+
+kappa_2(S) comes two ways. ``condition_number`` takes it from the
+eigenvalues of the band Gram of ``normal_band`` when there is one and the
+certified relative error of that value is at most 1e-4, and otherwise from
+an SVD of the materialized S. ``condition_number_below`` certifies
+kappa_2(S) < limit from the Gram a ``DirectFactorization`` already holds,
+with no eigensolver.
 """
 
 from __future__ import annotations
@@ -27,6 +34,10 @@ from .linops import LinearOperator, StackedOperator, normal_band
 LSQR_MAX_ITERATIONS = 10000
 
 _EPS = float(np.finfo(float).eps)
+
+# condition_number returns the band route's kappa when its certified relative
+# error is at most this.
+_BAND_KAPPA_BOUND = 1e-4
 
 # lsqr_solve starts its true stopping test once the estimated criterion is
 # below _SCREEN_MARGIN times the tolerance, or the estimated residual norm
@@ -268,10 +279,11 @@ class DirectFactorization:
     those of the full half-bandwidth kd = 2k: at n = 1024 and widths 2 to 4
     (kd' = 24 to 49 against kd = 106 to 212), one factorization, Gram
     included, took 0.5-1.7 ms instead of 12-25 ms (one BLAS thread).
-    Otherwise S is materialized, S^T S is formed densely and factored with
-    ``dpotrf``. The computed normal matrix is kept, read-only,
-    as ``normal`` (``banded`` tells which storage it has) for the kappa0
-    check of ``condition_number_below``. The pseudoinverse and projector
+    Otherwise S is materialized, the lower triangle of S^T S is formed by
+    ``dsyrk`` and factored with ``dpotrf``. The computed normal matrix is
+    kept, read-only, as ``normal`` (``banded`` tells which storage it has:
+    the lower band, or the lower triangle with zeros above it) for the
+    kappa0 check of ``condition_number_below``. The pseudoinverse and projector
     applications below reuse the factorization and apply S through ``op``.
     Immutable after construction and shareable across threads.
     """
@@ -281,8 +293,12 @@ class DirectFactorization:
         normal = normal_band(op)
         self.banded = normal is not None
         if not self.banded:
+            # dsyrk on the Fortran view S^T fills the lower triangle of S^T S,
+            # bit for bit that of numpy's dense.T @ dense, and leaves the
+            # upper one zero; every reader of ``normal`` reads the lower one.
+            # It also keeps the dense route on scipy's BLAS alone.
             dense = np.asarray(op.to_dense(), dtype=float)
-            normal = dense.T @ dense
+            normal = scipy.linalg.blas.dsyrk(1.0, dense.T, lower=1)
         normal.setflags(write=False)
         self.normal = normal
         try:
@@ -295,7 +311,7 @@ class DirectFactorization:
         except scipy.linalg.LinAlgError as exc:
             raise SingularSystemError(
                 "normal equations are not positive definite "
-                f"(smallest eigenvalue {_smallest_eigenvalue(self):.6e})"
+                f"(smallest eigenvalue {_extreme_eigenvalues(normal, self.banded)[0]:.6e})"
             ) from exc
 
     def solve_normal(self, v) -> np.ndarray:
@@ -308,15 +324,15 @@ class DirectFactorization:
         return self.solve_normal(self.op.top.rmatvec(b))
 
 
-def _smallest_eigenvalue(fact: DirectFactorization) -> float:
-    """Smallest eigenvalue of the normal matrix that ``fact`` holds, for the
-    message of a failed factorization: ``dsbevx`` on the band, else ``dsyevr``."""
-    if fact.banded:
-        evals = scipy.linalg.eigvals_banded(fact.normal, lower=True,
-                                            select="i", select_range=(0, 0))
+def _extreme_eigenvalues(normal: np.ndarray, banded: bool) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of a symmetric Gram matrix held as
+    its lower band (LAPACK ``dsbevd``) or its lower triangle (``dsyevr``),
+    as ``DirectFactorization.normal`` and ``normal_band`` hold it."""
+    if banded:
+        evals = scipy.linalg.eigvals_banded(normal, lower=True, check_finite=False)
     else:
-        evals = scipy.linalg.eigh(fact.normal, eigvals_only=True, subset_by_index=[0, 0])
-    return float(evals[0])
+        evals = scipy.linalg.eigvalsh(normal, lower=True, check_finite=False)
+    return float(evals[0]), float(evals[-1])
 
 
 def apply_pinv(fact: DirectFactorization, z) -> np.ndarray:
@@ -336,12 +352,30 @@ def apply_projector_perp(fact: DirectFactorization, z) -> np.ndarray:
 
 
 def condition_number(op: LinearOperator) -> float:
-    """2-norm condition number sigma_max / sigma_min of the materialized operator.
+    """2-norm condition number kappa_2(S) = sigma_max / sigma_min of an operator S.
 
-    Raises ``RankDeficiencyError`` when sigma_min <= max(m, n) eps sigma_max,
-    the default rank tolerance of ``numpy.linalg.matrix_rank``: an exactly
-    rank-deficient m x n operator can have a computed sigma_min of that order.
+    Two routes. When ``normal_band`` gives S^T S as a band, kappa is
+    sqrt(lambda_max / lambda_min) of that band, from one LAPACK ``dsbevd``
+    call, and S is never materialized; ``_band_condition_number`` bounds the
+    relative error of that value, and it is returned when the bound is at
+    most 1e-4. At n = 1024 and widths 2 to 4 it took 31-55 ms against
+    0.68-0.92 s for the SVD, the bound was 1.1e-6 to 3.1e-6, and the value
+    was within 5e-12 to 7e-10 of the SVD's (one BLAS thread). Otherwise,
+    and for every operator without a band Gram, S is materialized and its
+    singular values come from ``numpy.linalg.svd``.
+
+    Raises ``RankDeficiencyError`` when the SVD's sigma_min <= max(m, n) eps
+    sigma_max, the default rank tolerance of ``numpy.linalg.matrix_rank``: an
+    exactly rank-deficient m x n operator can have a computed sigma_min of
+    that order. The band route never decides this. Its bound is infinite when
+    S is rank deficient, so the SVD runs, and it is at most 1e-4 only for
+    kappa below about 0.01 / sqrt(n eps), far below that rank tolerance.
     """
+    band = normal_band(op)
+    if band is not None:
+        kappa, bound = _band_condition_number(op, band)
+        if bound <= _BAND_KAPPA_BOUND:
+            return kappa
     dense = op.to_dense()
     s = np.linalg.svd(dense, compute_uv=False)
     if s[-1] <= max(dense.shape) * _EPS * s[0]:
@@ -349,6 +383,63 @@ def condition_number(op: LinearOperator) -> float:
             f"operator is numerically rank deficient (smallest singular value {s[-1]:.3e})"
         )
     return float(s[0] / s[-1])
+
+
+def _band_condition_number(op: StackedOperator, band: np.ndarray) -> tuple[float, float]:
+    """kappa_2(S) from the Gram band G = ``normal_band(op)`` of S = [A; lam W D],
+    and a bound on its relative error: infinity when there is none.
+
+    With u = eps / 2, no underflow or overflow, a_t (a_-t = a_t) A's first
+    row up to its last nonzero index k, l1 = sum_t |a_t| and c_0 =
+    sum_t a_t^2, the sums running over -k <= t <= k:
+
+    - Gram rounding. Each kept entry of G sums, in some order, at most
+      2k + 1 products of two entries of A, each rounded once, and at most
+      two terms (lam w_i)^2, each rounded three times: no term passes
+      through more than 2k + 5 roundings. So G = S^T S + E - P, with
+      |E| <= g |S|^T |S| entrywise on the kept band, E = 0 off it, and
+      g = gamma_{2k+5} (Higham, Accuracy and Stability of Numerical
+      Algorithms, sec. 3.5 and Lemma 6.6). The rows and columns of |A| sum
+      to at most l1, so the rows of |A|^T |A| sum to at most l1^2, the sum
+      over d of the c_d of ``_kept_diagonals``. Row j of |L|^T |L|,
+      L = lam W D, sums to 2 (L^T L)_jj <= 2 (S^T S)_jj <= 2 G_jj / (1 - g).
+      So M = l1^2 + 2 max_j G_jj / (1 - g) bounds || |S|^T |S| ||_inf, and
+      ||E||_2 <= g M.
+    - Dropped diagonals. P, the part of S^T S past the band, has
+      ||P||_2 <= u c_0 / 2 (see ``normal_band``).
+    - Eigensolver. ``dsbevd`` reduces G to tridiagonal form by orthogonal
+      transformations and takes the eigenvalues of that; both steps are
+      backward stable, so the computed eigenvalues are exact ones of G + F
+      with ||F||_2 <= p(n) eps ||G||_2 (Golub and Van Loan, Matrix
+      Computations, secs. 8.1 and 8.3; LAPACK Users' Guide, sec. 4.7),
+      where p(n), a modestly growing function, is taken as n here; and
+      ||G||_2 <= ||G||_inf <= (1 + g) M.
+    - Conclusion. By Weyl's inequality each computed eigenvalue is within
+      delta = g M + u c_0 / 2 + n eps (1 + g) M of the same eigenvalue of
+      S^T S. With lo and hi the smallest and largest computed eigenvalue,
+      lo > delta, a = delta / hi and b = delta / lo (so a <= b), the ratios
+      kappa / kappa_hat and kappa_hat / kappa, kappa_hat = sqrt(hi / lo),
+      both lie within sqrt((1 + a) / (1 - b)) <= 1 + (a + b) / (2 (1 - b))
+      of 1. The bound returned is twice that, (a + b) / (1 - b): its spare
+      half is at least a >= n eps / (1 + n eps), since hi <= (1 + g) M
+      (1 + n eps), and covers the 2 u of the returned square root and the
+      relative O(k u) rounding of delta and of the bound. A rank-deficient
+      S has lambda_min(S^T S) = 0, so lo <= delta and the bound is infinite.
+    """
+    n = op.cols
+    k = op.top._band_k
+    a0 = abs(float(op.top.first_row[0]))
+    tail = np.abs(op.top.first_row[1 : k + 1])
+    l1 = a0 + 2.0 * float(tail.sum())
+    c0 = a0 * a0 + 2.0 * float(tail @ tail)
+    g = _gamma(2 * k + 5)
+    norm_bound = l1 * l1 + 2.0 * float(band[0].max()) / (1.0 - g)
+    delta = g * norm_bound + _EPS / 4 * c0 + n * _EPS * (1.0 + g) * norm_bound
+    lo, hi = _extreme_eigenvalues(band, banded=True)
+    if not lo > delta:
+        return math.nan, math.inf
+    b = delta / lo
+    return math.sqrt(hi / lo), (delta / hi + b) / (1.0 - b)
 
 
 def _gamma(k: int) -> float:
@@ -362,9 +453,9 @@ def condition_number_below(fact: DirectFactorization, limit: float) -> bool:
     that ``fact`` factored.
 
     Works on the Gram matrix G that the factorization holds, the computed
-    fl(S^T S) or, on the band route, its kept diagonals, in band storage
-    (``cholesky_banded``, ``dpbtrf``) or dense (``cho_factor``,
-    ``dpotrf``), with one Gershgorin sweep and one
+    fl(S^T S) or, on the band route, its kept diagonals, in lower band
+    storage (``cholesky_banded``, ``dpbtrf``) or as a dense lower triangle
+    (``cho_factor``, ``dpotrf``), with one Gershgorin sweep and one
     Cholesky factorization of a shifted copy. False means only that the
     certificate failed, not that kappa_2(S) >= ``limit``. The certificate,
     with u = eps / 2 and no underflow or overflow:
@@ -387,8 +478,13 @@ def condition_number_below(fact: DirectFactorization, limit: float) -> bool:
       The dense route drops nothing; e is counted on both. So
       G = S^T S + E - P with ||E - P||_2 <= g ||S||_2^2 + e.
     - Largest eigenvalue. The largest Gershgorin row sum r of G bounds
-      lambda_max(G), and its sum of at most N terms (N = 2 kd + 1 on the
-      band, n dense) is computed within gamma_N. Since ||S||_2^2 <=
+      lambda_max(G). Each row sum adds at most N terms (N = 2 kd + 1 on the
+      band, n dense) of the stored triangle: on the band its row and
+      shifted diagonals, dense its row of the lower triangle up to the
+      diagonal plus its column below it, the two sums then added. Either
+      way it is one sum of N nonnegative terms in some order (the zeros
+      stored above the dense diagonal add exactly), computed within
+      gamma_N. Since ||S||_2^2 <=
       lambda_max(G) + g ||S||_2^2 + e, lmax = (r / (1 - gamma_N) + e) /
       (1 - g) bounds ||S||_2^2 = lambda_max(S^T S), and delta = g lmax + e
       bounds ||E - P||_2.
@@ -427,7 +523,12 @@ def condition_number_below(fact: DirectFactorization, limit: float) -> bool:
             row_sums[d:] += magnitude[d, : n - d]
         diagonal, terms, p = normal[0], 2 * kd + 1, kd
     else:
-        row_sums = np.abs(normal).sum(axis=1)
+        magnitude = np.abs(normal)
+        # The lower triangle holds row i of G up to the diagonal in its row i
+        # and past it in its column i.
+        row_sums = magnitude.sum(axis=1)
+        np.fill_diagonal(magnitude, 0.0)
+        row_sums += magnitude.sum(axis=0)
         diagonal, terms, p = np.diagonal(normal), n, n - 1
     gram, rows, chol, trace = n * _gamma(m), _gamma(terms), _gamma(p + 2), _gamma(n)
     unit = _EPS / 2
