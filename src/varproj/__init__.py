@@ -25,7 +25,6 @@ from .inner_solvers import (
     DirectFactorization,
     InnerSolution,
     NumericalBreakdownError,
-    RankDeficiencyError,
     SingularSystemError,
     apply_pinv_transpose,
     apply_projector_perp,

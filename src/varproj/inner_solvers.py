@@ -12,12 +12,15 @@ LSQR iteration costs between two and four applies. The direct route
 factors the normal equations S^T S once and reuses the factorization for
 pseudoinverse and projector applications needed by Jacobian assembly.
 
-kappa_2(S) comes two ways. ``condition_number`` takes it from the
-eigenvalues of the band Gram of ``normal_band`` when there is one and the
-certified relative error of that value is at most 1e-4, and otherwise from
-an SVD of the materialized S. ``condition_number_below`` certifies
-kappa_2(S) < limit from the Gram a ``DirectFactorization`` already holds,
-with no eigensolver.
+kappa_2(S) and ||S||_2 have one source, the Gram matrix S^T S that
+``DirectFactorization`` builds: the band of ``normal_band``, or the
+``dsyrk`` lower triangle of the materialized S. ``condition_number``
+returns a certified upper bound on kappa_2(S) from its extreme computed
+eigenvalues; the square root of the largest one is ||S||_2 within a
+relative delta / (2 lambda_max) (``_gram_spectrum``).
+``condition_number_below`` certifies kappa_2(S) < limit from the Gram a
+``DirectFactorization`` already holds, with no eigensolver. Nothing here
+takes an SVD.
 """
 
 from __future__ import annotations
@@ -35,10 +38,6 @@ LSQR_MAX_ITERATIONS = 10000
 
 _EPS = float(np.finfo(float).eps)
 
-# condition_number returns the band route's kappa when its certified relative
-# error is at most this.
-_BAND_KAPPA_BOUND = 1e-4
-
 # lsqr_solve starts its true stopping test once the estimated criterion is
 # below _SCREEN_MARGIN times the tolerance, or the estimated residual norm
 # below _FLOOR_MARGIN times the compatible-system floor.
@@ -52,10 +51,6 @@ class NumericalBreakdownError(RuntimeError):
 
 class SingularSystemError(RuntimeError):
     """The normal equations are not numerically positive definite."""
-
-
-class RankDeficiencyError(RuntimeError):
-    """A materialized operator is numerically rank deficient."""
 
 
 @dataclass
@@ -290,15 +285,8 @@ class DirectFactorization:
 
     def __init__(self, op: StackedOperator):
         self.op = op
-        normal = normal_band(op)
-        self.banded = normal is not None
-        if not self.banded:
-            # dsyrk on the Fortran view S^T fills the lower triangle of S^T S,
-            # bit for bit that of numpy's dense.T @ dense, and leaves the
-            # upper one zero; every reader of ``normal`` reads the lower one.
-            # It also keeps the dense route on scipy's BLAS alone.
-            dense = np.asarray(op.to_dense(), dtype=float)
-            normal = scipy.linalg.blas.dsyrk(1.0, dense.T, lower=1)
+        normal, dense = _gram(op)
+        self.banded = dense is None
         normal.setflags(write=False)
         self.normal = normal
         try:
@@ -322,6 +310,20 @@ class DirectFactorization:
         """Inner solution for stacked data [b; 0]: (S^T S)^{-1} A^T b."""
         b = np.asarray(b, dtype=float)
         return self.solve_normal(self.op.top.rmatvec(b))
+
+
+def _gram(op: LinearOperator) -> tuple[np.ndarray, np.ndarray | None]:
+    """The Gram matrix of S as ``DirectFactorization`` holds it, and S if it
+    was materialized. That is ``normal_band(op)`` when there is one (and
+    None for S). Otherwise ``dsyrk`` on the Fortran view S^T fills the lower
+    triangle of S^T S, bit for bit that of numpy's dense.T @ dense, and
+    leaves the upper one zero. It also keeps the dense route on scipy's
+    BLAS alone."""
+    normal = normal_band(op)
+    if normal is not None:
+        return normal, None
+    dense = np.asarray(op.to_dense(), dtype=float)
+    return scipy.linalg.blas.dsyrk(1.0, dense.T, lower=1), dense
 
 
 def _extreme_eigenvalues(normal: np.ndarray, banded: bool) -> tuple[float, float]:
@@ -352,94 +354,90 @@ def apply_projector_perp(fact: DirectFactorization, z) -> np.ndarray:
 
 
 def condition_number(op: LinearOperator) -> float:
-    """2-norm condition number kappa_2(S) = sigma_max / sigma_min of an operator S.
+    """A certified upper bound kappa_bar on the 2-norm condition number
+    kappa_2(S) of a stacked operator S, from the Gram matrix that
+    ``DirectFactorization`` builds.
 
-    Two routes. When ``normal_band`` gives S^T S as a band, kappa is
-    sqrt(lambda_max / lambda_min) of that band, from one LAPACK ``dsbevd``
-    call, and S is never materialized; ``_band_condition_number`` bounds the
-    relative error of that value, and it is returned when the bound is at
-    most 1e-4. At n = 1024 and widths 2 to 4 it took 31-55 ms against
-    0.68-0.92 s for the SVD, the bound was 1.1e-6 to 3.1e-6, and the value
-    was within 5e-12 to 7e-10 of the SVD's (one BLAS thread). Otherwise,
-    and for every operator without a band Gram, S is materialized and its
-    singular values come from ``numpy.linalg.svd``.
+    With lo and hi its smallest and largest computed eigenvalue and delta
+    the error bound of ``_gram_spectrum``, kappa_bar = sqrt((hi + delta) /
+    (lo - delta)), times 1 + 4 eps for the rounding of that formula. So
+    kappa_2(S) <= kappa_bar <= kappa_2(S) (1 + 2 b / (1 - b)), b = delta / lo,
+    up to a few eps. On the band route the eigenvalues come from one LAPACK
+    ``dsbevd`` call and S is never materialized: at n = 1024 and widths 2
+    to 4 that took 41-67 ms, against 0.82-1.06 s for an SVD, and b was
+    1.1e-6 to 3.1e-6 (one BLAS thread). Otherwise ``dsyevr`` takes them from
+    the ``dsyrk`` lower triangle: 1.2-1.7 ms at n = 128 and widths 1.5 to 8,
+    with b = 8e-7 to 7.3e-6.
 
-    Raises ``RankDeficiencyError`` when the SVD's sigma_min <= max(m, n) eps
-    sigma_max, the default rank tolerance of ``numpy.linalg.matrix_rank``: an
-    exactly rank-deficient m x n operator can have a computed sigma_min of
-    that order. The band route never decides this. Its bound is infinite when
-    S is rank deficient, so the SVD runs, and it is at most 1e-4 only for
-    kappa below about 0.01 / sqrt(n eps), far below that rank tolerance.
+    Raises ``SingularSystemError`` when lo <= delta, as for a rank-deficient
+    S: then kappa_2(S) has no finite bound.
     """
-    band = normal_band(op)
-    if band is not None:
-        kappa, bound = _band_condition_number(op, band)
-        if bound <= _BAND_KAPPA_BOUND:
-            return kappa
-    dense = op.to_dense()
-    s = np.linalg.svd(dense, compute_uv=False)
-    if s[-1] <= max(dense.shape) * _EPS * s[0]:
-        raise RankDeficiencyError(
-            f"operator is numerically rank deficient (smallest singular value {s[-1]:.3e})"
-        )
-    return float(s[0] / s[-1])
-
-
-def _band_condition_number(op: StackedOperator, band: np.ndarray) -> tuple[float, float]:
-    """kappa_2(S) from the Gram band G = ``normal_band(op)`` of S = [A; lam W D],
-    and a bound on its relative error: infinity when there is none.
-
-    With u = eps / 2, no underflow or overflow, a_t (a_-t = a_t) A's first
-    row up to its last nonzero index k, l1 = sum_t |a_t| and c_0 =
-    sum_t a_t^2, the sums running over -k <= t <= k:
-
-    - Gram rounding. Each kept entry of G sums, in some order, at most
-      2k + 1 products of two entries of A, each rounded once, and at most
-      two terms (lam w_i)^2, each rounded three times: no term passes
-      through more than 2k + 5 roundings. So G = S^T S + E - P, with
-      |E| <= g |S|^T |S| entrywise on the kept band, E = 0 off it, and
-      g = gamma_{2k+5} (Higham, Accuracy and Stability of Numerical
-      Algorithms, sec. 3.5 and Lemma 6.6). The rows and columns of |A| sum
-      to at most l1, so the rows of |A|^T |A| sum to at most l1^2, the sum
-      over d of the c_d of ``_kept_diagonals``. Row j of |L|^T |L|,
-      L = lam W D, sums to 2 (L^T L)_jj <= 2 (S^T S)_jj <= 2 G_jj / (1 - g).
-      So M = l1^2 + 2 max_j G_jj / (1 - g) bounds || |S|^T |S| ||_inf, and
-      ||E||_2 <= g M.
-    - Dropped diagonals. P, the part of S^T S past the band, has
-      ||P||_2 <= u c_0 / 2 (see ``normal_band``).
-    - Eigensolver. ``dsbevd`` reduces G to tridiagonal form by orthogonal
-      transformations and takes the eigenvalues of that; both steps are
-      backward stable, so the computed eigenvalues are exact ones of G + F
-      with ||F||_2 <= p(n) eps ||G||_2 (Golub and Van Loan, Matrix
-      Computations, secs. 8.1 and 8.3; LAPACK Users' Guide, sec. 4.7),
-      where p(n), a modestly growing function, is taken as n here; and
-      ||G||_2 <= ||G||_inf <= (1 + g) M.
-    - Conclusion. By Weyl's inequality each computed eigenvalue is within
-      delta = g M + u c_0 / 2 + n eps (1 + g) M of the same eigenvalue of
-      S^T S. With lo and hi the smallest and largest computed eigenvalue,
-      lo > delta, a = delta / hi and b = delta / lo (so a <= b), the ratios
-      kappa / kappa_hat and kappa_hat / kappa, kappa_hat = sqrt(hi / lo),
-      both lie within sqrt((1 + a) / (1 - b)) <= 1 + (a + b) / (2 (1 - b))
-      of 1. The bound returned is twice that, (a + b) / (1 - b): its spare
-      half is at least a >= n eps / (1 + n eps), since hi <= (1 + g) M
-      (1 + n eps), and covers the 2 u of the returned square root and the
-      relative O(k u) rounding of delta and of the bound. A rank-deficient
-      S has lambda_min(S^T S) = 0, so lo <= delta and the bound is infinite.
-    """
-    n = op.cols
-    k = op.top._band_k
-    a0 = abs(float(op.top.first_row[0]))
-    tail = np.abs(op.top.first_row[1 : k + 1])
-    l1 = a0 + 2.0 * float(tail.sum())
-    c0 = a0 * a0 + 2.0 * float(tail @ tail)
-    g = _gamma(2 * k + 5)
-    norm_bound = l1 * l1 + 2.0 * float(band[0].max()) / (1.0 - g)
-    delta = g * norm_bound + _EPS / 4 * c0 + n * _EPS * (1.0 + g) * norm_bound
-    lo, hi = _extreme_eigenvalues(band, banded=True)
+    lo, hi, delta = _gram_spectrum(op)
     if not lo > delta:
-        return math.nan, math.inf
-    b = delta / lo
-    return math.sqrt(hi / lo), (delta / hi + b) / (1.0 - b)
+        raise SingularSystemError(
+            f"cannot bound the condition number: the smallest Gram eigenvalue {lo:.6e} "
+            f"is within its error bound {delta:.6e}; set [schedules] epsilon0 explicitly"
+        )
+    return math.sqrt((hi + delta) / (lo - delta)) * (1.0 + 4.0 * _EPS)
+
+
+def _gram_spectrum(op: LinearOperator) -> tuple[float, float, float]:
+    """The smallest and largest computed eigenvalue lo and hi of the Gram
+    matrix G = ``_gram(op)`` of S, and delta, a bound on how far each lies
+    from the same eigenvalue of S^T S.
+
+    With u = eps / 2 and no underflow or overflow:
+
+    - Gram rounding. G = S^T S + E - P, with |E| <= g |S|^T |S| entrywise
+      on the entries G keeps, E = 0 off them, and P the part of S^T S that
+      G drops (Higham, Accuracy and Stability of Numerical Algorithms,
+      sec. 3.5 and Lemma 6.6). So ||E||_2 <= g M for any M >=
+      || |S|^T |S| ||_inf.
+      - Dense: each entry is an inner product of two columns of S over m
+        terms, so g = gamma_m, and M = max(|S|^T (|S| 1)) from the
+        materialized |S|, divided by 1 - gamma_{m+n} for its own two sums.
+        P = 0.
+      - Band, S = [A; lam W D] with a_t (a_-t = a_t) A's first row up to its
+        last nonzero index k, l1 = sum_t |a_t| and c_0 = sum_t a_t^2, the
+        sums over -k <= t <= k: each kept entry sums at most 2k + 1 products
+        of two entries of A, each rounded once, and at most two terms
+        (lam w_i)^2, each rounded three times, so g = gamma_{2k+5}. The rows
+        and columns of |A| sum to at most l1, so the rows of |A|^T |A| sum
+        to at most l1^2, the sum over d of the c_d of ``_kept_diagonals``.
+        Row j of |L|^T |L|, L = lam W D, sums to 2 (L^T L)_jj <= 2 G_jj /
+        (1 - g). So M = l1^2 + 2 max_j G_jj / (1 - g). The dropped diagonals
+        have ||P||_2 <= u c_0 / 2 (see ``normal_band``).
+    - Eigensolver. ``dsbevd`` and ``dsyevr`` reduce G to tridiagonal form by
+      orthogonal transformations and take the eigenvalues of that; both
+      steps are backward stable, so the computed eigenvalues are exact ones
+      of G + F with ||F||_2 <= p(n) eps ||G||_2 (Golub and Van Loan, Matrix
+      Computations, secs. 8.1 and 8.3; LAPACK Users' Guide, sec. 4.7), where
+      p(n), a modestly growing function, is taken as n here; and ||G||_2 <=
+      ||G||_inf <= (1 + g) M.
+    - Conclusion. By Weyl's inequality each computed eigenvalue is within
+      g M + ||P||_2 + n eps (1 + g) M of the same eigenvalue of S^T S. delta
+      is that times 1 + 16 eps, which covers the rounding of the few
+      operations that form it. A rank-deficient S has lambda_min(S^T S) = 0,
+      so lo <= delta.
+    """
+    m, n = op.shape
+    normal, dense = _gram(op)
+    if dense is None:
+        k = op.top._band_k
+        a0 = abs(float(op.top.first_row[0]))
+        tail = np.abs(op.top.first_row[1 : k + 1])
+        l1 = a0 + 2.0 * float(tail.sum())
+        g = _gamma(2 * k + 5)
+        norm_bound = l1 * l1 + 2.0 * float(normal[0].max()) / (1.0 - g)
+        dropped = _EPS / 4 * (a0 * a0 + 2.0 * float(tail @ tail))
+    else:
+        magnitude = np.abs(dense)
+        g = _gamma(m)
+        norm_bound = float((magnitude.T @ magnitude.sum(axis=1)).max()) / (1.0 - _gamma(m + n))
+        dropped = 0.0
+    lo, hi = _extreme_eigenvalues(normal, dense is None)
+    delta = (g * norm_bound + dropped + n * _EPS * (1.0 + g) * norm_bound) * (1.0 + 16.0 * _EPS)
+    return lo, hi, delta
 
 
 def _gamma(k: int) -> float:

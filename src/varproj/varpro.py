@@ -22,6 +22,7 @@ import scipy.linalg
 from .inner_solvers import (
     DirectFactorization,
     SingularSystemError,
+    _extreme_eigenvalues,
     apply_pinv_transpose,
     apply_projector_perp,
     condition_number,  # not called here: bench/spans.py wraps varpro.condition_number
@@ -36,7 +37,7 @@ SCHEDULE_KINDS = ("constant", "linear", "exponential", "fixed-small")
 FIXED_SMALL_TOLERANCE = 1e-11
 
 NORM_MODE_INTERNAL = "internal-bidiagonal"
-NORM_MODE_EXPLICIT = "explicit-svd"
+NORM_MODE_EXPLICIT = "explicit-2norm"
 
 
 class SingularStepError(RuntimeError):
@@ -113,9 +114,9 @@ class OuterOptions:
     ``max_outer_iterations`` Gauss-Newton steps, whichever happens first.
     ``schedule`` is required by the inexact variant only.
     ``norm_estimate_mode`` is the inexact variant's LSQR norm control:
-    ``explicit-svd`` takes ||S|| in the LSQR stopping test from an SVD of the
-    materialized S (for bound-verification runs), ``internal-bidiagonal``
-    from LSQR's running estimate.
+    ``explicit-2norm`` takes ||S||_2 in the LSQR stopping test from the Gram
+    matrix the iteration factors (for bound-verification runs),
+    ``internal-bidiagonal`` from LSQR's running estimate.
     """
 
     max_outer_iterations: int = 50
@@ -267,7 +268,7 @@ def _evaluate(model, y, b, L, lam, schedule: ToleranceSchedule | None = None, k:
                 ToleranceWarning,
                 stacklevel=4,  # _evaluate, _gauss_newton, inexact_genvarpro
             )
-        op_norm = (float(np.linalg.svd(S.to_dense(), compute_uv=False)[0])
+        op_norm = (float(np.sqrt(_extreme_eigenvalues(fact.normal, fact.banded)[1]))
                    if opts.norm_estimate_mode == NORM_MODE_EXPLICIT else None)
         sol = lsqr_solve(S, d, eps_k, operator_norm=op_norm)
         x = sol.x_bar

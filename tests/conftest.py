@@ -55,8 +55,10 @@ class ExactAt(NamedTuple):
 
 
 def exact_at(problem, y):
-    """The exact inner solution x(y), the exact gradient, kappa and ||S||_2
-    at y, from the calls that `varproj bounds` and `varproj table` make."""
+    """The exact inner solution x(y) and the exact gradient at y, from the
+    calls that `varproj bounds` and `varproj table` make, and kappa and
+    ||S||_2 from numpy's SVD of the materialized S: an oracle independent of
+    the Gram matrix the library reads them from."""
     fact, x, fvec = vp.exact_residual(problem.model, y, problem.b, problem.L, problem.lam)
     J = vp.exact_jacobian(problem.model, y, fact, x, problem.b)
     s = np.linalg.svd(fact.op.to_dense(), compute_uv=False)
@@ -150,7 +152,8 @@ def certificate_corpus():
     """200 random stacked systems solved by LSQR with epsilon*kappa < 1/2.
 
     Each entry carries the dense operator, data, tolerance, true 2-norm,
-    condition number, and the inner solution (explicit-SVD stopping mode).
+    condition number, and the inner solution (stopped on the 2-norm from
+    numpy's SVD).
     """
     rng = np.random.default_rng(20240)
     corpus = []

@@ -63,6 +63,28 @@ def test_benchmark_imported_names_exist():
     assert missing == []
 
 
+def test_library_takes_no_svd():
+    # kappa_2(S) and ||S||_2 come from the Gram matrix alone, so no module
+    # of the library calls an SVD routine (numpy's or scipy's svd, svdvals)
+    # or names the error that an SVD's rank test once raised. Read with ast,
+    # so a call that no test reaches is caught too.
+    package = Path(vp.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if "svd" in name.lower():
+                    found.append(f"{path.name}:{node.lineno} calls {name}")
+            names = ([node.id] if isinstance(node, ast.Name) else
+                     [node.attr] if isinstance(node, ast.Attribute) else
+                     [node.name] if isinstance(node, (ast.ClassDef, ast.alias)) else [])
+            if "RankDeficiencyError" in names:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')} names RankDeficiencyError")
+    assert found == []
+
+
 @pytest.mark.parametrize("solver,schedule", [
     ("genvarpro", None),
     ("inexact_genvarpro", vp.ToleranceSchedule("fixed-small")),

@@ -18,7 +18,9 @@ import varproj as vp
 import varproj.cli as cli
 from varproj import deconv
 from varproj.cli import main
-from varproj.inner_solvers import RankDeficiencyError
+from varproj.inner_solvers import SingularSystemError
+
+from test_inner_solvers import assert_certified_kappa
 
 SMALL_CONFIG = """\
 [problem]
@@ -290,10 +292,10 @@ class TestCompare:
         assert (tmp_path / "o" / "manifest.json").exists()
 
     def test_solver_exception_exit_code(self, small_cfg, tmp_path, monkeypatch, capsys):
-        def rank_deficient(*args, **kwargs):
-            raise RankDeficiencyError("operator is numerically rank deficient")
+        def singular(*args, **kwargs):
+            raise SingularSystemError("normal equations are not positive definite")
 
-        monkeypatch.setattr(cli, "genvarpro", rank_deficient)
+        monkeypatch.setattr(cli, "genvarpro", singular)
         assert main(["compare", "--config", str(small_cfg),
                      "--out", str(tmp_path / "o")]) == 2
         assert "solver error" in capsys.readouterr().err
@@ -338,9 +340,42 @@ class TestBounds:
             _, rows = _read_csv(out / f"bounds_{name}_y0_1p6.csv")
             assert len(rows) == len(trace) == 9
             for rec, row in zip(trace.records, rows):
-                s = np.linalg.svd(vp.stacked_operator(problem, rec.y[0]).to_dense(),
-                                  compute_uv=False)
-                assert float(row[2]) == s[0] / s[-1]
+                # kappa is condition_number's certified upper bound, which
+                # lies within its bracket around the SVD's kappa.
+                op = vp.stacked_operator(problem, rec.y[0])
+                assert float(row[2]) == vp.condition_number(op)
+                assert assert_certified_kappa(op) is not None
+
+    def test_band_route_takes_no_svd(self, tmp_path, monkeypatch):
+        # At n = 512 the Gram of widths up to about 2.37 is a band, so bounds
+        # takes kappa and ||S||_2 from its eigenvalues and never materializes
+        # S. Each kappa is a certified upper bound on the SVD's.
+        cfg = tmp_path / "band.cfg"
+        cfg.write_text("[problem]\nn = 512\nsigma_true = 2.0\n[solver]\ny0 = 2.0\n"
+                       "max_outer_iterations = 2\n[schedules]\nrun = b\n")
+        traces = []
+
+        def recording(*args, _solve=cli.inexact_genvarpro, **kwargs):
+            traces.append(_solve(*args, **kwargs))
+            return traces[-1]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("bounds took an SVD or materialized S")
+
+        out = tmp_path / "out"
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "inexact_genvarpro", recording)
+            patch.setattr(np.linalg, "svd", refuse)
+            patch.setattr(vp.StackedOperator, "to_dense", refuse)
+            assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 0
+        problem = vp.build_problem(cli.load_settings(str(cfg)).problem)
+        _, rows = _read_csv(out / "bounds_b_y0_2.csv")
+        assert len(traces) == 1 and len(rows) == len(traces[0]) == 3
+        for rec, row in zip(traces[0].records, rows):
+            op = vp.stacked_operator(problem, rec.y[0])
+            assert vp.linops.normal_band(op) is not None
+            s = np.linalg.svd(op.to_dense(), compute_uv=False)
+            assert float(row[2]) >= s[0] / s[-1]
 
     def test_fatal_violation_exit_code(self, small_cfg, tmp_path, monkeypatch):
         # Force a violation by shrinking every computed bound to zero.

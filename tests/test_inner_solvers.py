@@ -15,9 +15,8 @@ from varproj.inner_solvers import (
     LSQR_MAX_ITERATIONS,
     DirectFactorization,
     NumericalBreakdownError,
-    RankDeficiencyError,
     SingularSystemError,
-    _band_condition_number,
+    _gram_spectrum,
     _norm,
     _sym_ortho,
     apply_pinv,
@@ -37,10 +36,33 @@ def _identity_stack(n, lam=1.0):
 
 def svd_condition_number(op):
     """kappa_2 of the materialized operator from numpy's SVD, independent of
-    the Gram matrix; None when sigma_min <= max(m, n) eps sigma_max, where
-    ``condition_number`` raises ``RankDeficiencyError``."""
+    the Gram matrix; None when sigma_min <= max(m, n) eps sigma_max, the
+    default rank tolerance of ``numpy.linalg.matrix_rank``."""
     s = np.linalg.svd(op.to_dense(), compute_uv=False)
     return None if s[-1] <= max(op.shape) * EPS * s[0] else float(s[0] / s[-1])
+
+
+def assert_certified_kappa(op):
+    """``condition_number`` raises ``SingularSystemError`` exactly when the
+    smallest computed Gram eigenvalue lo is at most its error bound delta.
+    Otherwise the SVD's kappa lies below the returned kappa_bar, and
+    kappa_bar below it times (1 + b) / (1 - b), b = delta / lo, both up to
+    the SVD's own error of about max(m, n) eps kappa and 8 eps for the last
+    factor and the rounding of kappa_bar. Returns the relative gap
+    kappa_bar / kappa_svd - 1, or None when it raised."""
+    lo, _, delta = _gram_spectrum(op)
+    expected = svd_condition_number(op)
+    if not lo > delta:
+        with pytest.raises(SingularSystemError, match=r"set \[schedules\] epsilon0"):
+            vp.condition_number(op)
+        return None
+    kappa = vp.condition_number(op)
+    assert expected is not None
+    b = delta / lo
+    slack = (max(op.shape) * expected + 8.0) * EPS
+    gap = kappa / expected - 1.0
+    assert -slack <= gap <= 2.0 * b / (1.0 - b) + slack
+    return gap
 
 
 class TestDirectSolve:
@@ -212,6 +234,39 @@ class TestPinvApplications:
                                        rtol=0, atol=1e-8 * np.linalg.norm(z))
 
 
+@st.composite
+def stacked_with_rank(draw):
+    """A random stacked operator [A; lam L] and whether it is rank deficient.
+
+    The top A is m x n with m >= n and its first z columns zeroed; L is a
+    random q x n matrix. Such a stack has full column rank (almost surely)
+    unless z > 0 and the bottom cannot cover the zeroed columns, that is
+    lam = 0 or q < z.
+    """
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(n, 16))
+    q = draw(st.integers(0, 6))
+    z = draw(st.integers(0, min(2, n)))
+    lam = draw(st.one_of(st.just(0.0), st.floats(0.1, 2.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = rng.standard_normal((m, n))
+    top[:, :z] = 0.0
+    op = vp.stack(vp.DenseOperator(top), vp.DenseOperator(rng.standard_normal((q, n))), lam)
+    return op, z > 0 and (lam == 0.0 or q < z)
+
+
+@st.composite
+def band_stacks(draw):
+    """A ``band_route_stack`` or a ``decaying_band_stack`` at n = 64 to 256,
+    with lam = 0 or drawn from [1e-3, 2]."""
+    n = draw(st.integers(64, 256))
+    seed = draw(st.integers(0, 2**32 - 1))
+    lam = draw(st.one_of(st.just(0.0), st.floats(1e-3, 2.0)))
+    if draw(st.booleans()):
+        return decaying_band_stack(n, seed, lam)
+    return band_route_stack(n, draw(st.integers(0, (n // 2 - 1) // 4)), seed, lam)
+
+
 class TestConditionNumber:
     def test_identity(self):
         op = vp.stack(vp.DenseOperator(np.eye(3)), vp.DenseOperator(np.zeros((0, 3))), 0.0)
@@ -235,39 +290,25 @@ class TestConditionNumber:
 
     def test_rank_deficiency(self):
         op = vp.stack(vp.DenseOperator(np.zeros((3, 2))), vp.DenseOperator(np.zeros((1, 2))), 1.0)
-        with pytest.raises(RankDeficiencyError):
+        with pytest.raises(SingularSystemError):
             vp.condition_number(op)
 
-    # n = 512 takes the band route at width 2 only; the other cases fall
-    # through to the SVD. The bound was 1e-6 to 3.1e-6 on the band route.
+    # n = 512 takes the band route at width 2 only; the other cases take the
+    # dense route. b = delta / lo was 9.6e-7 to 3.1e-6 on the band route and
+    # 2.9e-6 to 4.6e-6 on the dense one.
     @pytest.mark.parametrize("n,y", [(n, y) for n in (512, 1024)
                                      for y in (2.0, 2.9, 3.07, 4.0)])
     def test_band_route_within_its_bound_of_the_svd(self, n, y):
         op = vp.stacked_operator(vp.build_problem(vp.BenchConfig(n=n)), y)
-        kappa = vp.condition_number(op)
-        expected = svd_condition_number(op)
-        band = normal_band(op)
-        if band is None:
-            assert kappa == expected
-            return
-        band_kappa, bound = _band_condition_number(op, band)
-        assert bound <= 1e-4 and kappa == band_kappa
-        # The SVD's own sigma_min is accurate to about max(m, n) eps sigma_max.
-        assert abs(kappa / expected - 1.0) <= bound + max(op.shape) * EPS * expected
+        lo, _, delta = _gram_spectrum(op)
+        assert delta / lo <= 1e-5
+        assert_certified_kappa(op)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(st.integers(64, 256), st.integers(0, 2**32 - 1), st.floats(1e-3, 2.0), st.data())
-    def test_band_bound_holds_on_random_band_stacks(self, n, seed, lam, data):
-        if data.draw(st.booleans()):
-            op = decaying_band_stack(n, seed, lam)
-        else:
-            op = band_route_stack(n, data.draw(st.integers(0, (n // 2 - 1) // 4)), seed, lam)
-        band_kappa, bound = _band_condition_number(op, normal_band(op))
-        expected = svd_condition_number(op)
-        if expected is None:
-            assert bound == math.inf
-        elif bound < math.inf:
-            assert abs(band_kappa / expected - 1.0) <= bound + max(op.shape) * EPS * expected
+    @given(band_stacks())
+    def test_band_bound_holds_on_random_band_stacks(self, op):
+        assert normal_band(op) is not None
+        assert_certified_kappa(op)
 
     def test_band_route_materializes_nothing(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -286,51 +327,42 @@ class TestConditionNumber:
         vp.genvarpro(problem.model, problem.b, problem.L, problem.lam, np.array([2.0]),
                      vp.OuterOptions(max_outer_iterations=1, step_tolerance=0.0))
 
+    # The dense route's value is the SVD's within its certified bound; the
+    # SVD is the oracle. b = delta / lo was 8.0e-7 to 4.6e-6 here.
     @pytest.mark.parametrize("n,y", [(48, 2.0), (128, 1.5), (128, 2.0), (128, 4.0),
                                      (512, 4.0)])
     def test_dense_route_is_the_svd(self, n, y):
         op = vp.stacked_operator(vp.build_problem(vp.BenchConfig(n=n)), y)
         assert normal_band(op) is None
-        assert vp.condition_number(op) == svd_condition_number(op)
+        lo, _, delta = _gram_spectrum(op)
+        assert delta / lo <= 1e-5
+        assert_certified_kappa(op)
 
-    # Decaying band stacks at n = 256 whose kappa is too large for the band
-    # bound to reach 1e-4; measured bounds 2.6e-2 / 2.2e-4 and 1.9e-2 / 1.9e-4.
+    # Decaying band stacks at n = 256 so ill-conditioned that an earlier
+    # 1e-4 gate on the band route's bound sent them to an SVD. Their
+    # b = delta / lo is finite, 1.9e-4 to 2.5e-2, and kappa_bar is 0.93e-4 to
+    # 1.3e-2 above the SVD's kappa.
     @pytest.mark.parametrize("seed,lam", [(28, 0.0), (28, 1e-8), (137, 0.0), (137, 1e-8)])
     def test_band_route_falls_back_to_the_svd(self, seed, lam):
         op = decaying_band_stack(256, seed, lam)
-        assert _band_condition_number(op, normal_band(op))[1] > 1e-4
-        assert vp.condition_number(op) == svd_condition_number(op)
+        lo, _, delta = _gram_spectrum(op)
+        assert normal_band(op) is not None and 1e-4 < delta / lo < 0.1
+        assert assert_certified_kappa(op) is not None
 
     @pytest.mark.parametrize("lam", [0.0, 1.0])
     def test_rank_deficient_band_stack(self, lam):
         # A zero top block over W D: S = 0, or of rank n - 1 (D kills constants).
         op = vp.stack(vp.SymmetricToeplitzOperator(np.zeros(64)),
                       vp.FirstDifferenceOperator(np.linspace(1.0, 3.0, 63)), lam)
-        band = normal_band(op)
-        assert band is not None and _band_condition_number(op, band)[1] == math.inf
-        with pytest.raises(RankDeficiencyError):
+        lo, _, delta = _gram_spectrum(op)
+        assert normal_band(op) is not None and not lo > delta
+        with pytest.raises(SingularSystemError):
             vp.condition_number(op)
 
-
-@st.composite
-def stacked_with_rank(draw):
-    """A random stacked operator [A; lam L] and whether it is rank deficient.
-
-    The top A is m x n with m >= n and its first z columns zeroed; L is a
-    random q x n matrix. Such a stack has full column rank (almost surely)
-    unless z > 0 and the bottom cannot cover the zeroed columns, that is
-    lam = 0 or q < z.
-    """
-    n = draw(st.integers(1, 8))
-    m = draw(st.integers(n, 16))
-    q = draw(st.integers(0, 6))
-    z = draw(st.integers(0, min(2, n)))
-    lam = draw(st.one_of(st.just(0.0), st.floats(0.1, 2.0)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    top = rng.standard_normal((m, n))
-    top[:, :z] = 0.0
-    op = vp.stack(vp.DenseOperator(top), vp.DenseOperator(rng.standard_normal((q, n))), lam)
-    return op, z > 0 and (lam == 0.0 or q < z)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.one_of(stacked_with_rank().map(lambda case: case[0]), band_stacks()))
+    def test_certified_upper_bound_or_singular(self, op):
+        assert_certified_kappa(op)
 
 
 @st.composite
@@ -363,10 +395,10 @@ class TestConditionNumberBound:
         # test_rank_deficient_never_certified covers the rank-deficient stacks.
         op, deficient = case
         if deficient:
-            with pytest.raises(RankDeficiencyError):
+            with pytest.raises(SingularSystemError):
                 vp.condition_number(op)
             return
-        kappa = vp.condition_number(op)
+        kappa = svd_condition_number(op)
         limit = kappa * (1.0 + s)
         assert kappa < limit or not condition_number_below(DirectFactorization(op), limit)
 

@@ -462,14 +462,16 @@ class TestOuterLoops:
     def test_dense_route_materializes_in_the_factorization(self, problem, no_materializing,
                                                             schedule):
         # The n = 128 normal equations are dense: DirectFactorization
-        # materializes S to form them, and the solver lets the error through.
+        # materializes S in ``_gram`` to form them, and the solver lets the
+        # error through.
         solve = vp.genvarpro if schedule is None else vp.inexact_genvarpro
         with pytest.raises(MaterializedError) as caught:
             solve(problem.model, problem.b, problem.L, problem.lam, np.array([2.0]),
                   vp.OuterOptions(schedule=schedule))
         assert str(caught.value) == "StackedOperator"
-        assert [(entry.path.name, entry.name) for entry in caught.traceback][-2:] == [
-            ("inner_solvers.py", "__init__"), ("test_varpro.py", "refuse")]
+        assert [(entry.path.name, entry.name) for entry in caught.traceback][-3:] == [
+            ("inner_solvers.py", "__init__"), ("inner_solvers.py", "_gram"),
+            ("test_varpro.py", "refuse")]
 
     def test_unconverged_inner_solves_reported_without_a_cause(self, small_problem):
         # Eleven inner solves stop unconverged after 512-514 iterations, far
@@ -500,12 +502,12 @@ class TestOuterLoops:
             assert ri.f_value == pytest.approx(re_.f_value, rel=1e-8)
 
     def test_explicit_norm_on_band_path(self):
-        # At n = 256 and width 1 the normal equations take the band path, so
-        # the explicit-SVD norm materializes the stacked operator itself.
+        # At n = 256 and width 1 the normal equations take the band path, and
+        # the explicit norm comes from the band Gram's largest eigenvalue.
         p = vp.build_problem(vp.BenchConfig(n=256, sigma_true=1.0))
         assert normal_band(vp.stacked_operator(p, 1.0)) is not None
         opts = vp.OuterOptions(max_outer_iterations=2, step_tolerance=0.0,
-                               norm_estimate_mode="explicit-svd",
+                               norm_estimate_mode="explicit-2norm",
                                schedule=vp.ToleranceSchedule("constant", 1e-6))
         trace = vp.inexact_genvarpro(p.model, p.b, p.L, p.lam, np.array([1.0]), opts)
         assert not trace.failed
