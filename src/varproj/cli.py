@@ -40,7 +40,7 @@ from .deconv import BenchConfig, ConfigError, ProblemInstance, build_problem, st
 from .inner_solvers import (
     NumericalBreakdownError,
     SingularSystemError,
-    _extreme_eigenvalues,
+    _condition_number_and_lambda_max,
     condition_number,
 )
 from .varpro import (
@@ -376,11 +376,11 @@ def cmd_bounds(settings: RunSettings, out_dir: Path) -> int:
 
     The inexact runs take ||S||_2 in the stopping test, since the bounds are
     stated for the 2-norm. After each run, x(y), kappa (``condition_number``)
-    and ||S||_2 (from the Gram that ``exact_residual`` factored) are computed
-    at each recorded iterate. Violations
-    at tolerances above 1e3 * machine epsilon are check failures; below that
-    the inner tolerance has outrun the solver's own rounding floor and
-    violations are reported only.
+    and ||S||_2 (the square root of the largest Gram eigenvalue it was taken
+    from: one eigen-solve for both) are computed at each recorded iterate.
+    Violations at tolerances above 1e3 * machine epsilon are check failures;
+    below that the inner tolerance has outrun the solver's own rounding floor
+    and violations are reported only.
     """
     out = _Outputs("bounds", settings, out_dir)
     problem = out.problem
@@ -399,8 +399,8 @@ def cmd_bounds(settings: RunSettings, out_dir: Path) -> int:
             for rec in trace.records:
                 fact, x_exact, _ = exact_residual(problem.model, rec.y, problem.b,
                                                   problem.L, problem.lam)
-                eps, kappa = rec.epsilon, condition_number(fact.op)
-                op_norm = float(np.sqrt(_extreme_eigenvalues(fact.normal, fact.banded)[1]))
+                kappa, lambda_max = _condition_number_and_lambda_max(fact.op)
+                eps, op_norm = rec.epsilon, float(np.sqrt(lambda_max))
                 valid = eps * kappa < 1.0
                 measured_x = float(np.linalg.norm(x_exact - rec.x))
                 op = fact.op

@@ -19,8 +19,11 @@ returns a certified upper bound on kappa_2(S) from its extreme computed
 eigenvalues; the square root of the largest one is ||S||_2 within a
 relative delta / (2 lambda_max) (``_gram_spectrum``).
 ``condition_number_below`` certifies kappa_2(S) < limit from the Gram a
-``DirectFactorization`` already holds, with no eigensolver. Nothing here
-takes an SVD.
+``DirectFactorization`` already holds, with one shifted Cholesky and no
+eigensolver. Both bound the Gram's rounding error and lambda_max(S^T S) by
+one analysis (``_gram_error``), which reads the kernel on the band route and
+the materialized |S| on the dense one, so there the check materializes S
+once more. Nothing here takes an SVD.
 """
 
 from __future__ import annotations
@@ -278,7 +281,8 @@ class DirectFactorization:
     ``dsyrk`` and factored with ``dpotrf``. The computed normal matrix is
     kept, read-only, as ``normal`` (``banded`` tells which storage it has:
     the lower band, or the lower triangle with zeros above it) for the
-    kappa0 check of ``condition_number_below``. The pseudoinverse and projector
+    kappa0 check of ``condition_number_below``, which bounds its rounding
+    error as ``condition_number`` does. The pseudoinverse and projector
     applications below reuse the factorization and apply S through ``op``.
     Immutable after construction and shareable across threads.
     """
@@ -364,21 +368,27 @@ def condition_number(op: LinearOperator) -> float:
     kappa_2(S) <= kappa_bar <= kappa_2(S) (1 + 2 b / (1 - b)), b = delta / lo,
     up to a few eps. On the band route the eigenvalues come from one LAPACK
     ``dsbevd`` call and S is never materialized: at n = 1024 and widths 2
-    to 4 that took 41-67 ms, against 0.82-1.06 s for an SVD, and b was
-    1.1e-6 to 3.1e-6 (one BLAS thread). Otherwise ``dsyevr`` takes them from
-    the ``dsyrk`` lower triangle: 1.2-1.7 ms at n = 128 and widths 1.5 to 8,
-    with b = 8e-7 to 7.3e-6.
+    to 4 that took 41-67 ms, and b was 1.1e-6 to 3.1e-6 (one BLAS thread).
+    Otherwise ``dsyevr`` takes them from the ``dsyrk`` lower triangle:
+    1.2-1.7 ms at n = 128 and widths 1.5 to 8, with b = 8e-7 to 7.3e-6.
 
     Raises ``SingularSystemError`` when lo <= delta, as for a rank-deficient
     S: then kappa_2(S) has no finite bound.
     """
+    return _condition_number_and_lambda_max(op)[0]
+
+
+def _condition_number_and_lambda_max(op: LinearOperator) -> tuple[float, float]:
+    """``condition_number(op)`` and the largest computed Gram eigenvalue hi
+    it was taken from, whose square root is ||S||_2 within a relative
+    delta / (2 hi): one eigen-solve for both."""
     lo, hi, delta = _gram_spectrum(op)
     if not lo > delta:
         raise SingularSystemError(
             f"cannot bound the condition number: the smallest Gram eigenvalue {lo:.6e} "
             f"is within its error bound {delta:.6e}; set [schedules] epsilon0 explicitly"
         )
-    return math.sqrt((hi + delta) / (lo - delta)) * (1.0 + 4.0 * _EPS)
+    return math.sqrt((hi + delta) / (lo - delta)) * (1.0 + 4.0 * _EPS), hi
 
 
 def _gram_spectrum(op: LinearOperator) -> tuple[float, float, float]:
@@ -386,27 +396,9 @@ def _gram_spectrum(op: LinearOperator) -> tuple[float, float, float]:
     matrix G = ``_gram(op)`` of S, and delta, a bound on how far each lies
     from the same eigenvalue of S^T S.
 
-    With u = eps / 2 and no underflow or overflow:
+    With (g, M, ||P||_2) of ``_gram_error``, G = S^T S + E - P with
+    ||E||_2 <= g M, and, with no underflow or overflow:
 
-    - Gram rounding. G = S^T S + E - P, with |E| <= g |S|^T |S| entrywise
-      on the entries G keeps, E = 0 off them, and P the part of S^T S that
-      G drops (Higham, Accuracy and Stability of Numerical Algorithms,
-      sec. 3.5 and Lemma 6.6). So ||E||_2 <= g M for any M >=
-      || |S|^T |S| ||_inf.
-      - Dense: each entry is an inner product of two columns of S over m
-        terms, so g = gamma_m, and M = max(|S|^T (|S| 1)) from the
-        materialized |S|, divided by 1 - gamma_{m+n} for its own two sums.
-        P = 0.
-      - Band, S = [A; lam W D] with a_t (a_-t = a_t) A's first row up to its
-        last nonzero index k, l1 = sum_t |a_t| and c_0 = sum_t a_t^2, the
-        sums over -k <= t <= k: each kept entry sums at most 2k + 1 products
-        of two entries of A, each rounded once, and at most two terms
-        (lam w_i)^2, each rounded three times, so g = gamma_{2k+5}. The rows
-        and columns of |A| sum to at most l1, so the rows of |A|^T |A| sum
-        to at most l1^2, the sum over d of the c_d of ``_kept_diagonals``.
-        Row j of |L|^T |L|, L = lam W D, sums to 2 (L^T L)_jj <= 2 G_jj /
-        (1 - g). So M = l1^2 + 2 max_j G_jj / (1 - g). The dropped diagonals
-        have ||P||_2 <= u c_0 / 2 (see ``normal_band``).
     - Eigensolver. ``dsbevd`` and ``dsyevr`` reduce G to tridiagonal form by
       orthogonal transformations and take the eigenvalues of that; both
       steps are backward stable, so the computed eigenvalues are exact ones
@@ -420,8 +412,40 @@ def _gram_spectrum(op: LinearOperator) -> tuple[float, float, float]:
       operations that form it. A rank-deficient S has lambda_min(S^T S) = 0,
       so lo <= delta.
     """
-    m, n = op.shape
+    n = op.cols
     normal, dense = _gram(op)
+    g, norm_bound, dropped = _gram_error(op, normal, dense)
+    lo, hi = _extreme_eigenvalues(normal, dense is None)
+    delta = (g * norm_bound + dropped + n * _EPS * (1.0 + g) * norm_bound) * (1.0 + 16.0 * _EPS)
+    return lo, hi, delta
+
+
+def _gram_error(op: LinearOperator, normal: np.ndarray,
+                dense: np.ndarray | None) -> tuple[float, float, float]:
+    """The rounding analysis of the Gram matrix G = ``normal`` of S, as
+    ``_gram(op)`` returns it with S materialized as ``dense`` (None on the
+    band route): (g, M, ||P||_2) with G = S^T S + E - P, where |E| <=
+    g |S|^T |S| entrywise on the entries G keeps, E = 0 off them, P is the
+    part of S^T S that G drops, and M >= || |S|^T |S| ||_inf (Higham,
+    Accuracy and Stability of Numerical Algorithms, sec. 3.5 and Lemma 6.6).
+    So ||E||_2 <= g M, and lambda_max(S^T S) = ||S||_2^2 <= ||S^T S||_inf
+    <= M. With u = eps / 2 and no underflow or overflow:
+
+    - Dense: each entry is an inner product of two columns of S over m
+      terms, so g = gamma_m, and M = max(|S|^T (|S| 1)) from the
+      materialized |S|, divided by 1 - gamma_{m+n} for its own two sums.
+      P = 0.
+    - Band, S = [A; lam W D] with a_t (a_-t = a_t) A's first row up to its
+      last nonzero index k, l1 = sum_t |a_t| and c_0 = sum_t a_t^2, the
+      sums over -k <= t <= k: each kept entry sums at most 2k + 1 products
+      of two entries of A, each rounded once, and at most two terms
+      (lam w_i)^2, each rounded three times, so g = gamma_{2k+5}. The rows
+      and columns of |A| sum to at most l1, so the rows of |A|^T |A| sum
+      to at most l1^2, the sum over d of the c_d of ``_kept_diagonals``.
+      Row j of |L|^T |L|, L = lam W D, sums to 2 (L^T L)_jj <= 2 G_jj /
+      (1 - g). So M = l1^2 + 2 max_j G_jj / (1 - g). The dropped diagonals
+      have ||P||_2 <= u c_0 / 2 (see ``normal_band``).
+    """
     if dense is None:
         k = op.top._band_k
         a0 = abs(float(op.top.first_row[0]))
@@ -429,15 +453,11 @@ def _gram_spectrum(op: LinearOperator) -> tuple[float, float, float]:
         l1 = a0 + 2.0 * float(tail.sum())
         g = _gamma(2 * k + 5)
         norm_bound = l1 * l1 + 2.0 * float(normal[0].max()) / (1.0 - g)
-        dropped = _EPS / 4 * (a0 * a0 + 2.0 * float(tail @ tail))
-    else:
-        magnitude = np.abs(dense)
-        g = _gamma(m)
-        norm_bound = float((magnitude.T @ magnitude.sum(axis=1)).max()) / (1.0 - _gamma(m + n))
-        dropped = 0.0
-    lo, hi = _extreme_eigenvalues(normal, dense is None)
-    delta = (g * norm_bound + dropped + n * _EPS * (1.0 + g) * norm_bound) * (1.0 + 16.0 * _EPS)
-    return lo, hi, delta
+        return g, norm_bound, _EPS / 4 * (a0 * a0 + 2.0 * float(tail @ tail))
+    m, n = dense.shape
+    magnitude = np.abs(dense)
+    norm_bound = float((magnitude.T @ magnitude.sum(axis=1)).max()) / (1.0 - _gamma(m + n))
+    return _gamma(m), norm_bound, 0.0
 
 
 def _gamma(k: int) -> float:
@@ -453,39 +473,15 @@ def condition_number_below(fact: DirectFactorization, limit: float) -> bool:
     Works on the Gram matrix G that the factorization holds, the computed
     fl(S^T S) or, on the band route, its kept diagonals, in lower band
     storage (``cholesky_banded``, ``dpbtrf``) or as a dense lower triangle
-    (``cho_factor``, ``dpotrf``), with one Gershgorin sweep and one
-    Cholesky factorization of a shifted copy. False means only that the
+    (``cho_factor``, ``dpotrf``), with one Cholesky factorization of a
+    shifted copy and no eigensolver. On the dense route S is materialized
+    once more, for the |S| of the error bound. False means only that the
     certificate failed, not that kappa_2(S) >= ``limit``. The certificate,
     with u = eps / 2 and no underflow or overflow:
 
-    - Gram rounding. Each kept entry of G is an inner product of two
-      columns of S, summed in floating point over at most m products in
-      some order (the band route leaves out products that are exact
-      zeros). So
-      the kept entries differ from those of S^T S by E with
-      |E| <= gamma_m |S|^T |S| entrywise, and ||E||_2 <= g ||S||_2^2 with
-      g = gamma_m n (Higham, Accuracy and Stability of Numerical
-      Algorithms, sec. 3.5 and Lemma 6.6).
-    - Dropped diagonals. The band route keeps the diagonals d <= kd of
-      S^T S only, kd being the band's width (kd' of ``normal_band``), and
-      the part P it drops has ||P||_2 <= u c_0 / 2, with c_0 the squared
-      norm of A's kernel (see ``normal_band``). The band route needs
-      2k + 1 <= n for A's last nonzero index k, so some column of A holds
-      the whole kernel and max_i (S^T S)_ii >= c_0. So e = u max_i G_ii
-      bounds ||P||_2 with a factor 2 to spare for the rounding of G_ii.
-      The dense route drops nothing; e is counted on both. So
-      G = S^T S + E - P with ||E - P||_2 <= g ||S||_2^2 + e.
-    - Largest eigenvalue. The largest Gershgorin row sum r of G bounds
-      lambda_max(G). Each row sum adds at most N terms (N = 2 kd + 1 on the
-      band, n dense) of the stored triangle: on the band its row and
-      shifted diagonals, dense its row of the lower triangle up to the
-      diagonal plus its column below it, the two sums then added. Either
-      way it is one sum of N nonnegative terms in some order (the zeros
-      stored above the dense diagonal add exactly), computed within
-      gamma_N. Since ||S||_2^2 <=
-      lambda_max(G) + g ||S||_2^2 + e, lmax = (r / (1 - gamma_N) + e) /
-      (1 - g) bounds ||S||_2^2 = lambda_max(S^T S), and delta = g lmax + e
-      bounds ||E - P||_2.
+    - Gram. ``_gram_error`` gives the rounding analysis that
+      ``_gram_spectrum`` uses: G = S^T S + E - P with ||E - P||_2 <= e =
+      g M + ||P||_2, and lmax = M bounds lambda_max(S^T S).
     - Shifted Cholesky. A copy H = fl(G - sigma I) is factored, and the
       shift rounds each diagonal entry by at most u |G_ii - sigma| <=
       u (max_i G_ii + sigma). A Cholesky factorization that completes gives
@@ -497,10 +493,10 @@ def condition_number_below(fact: DirectFactorization, limit: float) -> bool:
       ||F||_2 <= rho = gamma_{p+2} / (1 - gamma_{p+2}) trace(G), with
       trace(G) computed within gamma_n.
     - Conclusion. With tau = lmax / limit^2, sigma is chosen so that
-      sigma - u (max_i G_ii + sigma) = tau + delta + rho, and a last factor
+      sigma - u (max_i G_ii + sigma) = tau + e + rho, and a last factor
       1 + 16 eps on it covers the rounding of the few operations that form
       it. R has a positive diagonal, so R^T R is positive definite and
-      lambda_min(G) > sigma - u (max_i G_ii + sigma) - rho = tau + delta.
+      lambda_min(G) > sigma - u (max_i G_ii + sigma) - rho = tau + e.
       By Weyl's inequality lambda_min(S^T S) > tau, and kappa_2(S)^2 =
       lambda_max(S^T S) / lambda_min(S^T S) < lmax / tau = limit^2. A
       rank-deficient S has lambda_min(S^T S) = 0, so the factorization
@@ -508,36 +504,21 @@ def condition_number_below(fact: DirectFactorization, limit: float) -> bool:
     """
     if not 1.0 < limit < math.inf:
         return False
-    m, n = fact.op.shape
+    n = fact.op.cols
     normal = fact.normal
+    dense = None if fact.banded else np.asarray(fact.op.to_dense(), dtype=float)
+    g, lmax, dropped = _gram_error(fact.op, normal, dense)
     if fact.banded:
-        kd = normal.shape[0] - 1
-        magnitude = np.abs(normal)
-        # magnitude[d, j] = |G[j + d, j]| = |G[j, j + d]|: the column sums
-        # give each row's diagonal and right part, and row d shifted right by
-        # d its left part.
-        row_sums = magnitude.sum(axis=0)
-        for d in range(1, kd + 1):
-            row_sums[d:] += magnitude[d, : n - d]
-        diagonal, terms, p = normal[0], 2 * kd + 1, kd
+        diagonal, p = normal[0], normal.shape[0] - 1
     else:
-        magnitude = np.abs(normal)
-        # The lower triangle holds row i of G up to the diagonal in its row i
-        # and past it in its column i.
-        row_sums = magnitude.sum(axis=1)
-        np.fill_diagonal(magnitude, 0.0)
-        row_sums += magnitude.sum(axis=0)
-        diagonal, terms, p = np.diagonal(normal), n, n - 1
-    gram, rows, chol, trace = n * _gamma(m), _gamma(terms), _gamma(p + 2), _gamma(n)
+        diagonal, p = np.diagonal(normal), n - 1
+    chol, trace = _gamma(p + 2), _gamma(n)
     unit = _EPS / 2
-    max_diagonal = float(diagonal.max())
-    dropped = unit * max_diagonal
-    lmax = (float(row_sums.max()) / (1.0 - rows) + dropped) / (1.0 - gram)
     tau = lmax / (limit * limit)
     if not tau >= np.finfo(float).tiny:
         return False
     rho = chol / (1.0 - chol) * float(diagonal.sum()) / (1.0 - trace)
-    sigma = ((tau + gram * lmax + dropped + rho + unit * max_diagonal) / (1.0 - unit)
+    sigma = ((tau + g * lmax + dropped + rho + unit * float(diagonal.max())) / (1.0 - unit)
              * (1.0 + 16.0 * _EPS))
     shifted = np.array(normal, order="F")
     try:

@@ -179,6 +179,18 @@ class TestConfig:
                       for key in schema.options(section)}
         assert documented == {(section, key) for section, key, _, _ in cli._CONFIG_KEYS}
 
+    def test_readme_library_example_runs(self, capsys):
+        # The README's "Library example" runs as written and prints what its
+        # comments say: the status and final width, then a finite bound.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S).group(1)
+        exec(compile(example, "README.md", "exec"), {})
+        status_line, bound_line = capsys.readouterr().out.splitlines()
+        status, y = status_line.split(" ", 1)
+        assert status == "max-iterations"
+        assert float(y.strip("[]")) == pytest.approx(3.075, abs=1e-3)
+        assert 0.0 < float(bound_line) < np.inf
+
     def test_seed_and_schedule_overrides(self, small_cfg):
         settings = cli.load_settings(str(small_cfg), seed_override=99,
                                      schedules_override="s")

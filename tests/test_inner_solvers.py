@@ -451,8 +451,8 @@ class TestConditionNumberBound:
 
     # n = 512 and 1024 take the band route, except n = 512 at widths 3.07
     # and 4, where the Gram band is too wide. The margin needed is at most
-    # 1.6e-2 at n = 48 (Gershgorin overestimates lambda_max by 3%) and
-    # 2.1e-3 from n = 128.
+    # 1.6e-2 at n = 48 (M overestimates lambda_max by 3%), 2.0e-3 at
+    # n = 128, 2.2e-4 on the n = 512 dense route and 1.3e-4 on the band.
     @pytest.mark.parametrize("y,n", [(y, n) for n in (48, 128, 512, 1024)
                                      for y in (1.5, 2.0, 3.07, 4.0)])
     def test_tight_on_benchmark_operators(self, y, n):
@@ -461,6 +461,8 @@ class TestConditionNumberBound:
         fact = DirectFactorization(op)
         assert condition_number_below(fact, 1.02 * kappa)
         assert not condition_number_below(fact, kappa)
+        if fact.banded:
+            assert condition_number_below(fact, (1.0 + 2e-4) * kappa)
 
     @pytest.mark.parametrize("n,banded", [(128, False), (512, True)])
     def test_reads_the_factorizations_normal_matrix(self, n, banded):
