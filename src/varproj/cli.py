@@ -37,12 +37,7 @@ import scipy
 from . import __version__
 from .bounds import BoundInvalidError, initial_tolerance, residual_bound, solution_bound
 from .deconv import BenchConfig, ConfigError, ProblemInstance, build_problem, stacked_operator
-from .inner_solvers import (
-    NumericalBreakdownError,
-    SingularSystemError,
-    _condition_number_and_lambda_max,
-    condition_number,
-)
+from .inner_solvers import NumericalBreakdownError, SingularSystemError, condition_number
 from .varpro import (
     NORM_MODE_EXPLICIT,
     OuterOptions,
@@ -375,9 +370,10 @@ def cmd_bounds(settings: RunSettings, out_dir: Path) -> int:
     """Verify the solution/residual bounds along every inexact run.
 
     The inexact runs take ||S||_2 in the stopping test, since the bounds are
-    stated for the 2-norm. After each run, x(y), kappa (``condition_number``)
-    and ||S||_2 (the square root of the largest Gram eigenvalue it was taken
-    from: one eigen-solve for both) are computed at each recorded iterate.
+    stated for the 2-norm. After each run, each recorded iterate is factored
+    once more for x(y), and kappa and ||S||_2 are read from that factorization
+    (``condition_number``, and the square root of the largest eigenvalue of
+    its Gram, from the same eigen-solve).
     Violations at tolerances above 1e3 * machine epsilon are check failures;
     below that the inner tolerance has outrun the solver's own rounding floor
     and violations are reported only.
@@ -399,8 +395,8 @@ def cmd_bounds(settings: RunSettings, out_dir: Path) -> int:
             for rec in trace.records:
                 fact, x_exact, _ = exact_residual(problem.model, rec.y, problem.b,
                                                   problem.L, problem.lam)
-                kappa, lambda_max = _condition_number_and_lambda_max(fact.op)
-                eps, op_norm = rec.epsilon, float(np.sqrt(lambda_max))
+                kappa, eps = fact.condition_number(), rec.epsilon
+                op_norm = float(np.sqrt(fact.extreme_eigenvalues()[1]))
                 valid = eps * kappa < 1.0
                 measured_x = float(np.linalg.norm(x_exact - rec.x))
                 op = fact.op

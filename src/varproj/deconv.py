@@ -17,6 +17,7 @@ import numpy as np
 from scipy.linalg.blas import dgemv, dsyrk
 from scipy.linalg.lapack import dpotrf, dpotrs
 
+from .inner_solvers import SingularSystemError
 from .linops import (
     FirstDifferenceOperator,
     gaussian_toeplitz,
@@ -155,7 +156,8 @@ def _objective_at(problem: ProblemInstance, y_value: float) -> float:
     BLAS and LAPACK. numpy and scipy may each bundle their own OpenBLAS with
     its own thread pool, and alternating the two in this loop made a point
     about 20 times slower under default threading. The symmetric A is passed
-    as its Fortran view A^T = A, so no call copies it.
+    as its Fortran view A^T = A, so no call copies it. A normal matrix that
+    does not factor raises ``SingularSystemError``, as in the solvers.
     """
     a = problem.model.operator(np.array([float(y_value)])).to_dense().T
     n = a.shape[0]
@@ -165,7 +167,7 @@ def _objective_at(problem: ProblemInstance, y_value: float) -> float:
     problem.L.add_gram(problem.lam, flat[:: n + 1], flat[1 :: n + 1])
     chol, info = dpotrf(normal, lower=1, overwrite_a=1)
     if info:
-        raise np.linalg.LinAlgError(f"normal matrix not positive definite at y = {y_value}")
+        raise SingularSystemError(f"normal equations are not positive definite at y = {y_value}")
     b = problem.b
     x, _ = dpotrs(chol, dgemv(1.0, a, b), lower=1)
     misfit = dgemv(1.0, a, x, beta=-1.0, y=b, trans=1)

@@ -12,18 +12,15 @@ LSQR iteration costs between two and four applies. The direct route
 factors the normal equations S^T S once and reuses the factorization for
 pseudoinverse and projector applications needed by Jacobian assembly.
 
-kappa_2(S) and ||S||_2 have one source, the Gram matrix S^T S that
-``DirectFactorization`` builds: the band of ``normal_band``, or the
-``dsyrk`` lower triangle of the materialized S. ``condition_number``
-returns a certified upper bound on kappa_2(S) from its extreme computed
-eigenvalues; the square root of the largest one is ||S||_2 within a
-relative delta / (2 lambda_max) (``_gram_spectrum``).
-``condition_number_below`` certifies kappa_2(S) < limit from the Gram a
-``DirectFactorization`` already holds, with one shifted Cholesky and no
-eigensolver. Both bound the Gram's rounding error and lambda_max(S^T S) by
-one analysis (``_gram_error``), which reads the kernel on the band route and
-the materialized |S| on the dense one, so there the check materializes S
-once more. Nothing here takes an SVD.
+kappa_2(S) and ||S||_2 have one source, the Gram matrix S^T S that a
+``DirectFactorization`` builds and holds: the band of ``normal_band``, or the
+``dsyrk`` lower triangle of the materialized S, which it keeps for the
+Gram's rounding terms (``_gram_error``). Its ``condition_number`` is a
+certified upper bound on kappa_2(S) from the Gram's extreme computed
+eigenvalues, the square root of the largest being ||S||_2 to a relative
+delta / (2 lambda_max); ``condition_number_below`` certifies kappa_2(S) <
+limit with one shifted Cholesky. ``condition_number(op)`` builds the Gram of
+an operator that has no factorization. Nothing here takes an SVD.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from functools import partial
 import numpy as np
 import scipy.linalg
 
-from .linops import LinearOperator, StackedOperator, normal_band
+from .linops import LinearOperator, StackedOperator, normal_band, normal_band_error
 
 LSQR_MAX_ITERATIONS = 10000
 
@@ -268,7 +265,8 @@ def lsqr_solve(op: LinearOperator, d, tolerance: float, *,
 
 
 class DirectFactorization:
-    """Cholesky factorization of S^T S for a stacked operator S.
+    """Cholesky factorization of S^T S for a stacked operator S, and the one
+    holder of that Gram matrix.
 
     When ``normal_band`` gives S^T S in band storage, the band is factored
     with LAPACK ``dpbtrf`` and solved with ``dpbtrs``, and S is never
@@ -277,33 +275,35 @@ class DirectFactorization:
     those of the full half-bandwidth kd = 2k: at n = 1024 and widths 2 to 4
     (kd' = 24 to 49 against kd = 106 to 212), one factorization, Gram
     included, took 0.5-1.7 ms instead of 12-25 ms (one BLAS thread).
-    Otherwise S is materialized, the lower triangle of S^T S is formed by
-    ``dsyrk`` and factored with ``dpotrf``. The computed normal matrix is
-    kept, read-only, as ``normal`` (``banded`` tells which storage it has:
-    the lower band, or the lower triangle with zeros above it) for the
-    kappa0 check of ``condition_number_below``, which bounds its rounding
-    error as ``condition_number`` does. The pseudoinverse and projector
-    applications below reuse the factorization and apply S through ``op``.
-    Immutable after construction and shareable across threads.
+    Otherwise S is materialized, and kept; the lower triangle of S^T S is
+    formed by ``dsyrk`` and factored with ``dpotrf``. The computed normal
+    matrix is kept, read-only, as ``normal`` (``banded`` tells which storage
+    it has: the lower band, or the lower triangle with zeros above it).
+    ``extreme_eigenvalues``, ``condition_number`` and the kappa0 check
+    ``condition_number_below`` answer from it and from its rounding terms
+    (``_gram_error``), which are formed only when asked for. The
+    pseudoinverse and projector applications below reuse the factorization
+    and apply S through ``op``. Immutable after construction, but for the
+    eigenvalues kept at their first request; shareable across threads.
     """
 
     def __init__(self, op: StackedOperator):
         self.op = op
-        normal, dense = _gram(op)
-        self.banded = dense is None
-        normal.setflags(write=False)
-        self.normal = normal
+        self.normal, self._dense = _gram(op)
+        self.normal.setflags(write=False)
+        self.banded = self._dense is None
+        self._eigenvalues = None
         try:
             if self.banded:
-                self._solve = partial(scipy.linalg.cho_solve_banded,
-                                      (scipy.linalg.cholesky_banded(normal, lower=True), True))
+                factor = (scipy.linalg.cholesky_banded(self.normal, lower=True), True)
+                self._solve = partial(scipy.linalg.cho_solve_banded, factor)
             else:
                 self._solve = partial(scipy.linalg.cho_solve,
-                                      scipy.linalg.cho_factor(normal, lower=True))
+                                      scipy.linalg.cho_factor(self.normal, lower=True))
         except scipy.linalg.LinAlgError as exc:
             raise SingularSystemError(
                 "normal equations are not positive definite "
-                f"(smallest eigenvalue {_extreme_eigenvalues(normal, self.banded)[0]:.6e})"
+                f"(smallest eigenvalue {self.extreme_eigenvalues()[0]:.6e})"
             ) from exc
 
     def solve_normal(self, v) -> np.ndarray:
@@ -314,6 +314,18 @@ class DirectFactorization:
         """Inner solution for stacked data [b; 0]: (S^T S)^{-1} A^T b."""
         b = np.asarray(b, dtype=float)
         return self.solve_normal(self.op.top.rmatvec(b))
+
+    def extreme_eigenvalues(self) -> tuple[float, float]:
+        """The smallest and largest computed eigenvalue lo and hi of ``normal``:
+        sqrt(hi) is ||S||_2 within a relative delta / (2 hi) (``_eigenvalue_error``)."""
+        if self._eigenvalues is None:
+            self._eigenvalues = _extreme_eigenvalues(self.normal, self.banded)
+        return self._eigenvalues
+
+    def condition_number(self) -> float:
+        """``condition_number(self.op)``, bit for bit, from this Gram."""
+        return _certified_kappa(*self.extreme_eigenvalues(),
+                                _eigenvalue_error(self.op, self.normal, self._dense))
 
 
 def _gram(op: LinearOperator) -> tuple[np.ndarray, np.ndarray | None]:
@@ -360,10 +372,10 @@ def apply_projector_perp(fact: DirectFactorization, z) -> np.ndarray:
 def condition_number(op: LinearOperator) -> float:
     """A certified upper bound kappa_bar on the 2-norm condition number
     kappa_2(S) of a stacked operator S, from the Gram matrix that
-    ``DirectFactorization`` builds.
+    ``DirectFactorization`` builds, as its ``condition_number`` gives it.
 
     With lo and hi its smallest and largest computed eigenvalue and delta
-    the error bound of ``_gram_spectrum``, kappa_bar = sqrt((hi + delta) /
+    the error bound of ``_eigenvalue_error``, kappa_bar = sqrt((hi + delta) /
     (lo - delta)), times 1 + 4 eps for the rounding of that formula. So
     kappa_2(S) <= kappa_bar <= kappa_2(S) (1 + 2 b / (1 - b)), b = delta / lo,
     up to a few eps. On the band route the eigenvalues come from one LAPACK
@@ -375,85 +387,54 @@ def condition_number(op: LinearOperator) -> float:
     Raises ``SingularSystemError`` when lo <= delta, as for a rank-deficient
     S: then kappa_2(S) has no finite bound.
     """
-    return _condition_number_and_lambda_max(op)[0]
+    normal, dense = _gram(op)
+    return _certified_kappa(*_extreme_eigenvalues(normal, dense is None),
+                            _eigenvalue_error(op, normal, dense))
 
 
-def _condition_number_and_lambda_max(op: LinearOperator) -> tuple[float, float]:
-    """``condition_number(op)`` and the largest computed Gram eigenvalue hi
-    it was taken from, whose square root is ||S||_2 within a relative
-    delta / (2 hi): one eigen-solve for both."""
-    lo, hi, delta = _gram_spectrum(op)
+def _certified_kappa(lo: float, hi: float, delta: float) -> float:
+    """kappa_bar of ``condition_number`` from lo, hi and delta."""
     if not lo > delta:
         raise SingularSystemError(
             f"cannot bound the condition number: the smallest Gram eigenvalue {lo:.6e} "
             f"is within its error bound {delta:.6e}; set [schedules] epsilon0 explicitly"
         )
-    return math.sqrt((hi + delta) / (lo - delta)) * (1.0 + 4.0 * _EPS), hi
+    return math.sqrt((hi + delta) / (lo - delta)) * (1.0 + 4.0 * _EPS)
 
 
-def _gram_spectrum(op: LinearOperator) -> tuple[float, float, float]:
-    """The smallest and largest computed eigenvalue lo and hi of the Gram
-    matrix G = ``_gram(op)`` of S, and delta, a bound on how far each lies
-    from the same eigenvalue of S^T S.
+def _eigenvalue_error(op: LinearOperator, normal: np.ndarray, dense: np.ndarray | None) -> float:
+    """delta, a bound on how far each computed eigenvalue of the Gram matrix
+    G = ``normal`` of S lies from the same eigenvalue of S^T S. With
+    (g, M, ||P||_2) of ``_gram_error`` and no underflow or overflow:
 
-    With (g, M, ||P||_2) of ``_gram_error``, G = S^T S + E - P with
-    ||E||_2 <= g M, and, with no underflow or overflow:
-
-    - Eigensolver. ``dsbevd`` and ``dsyevr`` reduce G to tridiagonal form by
-      orthogonal transformations and take the eigenvalues of that; both
-      steps are backward stable, so the computed eigenvalues are exact ones
-      of G + F with ||F||_2 <= p(n) eps ||G||_2 (Golub and Van Loan, Matrix
-      Computations, secs. 8.1 and 8.3; LAPACK Users' Guide, sec. 4.7), where
-      p(n), a modestly growing function, is taken as n here; and ||G||_2 <=
-      ||G||_inf <= (1 + g) M.
-    - Conclusion. By Weyl's inequality each computed eigenvalue is within
-      g M + ||P||_2 + n eps (1 + g) M of the same eigenvalue of S^T S. delta
-      is that times 1 + 16 eps, which covers the rounding of the few
-      operations that form it. A rank-deficient S has lambda_min(S^T S) = 0,
-      so lo <= delta.
+    - ``dsbevd`` and ``dsyevr`` reduce G to tridiagonal form by orthogonal
+      transformations and take the eigenvalues of that, two backward stable
+      steps: the computed eigenvalues are exact ones of G + F with ||F||_2 <=
+      p(n) eps ||G||_2 (Golub and Van Loan, Matrix Computations, secs. 8.1
+      and 8.3; LAPACK Users' Guide, sec. 4.7), p(n) taken as n, and
+      ||G||_2 <= ||G||_inf <= (1 + g) M.
+    - By Weyl's inequality each computed eigenvalue is within g M + ||P||_2 +
+      n eps (1 + g) M of the same eigenvalue of S^T S; delta is that times
+      1 + 16 eps for the rounding of the few operations that form it. A
+      rank-deficient S has lambda_min(S^T S) = 0, so lo <= delta.
     """
-    n = op.cols
-    normal, dense = _gram(op)
-    g, norm_bound, dropped = _gram_error(op, normal, dense)
-    lo, hi = _extreme_eigenvalues(normal, dense is None)
-    delta = (g * norm_bound + dropped + n * _EPS * (1.0 + g) * norm_bound) * (1.0 + 16.0 * _EPS)
-    return lo, hi, delta
+    g, bound, dropped = _gram_error(op, normal, dense)
+    return (g * bound + dropped + op.cols * _EPS * (1.0 + g) * bound) * (1.0 + 16.0 * _EPS)
 
 
 def _gram_error(op: LinearOperator, normal: np.ndarray,
                 dense: np.ndarray | None) -> tuple[float, float, float]:
-    """The rounding analysis of the Gram matrix G = ``normal`` of S, as
-    ``_gram(op)`` returns it with S materialized as ``dense`` (None on the
-    band route): (g, M, ||P||_2) with G = S^T S + E - P, where |E| <=
-    g |S|^T |S| entrywise on the entries G keeps, E = 0 off them, P is the
-    part of S^T S that G drops, and M >= || |S|^T |S| ||_inf (Higham,
-    Accuracy and Stability of Numerical Algorithms, sec. 3.5 and Lemma 6.6).
-    So ||E||_2 <= g M, and lambda_max(S^T S) = ||S||_2^2 <= ||S^T S||_inf
-    <= M. With u = eps / 2 and no underflow or overflow:
-
-    - Dense: each entry is an inner product of two columns of S over m
-      terms, so g = gamma_m, and M = max(|S|^T (|S| 1)) from the
-      materialized |S|, divided by 1 - gamma_{m+n} for its own two sums.
-      P = 0.
-    - Band, S = [A; lam W D] with a_t (a_-t = a_t) A's first row up to its
-      last nonzero index k, l1 = sum_t |a_t| and c_0 = sum_t a_t^2, the
-      sums over -k <= t <= k: each kept entry sums at most 2k + 1 products
-      of two entries of A, each rounded once, and at most two terms
-      (lam w_i)^2, each rounded three times, so g = gamma_{2k+5}. The rows
-      and columns of |A| sum to at most l1, so the rows of |A|^T |A| sum
-      to at most l1^2, the sum over d of the c_d of ``_kept_diagonals``.
-      Row j of |L|^T |L|, L = lam W D, sums to 2 (L^T L)_jj <= 2 G_jj /
-      (1 - g). So M = l1^2 + 2 max_j G_jj / (1 - g). The dropped diagonals
-      have ||P||_2 <= u c_0 / 2 (see ``normal_band``).
+    """The rounding terms (g, M, ||P||_2) of the Gram G = ``normal`` of S that
+    ``_gram(op)`` built, S materialized as ``dense`` (None on the band route,
+    whose terms ``normal_band_error`` gives): G = S^T S + E - P with ||E||_2
+    <= g M and M >= || |S|^T |S| ||_inf >= lambda_max(S^T S). On the dense
+    route, with no underflow or overflow, each entry is an inner product of
+    two columns of S over m terms, so g = gamma_m (Higham, sec. 3.5), M =
+    max(|S|^T (|S| 1)) from ``dense`` divided by 1 - gamma_{m+n} for its own
+    two sums, and P = 0.
     """
     if dense is None:
-        k = op.top._band_k
-        a0 = abs(float(op.top.first_row[0]))
-        tail = np.abs(op.top.first_row[1 : k + 1])
-        l1 = a0 + 2.0 * float(tail.sum())
-        g = _gamma(2 * k + 5)
-        norm_bound = l1 * l1 + 2.0 * float(normal[0].max()) / (1.0 - g)
-        return g, norm_bound, _EPS / 4 * (a0 * a0 + 2.0 * float(tail @ tail))
+        return normal_band_error(op, normal)
     m, n = dense.shape
     magnitude = np.abs(dense)
     norm_bound = float((magnitude.T @ magnitude.sum(axis=1)).max()) / (1.0 - _gamma(m + n))
@@ -474,13 +455,12 @@ def condition_number_below(fact: DirectFactorization, limit: float) -> bool:
     fl(S^T S) or, on the band route, its kept diagonals, in lower band
     storage (``cholesky_banded``, ``dpbtrf``) or as a dense lower triangle
     (``cho_factor``, ``dpotrf``), with one Cholesky factorization of a
-    shifted copy and no eigensolver. On the dense route S is materialized
-    once more, for the |S| of the error bound. False means only that the
+    shifted copy and no eigensolver. It materializes nothing: the Gram's
+    rounding terms come from what ``fact`` holds. False means only that the
     certificate failed, not that kappa_2(S) >= ``limit``. The certificate,
     with u = eps / 2 and no underflow or overflow:
 
-    - Gram. ``_gram_error`` gives the rounding analysis that
-      ``_gram_spectrum`` uses: G = S^T S + E - P with ||E - P||_2 <= e =
+    - Gram. By ``_gram_error``, G = S^T S + E - P with ||E - P||_2 <= e =
       g M + ||P||_2, and lmax = M bounds lambda_max(S^T S).
     - Shifted Cholesky. A copy H = fl(G - sigma I) is factored, and the
       shift rounds each diagonal entry by at most u |G_ii - sigma| <=
@@ -506,8 +486,7 @@ def condition_number_below(fact: DirectFactorization, limit: float) -> bool:
         return False
     n = fact.op.cols
     normal = fact.normal
-    dense = None if fact.banded else np.asarray(fact.op.to_dense(), dtype=float)
-    g, lmax, dropped = _gram_error(fact.op, normal, dense)
+    g, lmax, dropped = _gram_error(fact.op, normal, fact._dense)
     if fact.banded:
         diagonal, p = normal[0], normal.shape[0] - 1
     else:

@@ -388,6 +388,29 @@ def normal_band(op: LinearOperator) -> np.ndarray | None:
     return band
 
 
+def normal_band_error(op: StackedOperator, band: np.ndarray) -> tuple[float, float, float]:
+    """The rounding terms (g, M, ||P||_2) of ``band = normal_band(op)``: G =
+    S^T S + E - P with |E| <= g |S|^T |S| on the entries G keeps, E = 0 off
+    them, P the dropped part, and M >= || |S|^T |S| ||_inf (Higham, Accuracy
+    and Stability of Numerical Algorithms, sec. 3.5 and Lemma 6.6). With A's
+    first row a_t (a_-t = a_t) up to its last nonzero index k, l1 = sum_t
+    |a_t| and c_0 = sum_t a_t^2 over -k <= t <= k: a kept entry sums at most
+    2k + 1 products of two entries of A, each rounded once, and at most two
+    (lam w_i)^2, each rounded three times, so g = gamma_{2k+5}, with gamma_j
+    = j u / (1 - j u), u = eps / 2. |A|^T |A| has row sums at most l1^2, and
+    |L|^T |L|, L = lam W D, row sums 2 (L^T L)_jj <= 2 G_jj / (1 - g), so M =
+    l1^2 + 2 max_j G_jj / (1 - g). ||P||_2 <= u c_0 / 2, as ``normal_band`` trims.
+    """
+    k = op.top._band_k
+    a0 = abs(float(op.top.first_row[0]))
+    tail = np.abs(op.top.first_row[1 : k + 1])
+    l1 = a0 + 2.0 * float(tail.sum())
+    ku = (2 * k + 5) * _UNIT_ROUNDOFF
+    g = ku / (1.0 - ku)
+    norm_bound = l1 * l1 + 2.0 * float(band[0].max()) / (1.0 - g)
+    return g, norm_bound, _UNIT_ROUNDOFF / 2 * (a0 * a0 + 2.0 * float(tail @ tail))
+
+
 def stack(top: LinearOperator, bottom: LinearOperator, lam: float) -> StackedOperator:
     """Stack a forward operator on top of a regularizer scaled by ``lam``."""
     return StackedOperator(top, bottom, lam)

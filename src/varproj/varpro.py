@@ -22,7 +22,6 @@ import scipy.linalg
 from .inner_solvers import (
     DirectFactorization,
     SingularSystemError,
-    _extreme_eigenvalues,
     apply_pinv_transpose,
     apply_projector_perp,
     condition_number,  # not called here: bench/spans.py wraps varpro.condition_number
@@ -268,7 +267,7 @@ def _evaluate(model, y, b, L, lam, schedule: ToleranceSchedule | None = None, k:
                 ToleranceWarning,
                 stacklevel=4,  # _evaluate, _gauss_newton, inexact_genvarpro
             )
-        op_norm = (float(np.sqrt(_extreme_eigenvalues(fact.normal, fact.banded)[1]))
+        op_norm = (float(np.sqrt(fact.extreme_eigenvalues()[1]))
                    if opts.norm_estimate_mode == NORM_MODE_EXPLICIT else None)
         sol = lsqr_solve(S, d, eps_k, operator_norm=op_norm)
         x = sol.x_bar

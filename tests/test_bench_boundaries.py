@@ -85,6 +85,33 @@ def test_library_takes_no_svd():
     assert found == []
 
 
+def test_no_module_reads_a_siblings_private_names():
+    # A private name belongs to the module that defines it: no module of the
+    # library imports an underscore name from a sibling, or reads one off a
+    # sibling module it imported (dunders such as __version__ are public),
+    # and only linops reads a Toeplitz operator's band index _band_k.
+    package = Path(vp.__file__).resolve().parent
+    found = []
+
+    def private(name):
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        siblings = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level and node.module is None
+                    for alias in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found += [f"{path.name}:{node.lineno} imports {alias.name}"
+                          for alias in node.names if private(alias.name)]
+            elif isinstance(node, ast.Attribute) and private(node.attr):
+                if isinstance(node.value, ast.Name) and node.value.id in siblings:
+                    found.append(f"{path.name}:{node.lineno} reads {node.value.id}.{node.attr}")
+                elif node.attr == "_band_k" and path.name != "linops.py":
+                    found.append(f"{path.name}:{node.lineno} reads _band_k")
+    assert found == []
+
+
 @pytest.mark.parametrize("solver,schedule", [
     ("genvarpro", None),
     ("inexact_genvarpro", vp.ToleranceSchedule("fixed-small")),

@@ -8,6 +8,7 @@ import platform
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import scipy
 
 import varproj as vp
 import varproj.cli as cli
-from varproj import deconv
+from varproj import deconv, inner_solvers
 from varproj.cli import main
 from varproj.inner_solvers import SingularSystemError
 
@@ -388,6 +389,28 @@ class TestBounds:
             assert vp.linops.normal_band(op) is not None
             s = np.linalg.svd(op.to_dense(), compute_uv=False)
             assert float(row[2]) >= s[0] / s[-1]
+
+    def test_one_gram_per_record_beyond_the_run(self, tmp_path, monkeypatch):
+        # The run factors a Gram at each of its 4 records. bounds factors
+        # each record once more, for x(y), and reads kappa and ||S||_2 from
+        # that factorization: 8 Grams, and 8 materializations of the dense
+        # n = 128 S, the kappa0 check's included.
+        cfg = tmp_path / "four.cfg"
+        cfg.write_text("[solver]\ny0 = 2.0\nmax_outer_iterations = 3\n[schedules]\nrun = b\n")
+        calls = Counter()
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(inner_solvers, "_gram", counting("gram", inner_solvers._gram))
+        monkeypatch.setattr(vp.StackedOperator, "to_dense",
+                            counting("to_dense", vp.StackedOperator.to_dense))
+        out = tmp_path / "out"
+        assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(_read_csv(out / "bounds_b_y0_2.csv")[1]) == 4
+        assert calls == {"gram": 8, "to_dense": 8}
 
     def test_fatal_violation_exit_code(self, small_cfg, tmp_path, monkeypatch):
         # Force a violation by shrinking every computed bound to zero.

@@ -156,6 +156,13 @@ class TestReducedObjective:
         np.testing.assert_array_equal(ys, 2.0 + 1e-4 * np.arange(20001))
         assert len(vp.objective_grid(problem, 0.1, 0.3, 0.1)[0]) == 3
 
+    def test_singular_point_raises_the_solvers_error(self, monkeypatch, small_problem):
+        # A Cholesky that fails raises SingularSystemError, as every solver
+        # path does (the CLI maps it to exit 2), and names the width.
+        monkeypatch.setattr(deconv, "dpotrf", lambda normal, **kwargs: (normal, 3))
+        with pytest.raises(vp.SingularSystemError, match=r"at y = 2\.5$"):
+            vp.objective_grid(small_problem, 2.5, 2.5, 1.0)
+
     @pytest.mark.parametrize("lo,hi,resolution,message", [
         (3.0, 2.0, 0.1, "lo must not exceed hi"),
         (2.0, math.inf, 0.1, "hi must be finite"),

@@ -10,13 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import varproj as vp
-from varproj import cli
+from varproj import cli, inner_solvers
 from varproj.inner_solvers import (
     LSQR_MAX_ITERATIONS,
     DirectFactorization,
     NumericalBreakdownError,
     SingularSystemError,
-    _gram_spectrum,
+    _eigenvalue_error,
+    _extreme_eigenvalues,
+    _gram,
     _norm,
     _sym_ortho,
     apply_pinv,
@@ -42,6 +44,13 @@ def svd_condition_number(op):
     return None if s[-1] <= max(op.shape) * EPS * s[0] else float(s[0] / s[-1])
 
 
+def gram_spectrum(op):
+    """lo, hi and delta of ``condition_number(op)``: the extreme computed
+    eigenvalues of its Gram and their error bound."""
+    normal, dense = _gram(op)
+    return (*_extreme_eigenvalues(normal, dense is None), _eigenvalue_error(op, normal, dense))
+
+
 def assert_certified_kappa(op):
     """``condition_number`` raises ``SingularSystemError`` exactly when the
     smallest computed Gram eigenvalue lo is at most its error bound delta.
@@ -50,7 +59,7 @@ def assert_certified_kappa(op):
     the SVD's own error of about max(m, n) eps kappa and 8 eps for the last
     factor and the rounding of kappa_bar. Returns the relative gap
     kappa_bar / kappa_svd - 1, or None when it raised."""
-    lo, _, delta = _gram_spectrum(op)
+    lo, _, delta = gram_spectrum(op)
     expected = svd_condition_number(op)
     if not lo > delta:
         with pytest.raises(SingularSystemError, match=r"set \[schedules\] epsilon0"):
@@ -288,6 +297,33 @@ class TestConditionNumber:
         # recorded fixture value for the shipped signal and weights
         assert kappa_stacked == pytest.approx(5609.002, rel=1e-5)
 
+    @pytest.mark.parametrize("n,banded", [(128, False), (512, True)])
+    def test_factorization_answers_from_its_own_gram(self, n, banded, monkeypatch):
+        # kappa_bar and lambda_max come from the Gram the factorization holds:
+        # no second Gram, no second materialization, one eigen-solve for both.
+        op = vp.stacked_operator(vp.build_problem(vp.BenchConfig(n=n)), 2.0)
+        expected = vp.condition_number(op)
+        sigma = np.linalg.svd(op.to_dense(), compute_uv=False)
+        fact = DirectFactorization(op)
+        assert fact.banded == banded
+        solves = []
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a second Gram or materialized S again")
+
+        def counting(*args, _original=inner_solvers._extreme_eigenvalues):
+            solves.append(args)
+            return _original(*args)
+        monkeypatch.setattr(inner_solvers, "_gram", refuse)
+        monkeypatch.setattr(vp.StackedOperator, "to_dense", refuse)
+        monkeypatch.setattr(inner_solvers, "_extreme_eigenvalues", counting)
+        assert fact.condition_number() == expected
+        lo, hi = fact.extreme_eigenvalues()
+        assert math.sqrt(hi) == pytest.approx(sigma[0], rel=1e-12)
+        assert lo == pytest.approx(sigma[-1] ** 2, rel=1e-5)
+        assert len(solves) == 1
+        assert condition_number_below(fact, 1.02 * expected)
+
     def test_rank_deficiency(self):
         op = vp.stack(vp.DenseOperator(np.zeros((3, 2))), vp.DenseOperator(np.zeros((1, 2))), 1.0)
         with pytest.raises(SingularSystemError):
@@ -300,7 +336,7 @@ class TestConditionNumber:
                                      for y in (2.0, 2.9, 3.07, 4.0)])
     def test_band_route_within_its_bound_of_the_svd(self, n, y):
         op = vp.stacked_operator(vp.build_problem(vp.BenchConfig(n=n)), y)
-        lo, _, delta = _gram_spectrum(op)
+        lo, _, delta = gram_spectrum(op)
         assert delta / lo <= 1e-5
         assert_certified_kappa(op)
 
@@ -334,7 +370,7 @@ class TestConditionNumber:
     def test_dense_route_is_the_svd(self, n, y):
         op = vp.stacked_operator(vp.build_problem(vp.BenchConfig(n=n)), y)
         assert normal_band(op) is None
-        lo, _, delta = _gram_spectrum(op)
+        lo, _, delta = gram_spectrum(op)
         assert delta / lo <= 1e-5
         assert_certified_kappa(op)
 
@@ -345,7 +381,7 @@ class TestConditionNumber:
     @pytest.mark.parametrize("seed,lam", [(28, 0.0), (28, 1e-8), (137, 0.0), (137, 1e-8)])
     def test_band_route_falls_back_to_the_svd(self, seed, lam):
         op = decaying_band_stack(256, seed, lam)
-        lo, _, delta = _gram_spectrum(op)
+        lo, _, delta = gram_spectrum(op)
         assert normal_band(op) is not None and 1e-4 < delta / lo < 0.1
         assert assert_certified_kappa(op) is not None
 
@@ -354,7 +390,7 @@ class TestConditionNumber:
         # A zero top block over W D: S = 0, or of rank n - 1 (D kills constants).
         op = vp.stack(vp.SymmetricToeplitzOperator(np.zeros(64)),
                       vp.FirstDifferenceOperator(np.linspace(1.0, 3.0, 63)), lam)
-        lo, _, delta = _gram_spectrum(op)
+        lo, _, delta = gram_spectrum(op)
         assert normal_band(op) is not None and not lo > delta
         with pytest.raises(SingularSystemError):
             vp.condition_number(op)

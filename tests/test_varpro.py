@@ -473,6 +473,22 @@ class TestOuterLoops:
             ("inner_solvers.py", "__init__"), ("inner_solvers.py", "_gram"),
             ("test_varpro.py", "refuse")]
 
+    def test_one_materialization_per_factorization(self, problem, monkeypatch):
+        # Each outer iteration materializes the dense n = 128 S once, in its
+        # factorization; the kappa0 check at k = 0 reads the S it kept.
+        calls = []
+
+        def counting(op, _original=vp.StackedOperator.to_dense):
+            calls.append(op)
+            return _original(op)
+        monkeypatch.setattr(vp.StackedOperator, "to_dense", counting)
+        opts = vp.OuterOptions(max_outer_iterations=1,
+                               schedule=vp.ToleranceSchedule("constant", 1e-6))
+        trace = vp.inexact_genvarpro(problem.model, problem.b, problem.L, problem.lam,
+                                     np.array([2.0]), opts)
+        assert len(trace) == 2 and trace.warnings == []
+        assert len(calls) == 2
+
     def test_unconverged_inner_solves_reported_without_a_cause(self, small_problem):
         # Eleven inner solves stop unconverged after 512-514 iterations, far
         # below the cap of 10,000. Their records hold the count, criterion
