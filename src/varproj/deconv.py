@@ -14,14 +14,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgemv, dsyrk
-from scipy.linalg.lapack import dpotrf, dpotrs
+from numpy.lib.stride_tricks import as_strided
+from scipy.linalg.blas import ddot, dgemv, dsyrk
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .inner_solvers import SingularSystemError
 from .linops import (
     FirstDifferenceOperator,
+    gaussian_row,
     gaussian_toeplitz,
     gaussian_toeplitz_derivative,
+    kept_diagonals,
     stack,
 )
 from .varpro import SeparableModel
@@ -32,6 +35,10 @@ class ConfigError(ValueError):
 
 
 DEFAULT_SEED = 1
+
+# Grid points per block of the scan, which sets up its band width and
+# buffers once per block.
+_SCAN_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -149,30 +156,62 @@ def stacked_operator(problem: ProblemInstance, y_value: float):
     return stack(problem.model.operator(np.array([float(y_value)])), problem.L, problem.lam)
 
 
-def _objective_at(problem: ProblemInstance, y_value: float) -> float:
-    """f(y) = 0.5 (||A x - b||^2 + ||lam L x||^2) at the exact inner solution x.
+def _objective_block(problem: ProblemInstance, ys: np.ndarray) -> np.ndarray:
+    """f(y) = 0.5 (||A x - b||^2 + ||lam L x||^2) at the exact inner solution
+    x, for each kernel width y in ``ys``.
 
-    Every matrix product and the Cholesky factorization go through scipy's
-    BLAS and LAPACK. numpy and scipy may each bundle their own OpenBLAS with
-    its own thread pool, and alternating the two in this loop made a point
-    about 20 times slower under default threading. The symmetric A is passed
-    as its Fortran view A^T = A, so no call copies it. A normal matrix that
-    does not factor raises ``SingularSystemError``, as in the solvers.
+    Each point forms A^T A with ``dsyrk`` in reused buffers, adds lam^2 L^T L
+    (``L.add_gram``) to its first kd' + 1 diagonals, and factors and solves
+    that band with ``dpbtrf`` and ``dpbtrs``. kd' is ``kept_diagonals`` of
+    the block's widest kernel, which covers the narrower ones, so what is
+    left out weighs less than one unit roundoff of A^2 at every point, as in
+    ``normal_band``. Past that band the updates of a dense Cholesky
+    underflow into subnormal numbers, on which x86 processors take a slow
+    path: at n = 128 and width 2, ``dpotrf`` took four times as long on the
+    full Gram as on the Gram with those diagonals set to zero.
+
+    Every product and factorization goes through scipy's BLAS and LAPACK:
+    numpy and scipy may each bundle their own OpenBLAS with its own thread
+    pool, and alternating the two in this loop made a point about 20 times
+    slower under default threading. A band that does not factor raises
+    ``SingularSystemError``, as in the solvers.
     """
-    a = problem.model.operator(np.array([float(y_value)])).to_dense().T
-    n = a.shape[0]
-    normal = dsyrk(1.0, a, trans=1, lower=1)
-    # Fortran order: the diagonal and subdiagonal are strided views of the flat array.
-    flat = normal.reshape(-1, order="F")
-    problem.L.add_gram(problem.lam, flat[:: n + 1], flat[1 :: n + 1])
-    chol, info = dpotrf(normal, lower=1, overwrite_a=1)
-    if info:
-        raise SingularSystemError(f"normal equations are not positive definite at y = {y_value}")
-    b = problem.b
-    x, _ = dpotrs(chol, dgemv(1.0, a, b), lower=1)
-    misfit = dgemv(1.0, a, x, beta=-1.0, y=b, trans=1)
-    penalty = problem.lam * problem.L.matvec(x)
-    return 0.5 * float(misfit @ misfit + penalty @ penalty)
+    b, L, lam = problem.b, problem.L, problem.lam
+    n = b.size
+    widest = gaussian_row(float(ys.max()), n)
+    kept = min(kept_diagonals(widest, int(np.flatnonzero(widest)[-1])), n - 1)
+    # sym[n - 1 + d] = row[|d|], so row i of the Toeplitz A is
+    # sym[n - 1 - i : 2n - 1 - i].
+    sym = np.empty(2 * n - 1)
+    step = sym.itemsize
+    toeplitz = as_strided(sym[n - 1:], shape=(n, n), strides=(-step, step), writeable=False)
+    a = np.empty((n, n), order="F")
+    # The Gram sits at the start of a zeroed buffer with kd' entries to
+    # spare, so that band[d, j] = gram[j + d, j] is one strided view of it.
+    # dsyrk writes the lower triangle only, so the entries that view reads
+    # past the matrix's last row, which dpbtrf never uses, stay zero.
+    storage = np.zeros(n * n + kept)
+    gram = storage[: n * n].reshape((n, n), order="F")
+    lower_band = as_strided(storage, shape=(kept + 1, n), strides=(step, (n + 1) * step),
+                            writeable=False)
+    band = np.empty((kept + 1, n), order="F")
+    fs = np.empty(ys.size)
+    for i, y in enumerate(ys):
+        row = gaussian_row(float(y), n)
+        sym[n - 1:] = row
+        sym[: n - 1] = row[:0:-1]
+        np.copyto(a.T, toeplitz)
+        dsyrk(1.0, a, trans=1, lower=1, c=gram, overwrite_c=1)
+        np.copyto(band, lower_band)
+        L.add_gram(lam, band[0], band[1, :-1])
+        chol, info = dpbtrf(band, lower=1, overwrite_ab=1)
+        if info:
+            raise SingularSystemError(f"normal equations are not positive definite at y = {y}")
+        x, _ = dpbtrs(chol, dgemv(1.0, a, b), lower=1)
+        misfit = dgemv(1.0, a, x, beta=-1.0, y=b, trans=1)
+        penalty = lam * L.matvec(x)
+        fs[i] = 0.5 * (ddot(misfit, misfit) + ddot(penalty, penalty))
+    return fs
 
 
 def objective_grid(problem: ProblemInstance, lo: float, hi: float,
@@ -182,8 +221,9 @@ def objective_grid(problem: ProblemInstance, lo: float, hi: float,
     The grid is lo + k * resolution for k = 0, 1, ... up to the last point
     not beyond hi, allowing for rounding in (hi - lo) / resolution. Uses
     exact (normal-equations) inner solves at every grid point: A^T A plus
-    the tridiagonal lam^2 L^T L that ``L.add_gram`` adds. The bounds must be
-    finite with lo <= hi.
+    the tridiagonal lam^2 L^T L that ``L.add_gram`` adds, factored on its
+    working-precision band in blocks of consecutive points
+    (``_objective_block``). The bounds must be finite with lo <= hi.
     """
     if not resolution > 0.0:
         raise ValueError(f"resolution must be positive, got {resolution}")
@@ -194,7 +234,9 @@ def objective_grid(problem: ProblemInstance, lo: float, hi: float,
         raise ValueError(f"lo must not exceed hi, got lo={lo}, hi={hi}")
     count = math.floor((hi - lo) / resolution * (1.0 + 1e-12)) + 1
     ys = lo + resolution * np.arange(count)
-    fs = np.array([_objective_at(problem, y) for y in ys])
+    fs = np.empty(count)
+    for start in range(0, count, _SCAN_BLOCK):
+        fs[start : start + _SCAN_BLOCK] = _objective_block(problem, ys[start : start + _SCAN_BLOCK])
     return ys, fs
 
 

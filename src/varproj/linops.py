@@ -298,7 +298,7 @@ class StackedOperator(LinearOperator):
         return np.vstack([self.top.to_dense(), self.lam * self.bottom.to_dense()])
 
 
-def _kept_diagonals(row: np.ndarray, k: int) -> int:
+def kept_diagonals(row: np.ndarray, k: int) -> int:
     """The smallest kd' >= 1 with 2 sum_{d > kd'} c_d <= u c_0 / 2.
 
     ``row`` is the first row of a symmetric Toeplitz A with its last nonzero
@@ -307,6 +307,14 @@ def _kept_diagonals(row: np.ndarray, k: int) -> int:
     diagonal d of A^2 = A^T A is a sum of some of the products in c_d, so
     |(A^2)[j + d, j]| <= c_d; and c_0 / 2 <= (A^2)[j, j] for every j. The
     result is at most 2k, where c_d ends, or 1 when k = 0.
+
+    Keeping more diagonals than kd' drops a part of what kd' drops, so the
+    bound holds for every band of at least kd' diagonals. For a Gaussian
+    row kd' does not decrease as the width sigma grows: c_d / c_0 is about
+    exp(-d^2 / (4 sigma^2)), which grows with sigma at every d. So the
+    widest kernel's kd' covers every narrower one, which lets the grid scan
+    (``deconv.objective_grid``) take one band per block of widths; the
+    tests check this on the scan's lattice.
     """
     a = np.abs(row[: k + 1])
     full = np.concatenate([a[:0:-1], a])
@@ -326,7 +334,7 @@ def normal_band(op: LinearOperator) -> np.ndarray | None:
     half-bandwidth kd = max(2k, 1) has 2 kd + 1 <= n / 2; for any other
     operator this returns None. The band keeps the diagonals d <= kd' of
     S^T S, with kd' <= kd the smallest width >= 1 at which the bounds c_d
-    of ``_kept_diagonals`` on the dropped diagonals of A^2 have
+    of ``kept_diagonals`` on the dropped diagonals of A^2 have
     2 sum_{d > kd'} c_d <= u c_0 / 2, u = eps / 2. Row d of the returned
     (kd' + 1) x n array holds diagonal d: ``band[d, j]`` is (S^T S)[j + d, j],
     and the last d entries of row d are zero. The dropped part P of S^T S
@@ -355,7 +363,7 @@ def normal_band(op: LinearOperator) -> np.ndarray | None:
     if 2 * max(2 * k, 1) + 1 > n / 2:
         return None
     row = op.top.first_row
-    kept = _kept_diagonals(row, k)
+    kept = kept_diagonals(row, k)
     # Below the diagonal, A^2 has nonzeros up to diagonal 2k; rows past
     # diagonal min(kept, 2k) of a block are not computed.
     reach = min(kept, 2 * k)
@@ -464,9 +472,14 @@ def gaussian_toeplitz(sigma: float, n: int) -> SymmetricToeplitzOperator:
     sigma : positive kernel width.
     n : signal length, at least 2.
     """
+    return SymmetricToeplitzOperator(gaussian_row(sigma, n))
+
+
+def gaussian_row(sigma: float, n: int) -> np.ndarray:
+    """The first row of ``gaussian_toeplitz(sigma, n)``, as a new array."""
     _validate_kernel_args(sigma, n)
     g, total = _gaussian_generator(sigma, n)
-    return SymmetricToeplitzOperator(_flush_subnormals(g / total))
+    return _flush_subnormals(g / total)
 
 
 def gaussian_toeplitz_derivative(sigma: float, n: int) -> SymmetricToeplitzOperator:

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import dgemv, dsyrk
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 import varproj as vp
-from varproj import deconv
+from varproj import deconv, linops
 from varproj.deconv import ConfigError
 
 # Frozen output of default_signal(16); regenerating must
@@ -19,6 +21,29 @@ PIECEWISE_16 = np.array([
     0.5522642316338257, 0.9045084971874735, 0.04322727117869962,
     0.0, 0.0,
 ])
+
+
+# Lattice argmins of the reduced functional over [2, 4] at resolution 1e-4,
+# by seed, from the full scan with the dense Cholesky of the full Gram.
+GRID_ARGMIN = {1: 3.0754, 2: 2.9982, 3: 3.0177, 4: 2.9141, 5: 2.8298}
+
+
+def dense_objective(problem, y):
+    """The reduced functional f(y) from the dense Cholesky of the full Gram
+    A^T A + lam^2 L^T L: the scan's formula before it factored a band, kept
+    as the oracle of ``objective_grid``."""
+    a = problem.model.operator(np.array([float(y)])).to_dense().T
+    n = a.shape[0]
+    normal = dsyrk(1.0, a, trans=1, lower=1)
+    flat = normal.reshape(-1, order="F")
+    problem.L.add_gram(problem.lam, flat[:: n + 1], flat[1 :: n + 1])
+    chol, info = dpotrf(normal, lower=1, overwrite_a=1)
+    assert info == 0
+    b = problem.b
+    x, _ = dpotrs(chol, dgemv(1.0, a, b), lower=1)
+    misfit = dgemv(1.0, a, x, beta=-1.0, y=b, trans=1)
+    penalty = problem.lam * problem.L.matvec(x)
+    return 0.5 * float(misfit @ misfit + penalty @ penalty)
 
 
 class TestDefaultSignal:
@@ -151,7 +176,7 @@ class TestReducedObjective:
     def test_benchmark_grid_keeps_every_point(self, monkeypatch, problem):
         # The reference scan's 20,001 points, bit for bit, and a grid whose
         # (0.3 - 0.1) / 0.1 rounds to just below 2 keeps its end point.
-        monkeypatch.setattr(deconv, "_objective_at", lambda problem, y: 0.0)
+        monkeypatch.setattr(deconv, "_objective_block", lambda problem, ys: np.zeros(ys.size))
         ys, _ = vp.objective_grid(problem, 2.0, 4.0, 1e-4)
         np.testing.assert_array_equal(ys, 2.0 + 1e-4 * np.arange(20001))
         assert len(vp.objective_grid(problem, 0.1, 0.3, 0.1)[0]) == 3
@@ -159,9 +184,43 @@ class TestReducedObjective:
     def test_singular_point_raises_the_solvers_error(self, monkeypatch, small_problem):
         # A Cholesky that fails raises SingularSystemError, as every solver
         # path does (the CLI maps it to exit 2), and names the width.
-        monkeypatch.setattr(deconv, "dpotrf", lambda normal, **kwargs: (normal, 3))
+        monkeypatch.setattr(deconv, "dpbtrf", lambda band, **kwargs: (band, 3))
         with pytest.raises(vp.SingularSystemError, match=r"at y = 2\.5$"):
             vp.objective_grid(small_problem, 2.5, 2.5, 1.0)
+
+    @pytest.mark.parametrize("fixture", ["problem", "small_problem"])
+    def test_scan_matches_the_dense_oracle(self, request, fixture):
+        # Every 100th point of the [2, 4] lattice, scanned alone (its own
+        # kd') and in one block (the kd' of width 4). Both sum and factor in
+        # another order than the oracle, so they agree to rounding only.
+        problem = request.getfixturevalue(fixture)
+        ys = 2.0 + 1e-4 * np.arange(0, 20001, 100)
+        expected = np.array([dense_objective(problem, y) for y in ys])
+        alone = np.array([vp.objective_grid(problem, y, y, 1.0)[1][0] for y in ys])
+        block_ys, block = vp.objective_grid(problem, 2.0, 4.0, 0.01)
+        assert block_ys.size == ys.size
+        np.testing.assert_allclose(alone, expected, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(block, [dense_objective(problem, y) for y in block_ys],
+                                   rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("seed", sorted(GRID_ARGMIN))
+    def test_lattice_argmin_by_seed(self, seed):
+        # A window of +-0.05 around each seed's minimizer of the full scan.
+        problem = vp.build_problem(vp.BenchConfig(rng_seed=seed))
+        y_star = GRID_ARGMIN[seed]
+        found = vp.grid_minimizer(problem, y_star - 0.05, y_star + 0.05, 1e-4)
+        assert abs(found - y_star) < 5e-5
+
+    def test_scan_builds_no_operator_per_point(self, monkeypatch, problem):
+        built = []
+        init = linops.SymmetricToeplitzOperator.__init__
+
+        def counting(self, first_row):
+            built.append(1)
+            init(self, first_row)
+        monkeypatch.setattr(linops.SymmetricToeplitzOperator, "__init__", counting)
+        ys, _ = vp.objective_grid(problem, 2.0, 4.0, 0.01)
+        assert ys.size == 201 and built == []
 
     @pytest.mark.parametrize("lo,hi,resolution,message", [
         (3.0, 2.0, 0.1, "lo must not exceed hi"),

@@ -187,13 +187,26 @@ class TestNormalBand:
     def test_kept_width_is_the_smallest_within_the_bound(self, sigma):
         row = vp.gaussian_toeplitz(sigma, 1024).first_row
         k = int(np.flatnonzero(row)[-1])
-        kept = linops._kept_diagonals(row, k)
+        kept = linops.kept_diagonals(row, k)
         assert kept == KEPT_DIAGONALS[sigma]
         # c_d summed term by term over the symmetric row a_-k..a_k.
         full = np.abs(np.concatenate([row[k:0:-1], row[: k + 1]]))
         c = [sum(full[t] * full[t + d] for t in range(2 * k + 1 - d)) for d in range(2 * k + 1)]
         assert 2 * sum(c[kept + 1:]) <= EPS / 2 * c[0] / 2
         assert 2 * sum(c[kept:]) > EPS / 2 * c[0] / 2
+
+    @pytest.mark.parametrize("fixture", ["problem", "small_problem"])
+    def test_kept_width_never_falls_as_the_width_grows(self, request, fixture):
+        # The grid scan takes one kd' per block of widths, from the block's
+        # widest kernel; that covers the block when kd' never decreases
+        # along the scan's lattice.
+        n = request.getfixturevalue(fixture).config.n
+        kept = []
+        for y in 2.0 + 1e-4 * np.arange(20001):
+            row = linops.gaussian_row(y, n)
+            kept.append(linops.kept_diagonals(row, int(np.flatnonzero(row)[-1])))
+        assert np.all(np.diff(kept) >= 0)
+        assert kept[0] < kept[-1]
 
     @pytest.mark.parametrize("y", [1.5, 2.0, 3.07, 4.0])
     def test_n128_benchmark_operators_take_dense_path(self, problem, y):
