@@ -80,10 +80,8 @@ def backward_perturbation(M, x_bar, d) -> np.ndarray:
     return -np.outer(rbar, M.T @ rbar) / nr2
 
 
-def initial_tolerance(kappa0: float, safety: float = 0.1) -> float:
-    """Starting tolerance safety / kappa0, keeping eps0 * kappa0 well below one."""
+def initial_tolerance(kappa0: float) -> float:
+    """Starting tolerance 0.1 / kappa0, keeping eps0 * kappa0 well below one."""
     if not kappa0 >= 1.0:
         raise ValueError(f"kappa0 must be at least 1, got {kappa0}")
-    if not safety > 0.0:
-        raise ValueError(f"safety must be positive, got {safety}")
-    return safety / kappa0
+    return 0.1 / kappa0

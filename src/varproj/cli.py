@@ -53,12 +53,13 @@ from .varpro import (
 
 SCHEDULE_NAMES = {"b": "constant", "lb": "linear", "ab": "exponential", "s": "fixed-small"}
 
-# Shipped starting tolerances for the standard initial guesses; other y0
-# values fall back to the safety/kappa rule.
+# Shipped starting tolerances for the standard (and default) initial guesses;
+# other y0 values fall back to initial_tolerance(kappa0).
 DEFAULT_INITIAL_TOLERANCES = {2.0: 1.8718e-4, 4.0: 1.1239e-4}
 
-# Bound violations at tolerances below this are reported but not fatal: the
-# inner tolerance has reached the rounding floor of the solver itself.
+# Violations at certified tolerances below this are reported only: there the
+# rounding of the reference x(y) from the normal equations (relative order
+# kappa^2 u) is within a few orders of magnitude of the bound, ~2 kappa^2 eps.
 MUST_HOLD_EPSILON = 1e3 * float(np.finfo(float).eps)
 
 # Thread-count variables of the common BLAS builds. Outputs repeat byte for
@@ -82,10 +83,9 @@ class RunSettings:
 
     problem: BenchConfig
     outer: OuterOptions = _CLI_OUTER
-    y0_list: tuple[float, ...] = (2.0, 4.0)
+    y0_list: tuple[float, ...] = tuple(DEFAULT_INITIAL_TOLERANCES)
     schedules: tuple[str, ...] = tuple(SCHEDULE_NAMES)
     epsilon0: float | None = None  # None: resolve per y0
-    safety: float = 0.1
 
     def resolved(self) -> dict:
         out: dict[str, dict] = {}
@@ -150,7 +150,6 @@ _CONFIG_KEYS = (
     ("solver", "gradient_tolerance", "outer.gradient_tolerance", float),
     ("schedules", "run", "schedules", _parse_schedule_list),
     ("schedules", "epsilon0", "epsilon0", _parse_epsilon0),
-    ("schedules", "safety", "safety", float),
 )
 
 
@@ -175,7 +174,7 @@ def load_settings(config_path: str | None, seed_override: int | None = None,
             raise ConfigError(f"unknown config section [{section}]")
         for key in parser.options(section):
             if (section, key) not in known_keys:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
+                raise ConfigError(f"[{section}] unknown key {key!r}")
 
     raw = {(section, key): parser.get(section, key)
            for section, key, _, _ in _CONFIG_KEYS if parser.has_option(section, key)}
@@ -204,8 +203,6 @@ def load_settings(config_path: str | None, seed_override: int | None = None,
     except ValueError as exc:
         raise ConfigError(f"[solver] {exc}") from exc
     settings = RunSettings(problem=problem, outer=outer, **values[""])
-    if not 0.0 < settings.safety < np.inf:
-        raise ConfigError("[schedules] safety must be positive and finite")
     for y0 in settings.y0_list:
         if not 0.0 < y0 < np.inf:
             raise ConfigError(f"[solver] y0 values must be positive and finite, got {y0}")
@@ -214,13 +211,12 @@ def load_settings(config_path: str | None, seed_override: int | None = None,
 
 def resolve_epsilon0(settings: RunSettings, problem: ProblemInstance, y0: float) -> float:
     """Starting tolerance for one run: explicit config value, the shipped
-    default for the standard initial guesses, or safety/kappa otherwise."""
+    default for the standard initial guesses, or initial_tolerance(kappa0)."""
     if settings.epsilon0 is not None:
         return settings.epsilon0
     if y0 in DEFAULT_INITIAL_TOLERANCES:
         return DEFAULT_INITIAL_TOLERANCES[y0]
-    kappa0 = condition_number(stacked_operator(problem, y0))
-    return initial_tolerance(max(kappa0, 1.0), settings.safety)
+    return initial_tolerance(condition_number(stacked_operator(problem, y0)))
 
 
 def _fmt(value) -> str:
@@ -370,13 +366,13 @@ def cmd_bounds(settings: RunSettings, out_dir: Path) -> int:
     """Verify the solution/residual bounds along every inexact run.
 
     The inexact runs take ||S||_2 in the stopping test, since the bounds are
-    stated for the 2-norm. After each run, each recorded iterate is factored
-    once more for x(y), and kappa and ||S||_2 are read from that factorization
-    (``condition_number``, and the square root of the largest eigenvalue of
-    its Gram, from the same eigen-solve).
-    Violations at tolerances above 1e3 * machine epsilon are check failures;
-    below that the inner tolerance has outrun the solver's own rounding floor
-    and violations are reported only.
+    stated for the 2-norm. Each record is checked at the tolerance eps its
+    inner solve certified, max(eps_k, achieved criterion). Its iterate is
+    factored once more for x(y), and kappa and ||S||_2 are read from that
+    factorization (``condition_number``, and the square root of the largest
+    eigenvalue of its Gram, from the same eigen-solve). Rows with
+    eps * kappa >= 1 get NaN bounds; violations above ``MUST_HOLD_EPSILON``
+    are check failures, and below it are reported only.
     """
     out = _Outputs("bounds", settings, out_dir)
     problem = out.problem
@@ -395,19 +391,18 @@ def cmd_bounds(settings: RunSettings, out_dir: Path) -> int:
             for rec in trace.records:
                 fact, x_exact, _ = exact_residual(problem.model, rec.y, problem.b,
                                                   problem.L, problem.lam)
-                kappa, eps = fact.condition_number(), rec.epsilon
+                kappa = fact.condition_number()
+                eps = max(rec.epsilon, rec.inner_criterion)
                 op_norm = float(np.sqrt(fact.extreme_eigenvalues()[1]))
-                valid = eps * kappa < 1.0
                 measured_x = float(np.linalg.norm(x_exact - rec.x))
                 op = fact.op
                 measured_r = float(np.linalg.norm(op.matvec(rec.x) - op.matvec(x_exact)))
-                if valid:
+                try:
                     bound_x = solution_bound(kappa, b_norm, op_norm, eps)
                     bound_r = residual_bound(kappa, b_norm, eps)
-                    violated = measured_x >= bound_x or measured_r >= bound_r
-                else:
+                except BoundInvalidError:
                     bound_x = bound_r = float("nan")
-                    violated = False
+                violated = measured_x >= bound_x or measured_r >= bound_r
                 rows.append([rec.k, eps, kappa, eps * kappa, measured_x, bound_x,
                              measured_r, bound_r, int(violated)])
                 if violated:

@@ -134,12 +134,14 @@ def lsqr_solve(op: LinearOperator, d, tolerance: float, *,
     allowed, or the estimate is not finite; it never stops running after
     that. ``criterion_history`` holds the values of those checked
     iterations. Every decision reads the true criterion: the stop, the
-    returned iterate, and the stall rule. A solve that stops short of the
-    tolerance (at ``max_iterations``, after max(200, 4n) checked iterations
-    without a 10% gain, or on a Krylov breakdown) returns the checked
-    iterate with the smallest criterion and ``converged=False``. A vector
-    norm that is not finite (of d, u, v, x, r or op^T r) raises
-    ``NumericalBreakdownError`` before anything is divided by it.
+    returned iterate, and the stall rule. It returns the checked iterate
+    with the smallest criterion, at a converged stop the last one, since
+    every earlier one was at least the tolerance. A solve that stops short
+    of the tolerance (at ``max_iterations``, after max(200, 4n) checked
+    iterations without a 10% gain, or on a Krylov breakdown) has
+    ``converged=False``. A vector norm that is not finite (of d, u, v, x, r
+    or op^T r) raises ``NumericalBreakdownError`` before anything is divided
+    by it.
     """
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
@@ -251,14 +253,10 @@ def lsqr_solve(op: LinearOperator, d, tolerance: float, *,
         if stall >= stall_window:
             break
 
-    if converged:
-        x_out, achieved = x, crit
-    else:
-        x_out, achieved = best_x, best_crit
     return InnerSolution(
-        x_bar=x_out,
+        x_bar=best_x,
         iterations=itn,
-        achieved_criterion=float(achieved),
+        achieved_criterion=float(best_crit),
         converged=converged,
         criterion_history=np.asarray(history),
     )

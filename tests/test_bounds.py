@@ -41,7 +41,9 @@ class TestFormulas:
         for seq in (sol, res, jac):
             assert np.all(np.diff(seq) > 0.0)
 
-    @pytest.mark.parametrize("eps,kappa", [(0.5, 2.0), (1.0, 1.0), (2.0, 10.0)])
+    # The hypothesis is eps * kappa < 1 with eps and kappa positive.
+    @pytest.mark.parametrize("eps,kappa", [(0.5, 2.0), (1.0, 1.0), (2.0, 10.0), (0.0, 2.0),
+                                           (-1e-3, 2.0), (1e-3, 0.0), (1e-3, -2.0)])
     def test_hypothesis_violation_raises(self, eps, kappa):
         with pytest.raises(BoundInvalidError):
             vp.solution_bound(kappa, 1.0, 1.0, eps)

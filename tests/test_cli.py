@@ -56,6 +56,15 @@ def _read_csv(path):
     return header, rows
 
 
+def _failing_inexact(starts):
+    """A stand-in for inexact_genvarpro whose every run fails at once; it
+    records the schedule kind of each run in ``starts``."""
+    def failing(*args, **kwargs):
+        starts.append(args[5].schedule.kind)
+        return vp.SolverTrace(records=[], status="inner-failure", warnings=["boom"])
+    return failing
+
+
 class TestConfig:
     def test_missing_file_is_config_error(self, tmp_path, capsys):
         assert main(["compare", "--config", str(tmp_path / "nope.cfg"),
@@ -80,6 +89,7 @@ class TestConfig:
         ("[output]\ngnuplot = true\n", "unknown config section [output]"),
         ("[problem]\nsignal = piecewise\n", "unknown key 'signal'"),
         ("[solver]\nnorm_estimate_mode = explicit-svd\n", "unknown key 'norm_estimate_mode'"),
+        ("[schedules]\nsafety = 0.1\n", "unknown key 'safety'"),
     ])
     def test_removed_keys_are_unknown(self, tmp_path, capsys, text, named):
         cfg = tmp_path / "old.cfg"
@@ -99,6 +109,26 @@ class TestConfig:
         assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert "n" in err and "many" in err
+
+    def test_bad_ini_syntax_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("n = 128\n")  # a key before any section header
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config file {cfg}")
+        assert not (tmp_path / "o").exists()
+
+    def test_empty_list_names_key(self, tmp_path, capsys):
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("[solver]\ny0 = ,\n")
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("config error: [solver] y0: the list is empty")
+
+    def test_out_naming_a_file_is_io_error(self, small_cfg, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["compare", "--config", str(small_cfg), "--out", str(taken)]) == 1
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        assert taken.read_text() == ""
 
     def test_bad_schedule_name(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -140,6 +170,7 @@ class TestConfig:
         ("solver", "step_tolerance", "-1", "stopping tolerances"),
         ("solver", "gradient_tolerance", "-1", "stopping tolerances"),
         ("solver", "step_tolerance", "nan", "stopping tolerances"),
+        # `safety` is no longer a key: any value of it is an unknown key.
         ("schedules", "safety", "0", "safety"),
         ("solver", "y0", "-1", "y0"),
         ("schedules", "epsilon0", "0", "epsilon0"),
@@ -179,6 +210,17 @@ class TestConfig:
         documented = {(section, key) for section in schema.sections()
                       for key in schema.options(section)}
         assert documented == {(section, key) for section, key, _, _ in cli._CONFIG_KEYS}
+
+    def test_readme_schema_gives_the_defaults(self, tmp_path):
+        # The README's schema, its comments stripped, is the default run.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"### Config file schema.*?```ini\n(.*?)```", readme, re.S).group(1)
+        schema = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        schema.read_string(block)
+        cfg = tmp_path / "readme.cfg"
+        with open(cfg, "w") as handle:
+            schema.write(handle)
+        assert cli.load_settings(str(cfg)).resolved() == cli.load_settings(None).resolved()
 
     def test_readme_library_example_runs(self, capsys):
         # The README's "Library example" runs as written and prints what its
@@ -304,6 +346,20 @@ class TestCompare:
         assert (tmp_path / "o" / "gp_y0_1p6.csv").exists()
         assert (tmp_path / "o" / "manifest.json").exists()
 
+    def test_failed_inexact_run_goes_on(self, small_cfg, tmp_path, monkeypatch, capsys):
+        # Each failed schedule is reported and the next one runs; no gap file
+        # is written for it, and the manifest still closes the command.
+        starts = []
+        monkeypatch.setattr(cli, "inexact_genvarpro", _failing_inexact(starts))
+        out = tmp_path / "o"
+        assert main(["compare", "--config", str(small_cfg), "--out", str(out)]) == 2
+        assert starts == ["exponential", "fixed-small"]
+        err = capsys.readouterr().err
+        assert "inexact (ab) y0=1.6" in err and "inexact (s) y0=1.6" in err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == ["gp_y0_1p6.csv", "lsqr_ab_y0_1p6.csv",
+                                       "lsqr_s_y0_1p6.csv"]
+
     def test_solver_exception_exit_code(self, small_cfg, tmp_path, monkeypatch, capsys):
         def singular(*args, **kwargs):
             raise SingularSystemError("normal equations are not positive definite")
@@ -412,11 +468,46 @@ class TestBounds:
         assert len(_read_csv(out / "bounds_b_y0_2.csv")[1]) == 4
         assert calls == {"gram": 8, "to_dense": 8}
 
+    def test_failed_run_goes_on(self, small_cfg, tmp_path, monkeypatch, capsys):
+        starts = []
+        monkeypatch.setattr(cli, "inexact_genvarpro", _failing_inexact(starts))
+        out = tmp_path / "o"
+        assert main(["bounds", "--config", str(small_cfg), "--out", str(out)]) == 2
+        assert starts == ["exponential", "fixed-small"]
+        err = capsys.readouterr().err
+        assert "inexact (ab) y0=1.6" in err and "inexact (s) y0=1.6" in err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == [] and manifest["violations"] == []
+
     def test_fatal_violation_exit_code(self, small_cfg, tmp_path, monkeypatch):
         # Force a violation by shrinking every computed bound to zero.
         monkeypatch.setattr(cli, "solution_bound", lambda *a: 0.0)
         assert main(["bounds", "--config", str(small_cfg),
                      "--out", str(tmp_path / "o")]) == 3
+
+    def test_each_record_checked_at_its_certified_tolerance(self, tmp_path, monkeypatch):
+        # From k = 25 on, the explicit-norm exponential run's inner solves
+        # stall near 6e-12, short of their eps_k. Each row is checked at the
+        # tolerance its solve certified, max(eps_k, achieved criterion), so
+        # the bounds hold at every record.
+        cfg = tmp_path / "ab2.cfg"
+        cfg.write_text("[solver]\ny0 = 2.0\n[schedules]\nrun = ab\n")
+        traces = []
+
+        def recording(*args, _solve=cli.inexact_genvarpro, **kwargs):
+            traces.append(_solve(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(cli, "inexact_genvarpro", recording)
+        out = tmp_path / "out"
+        assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["violations"] == []
+        _, rows = _read_csv(out / "bounds_ab_y0_2.csv")
+        assert len(rows) == len(traces[0]) == 51
+        assert not all(rec.inner_converged for rec in traces[0].records)
+        for rec, row in zip(traces[0].records, rows):
+            assert float(row[1]) == max(rec.epsilon, rec.inner_criterion)
+            assert row[8] == "0"
 
     def test_default_benchmark_all_schedules(self, tmp_path):
         # On the standard benchmark the bounds hold at every iteration for

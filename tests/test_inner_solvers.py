@@ -865,3 +865,14 @@ class TestCertificate:
             r_err = np.linalg.norm(entry["dense"] @ (sol.x_bar - x))
             assert x_err < vp.solution_bound(entry["kappa"], d_norm, entry["norm"], eps)
             assert r_err < vp.residual_bound(entry["kappa"], d_norm, eps)
+
+
+def test_lsqr_rejects_wrong_rhs_length():
+    with pytest.raises(ValueError, match="right-hand side must have length 4"):
+        vp.lsqr_solve(_identity_stack(2), np.ones(3), 1e-6)
+
+
+@pytest.mark.parametrize("b", [2.5, -2.5])
+def test_sym_ortho_with_zero_first_entry(b):
+    # The rotation of (0, b) onto (|b|, 0) is a pure sign: c = 0, s = sign(b).
+    assert _sym_ortho(0.0, b) == (0.0, math.copysign(1.0, b), 2.5)

@@ -583,3 +583,44 @@ def test_band_operator_shared_across_threads():
         sys.setswitchinterval(interval)
     for i, out in enumerate(results):
         assert np.array_equal(out, serial[i // 4])
+
+
+class MatrixFreeOperator(vp.LinearOperator):
+    """An operator known only by its applies, as a custom model gives one."""
+
+    def __init__(self, a):
+        super().__init__(*a.shape)
+        self.a = a
+
+    def _matvec(self, v):
+        return self.a @ v
+
+    def _rmatvec(self, w):
+        return self.a.T @ w
+
+
+def test_matrix_free_operator_materializes_column_by_column():
+    # The generic to_dense applies the operator to each unit vector, which
+    # gives every column exactly; the dense direct solve of a stack built on
+    # it then agrees with a least-squares solve of the same matrix.
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((9, 6))
+    top = MatrixFreeOperator(a)
+    np.testing.assert_array_equal(top.to_dense(), a)
+    op = vp.stack(top, vp.first_difference(6), 0.5)
+    fact = vp.DirectFactorization(op)
+    assert not fact.banded
+    b = rng.standard_normal(9)
+    expected = np.linalg.lstsq(op.to_dense(), np.concatenate([b, np.zeros(5)]), rcond=None)[0]
+    np.testing.assert_allclose(fact.solve_rhs(b), expected, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: vp.LinearOperator(-1, 3), r"invalid operator shape \(-1, 3\)"),
+    (lambda: vp.LinearOperator(3, 0), r"invalid operator shape \(3, 0\)"),
+    (lambda: vp.DenseOperator(np.ones(3)), "2-d array"),
+    (lambda: vp.SymmetricToeplitzOperator([]), "nonempty 1-d array"),
+])
+def test_constructors_reject_bad_shapes(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

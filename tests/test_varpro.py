@@ -299,6 +299,8 @@ class TestToleranceSchedule:
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match="epsilon0"):
                 vp.ToleranceSchedule("constant", bad)
+        with pytest.raises(ValueError, match="iteration index must be nonnegative"):
+            vp.ToleranceSchedule("constant", 1e-3).value(-1)
 
     @pytest.mark.parametrize("kind", ["constant", "linear", "exponential"])
     def test_epsilon0_required_where_read(self, kind):
@@ -608,3 +610,11 @@ def test_abort_status_and_partial_trace(solver, make, status):
     assert trace.failed
     assert len(trace) == 1
     assert trace.warnings
+
+
+@pytest.mark.parametrize("solver", [vp.genvarpro, vp.inexact_genvarpro])
+def test_wrong_data_length_rejected(solver, small_problem):
+    p = small_problem
+    opts = vp.OuterOptions(schedule=vp.ToleranceSchedule("fixed-small"))
+    with pytest.raises(ValueError, match=f"b must have length {p.model.m}"):
+        solver(p.model, np.append(p.b, 1.0), p.L, p.lam, np.array([2.0]), opts)
