@@ -14,20 +14,14 @@ from .deconv import (
     ConfigError,
     ProblemInstance,
     build_problem,
-    build_regularizer,
-    default_signal,
-    gaussian_blur_model,
     grid_minimizer,
     objective_grid,
     stacked_operator,
 )
 from .inner_solvers import (
     DirectFactorization,
-    InnerSolution,
     NumericalBreakdownError,
     SingularSystemError,
-    apply_pinv_transpose,
-    apply_projector_perp,
     condition_number,
     lsqr_solve,
 )
@@ -50,10 +44,8 @@ from .varpro import (
     SolverTrace,
     ToleranceSchedule,
     ToleranceWarning,
-    approx_jacobian,
     exact_jacobian,
     exact_residual,
-    gauss_newton_step,
     genvarpro,
     gradient,
     inexact_genvarpro,

@@ -147,7 +147,6 @@ _CONFIG_KEYS = (
     ("solver", "y0", "y0_list", _parse_float_list),
     ("solver", "max_outer_iterations", "outer.max_outer_iterations", int),
     ("solver", "step_tolerance", "outer.step_tolerance", float),
-    ("solver", "gradient_tolerance", "outer.gradient_tolerance", float),
     ("schedules", "run", "schedules", _parse_schedule_list),
     ("schedules", "epsilon0", "epsilon0", _parse_epsilon0),
 )
@@ -239,7 +238,10 @@ _TRACE_HEADER = ["k", "y", "f_value", "grad_norm", "epsilon", "inner_iterations"
 
 
 def _y0_tag(y0: float) -> str:
-    return f"{y0:g}".replace(".", "p")
+    """The y0 part of output names: the short ``:g`` form when it reads back
+    as y0, else the exact ``repr``, so distinct y0 values never share files."""
+    short = f"{y0:g}"
+    return (short if float(short) == y0 else repr(y0)).replace(".", "p")
 
 
 def _environment() -> dict:
@@ -461,7 +463,7 @@ def cmd_table(settings: RunSettings, out_dir: Path) -> int:
     problem = out.problem
     x_true_norm = float(np.linalg.norm(problem.x_true))
     header = ["k", "rre_gp", "rre_ab", "y_gp", "y_ab", "grad_gp", "grad_ab"]
-    seven_steps = dict(max_outer_iterations=7, step_tolerance=0.0, gradient_tolerance=0.0)
+    seven_steps = dict(max_outer_iterations=7, step_tolerance=0.0)
     for y0 in settings.y0_list:
         tag = _y0_tag(y0)
         eps0 = resolve_epsilon0(settings, problem, y0)

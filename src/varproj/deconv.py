@@ -81,15 +81,13 @@ class ProblemInstance:
     noise_ratio: float
 
 
-def default_signal(n: int) -> np.ndarray:
-    """The piecewise ground-truth signal on n points, with exact zero boundaries.
+def _signal(n: int) -> np.ndarray:
+    """The piecewise ground-truth signal on n >= 8 points, zero at both ends.
 
     It combines a flat plateau, a linear ramp with a jump at its end, and a
     compactly supported cosine bump, so the difference D x has both exact
     zeros and order-one jumps. All values lie in [0, 1].
     """
-    if n < 8:
-        raise ConfigError(f"signals need n >= 8, got n={n}")
     t = np.arange(n, dtype=float) / (n - 1)
     x = np.zeros(n)
     x[(t >= 0.15) & (t < 0.35)] = 0.75
@@ -100,20 +98,17 @@ def default_signal(n: int) -> np.ndarray:
     return x
 
 
-def build_regularizer(x_true, tau: float) -> FirstDifferenceOperator:
+def _regularizer(x_true: np.ndarray, tau: float) -> FirstDifferenceOperator:
     """Reweighted first difference L = W D with W_ii = (|D x_true|_i + tau)^(-1/2).
 
     The weights make ||L x||^2 = sum_i (D x)_i^2 / (|D x_true|_i + tau), so at
-    x = x_true the squared norm approximates ||D x_true||_1; tau keeps the
+    x = x_true the squared norm approximates ||D x_true||_1; tau > 0 keeps the
     weights finite where the true signal is flat.
     """
-    if not 0.0 < tau < math.inf:
-        raise ConfigError(f"tau must be positive and finite, got {tau}")
-    x_true = np.asarray(x_true, dtype=float)
     return FirstDifferenceOperator(1.0 / np.sqrt(np.abs(np.diff(x_true)) + tau))
 
 
-def gaussian_blur_model(n: int) -> SeparableModel:
+def _blur_model(n: int) -> SeparableModel:
     """The benchmark's separable model: the parameter is the kernel width."""
     return SeparableModel(
         m=n,
@@ -132,7 +127,7 @@ def build_problem(cfg: BenchConfig) -> ProblemInstance:
     ||b - b_true|| / ||b_true|| equals the configured level exactly.
     """
     n = cfg.n
-    x_true = default_signal(n)
+    x_true = _signal(n)
     A = gaussian_toeplitz(cfg.sigma_true, n)
     b_true = A.matvec(x_true)
     if cfg.noise_level > 0.0:
@@ -143,10 +138,10 @@ def build_problem(cfg: BenchConfig) -> ProblemInstance:
     else:
         b = b_true.copy()
     ratio = float(np.linalg.norm(b - b_true) / np.linalg.norm(b_true))
-    L = build_regularizer(x_true, cfg.tau)
+    L = _regularizer(x_true, cfg.tau)
     for arr in (b, b_true, x_true):
         arr.setflags(write=False)
-    return ProblemInstance(model=gaussian_blur_model(n), b=b, b_true=b_true,
+    return ProblemInstance(model=_blur_model(n), b=b, b_true=b_true,
                            x_true=x_true, L=L, lam=cfg.lam, config=cfg,
                            noise_ratio=ratio)
 

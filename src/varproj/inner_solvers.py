@@ -10,7 +10,7 @@ the free recurrence estimate of the criterion (Paige and Saunders 1982)
 comes within a margin of the tolerance or of the rounding floor, so an
 LSQR iteration costs between two and four applies. The direct route
 factors the normal equations S^T S once and reuses the factorization for
-pseudoinverse and projector applications needed by Jacobian assembly.
+the solves of Jacobian assembly.
 
 kappa_2(S) and ||S||_2 have one source, the Gram matrix S^T S that a
 ``DirectFactorization`` builds and holds: the band of ``normal_band``, or the
@@ -112,7 +112,6 @@ def _trivial_solution(op, criterion):
 
 
 def lsqr_solve(op: LinearOperator, d, tolerance: float, *,
-               max_iterations: int = LSQR_MAX_ITERATIONS,
                operator_norm: float | None = None) -> InnerSolution:
     """Solve min_x ||op x - d||_2 by LSQR with a relative-gradient stop.
 
@@ -137,16 +136,14 @@ def lsqr_solve(op: LinearOperator, d, tolerance: float, *,
     returned iterate, and the stall rule. It returns the checked iterate
     with the smallest criterion, at a converged stop the last one, since
     every earlier one was at least the tolerance. A solve that stops short
-    of the tolerance (at ``max_iterations``, after max(200, 4n) checked
-    iterations without a 10% gain, or on a Krylov breakdown) has
-    ``converged=False``. A vector norm that is not finite (of d, u, v, x, r
-    or op^T r) raises ``NumericalBreakdownError`` before anything is divided
-    by it.
+    of the tolerance (at the cap of ``LSQR_MAX_ITERATIONS`` iterations,
+    after max(200, 4n) checked iterations without a 10% gain, or on a
+    Krylov breakdown) has ``converged=False``. A vector norm that is not
+    finite (of d, u, v, x, r or op^T r) raises ``NumericalBreakdownError``
+    before anything is divided by it.
     """
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be at least 1")
     if operator_norm is not None and not 0.0 < operator_norm < math.inf:
         raise ValueError(f"operator_norm must be positive and finite, got {operator_norm}")
     d = np.asarray(d, dtype=float)
@@ -190,7 +187,7 @@ def lsqr_solve(op: LinearOperator, d, tolerance: float, *,
     stall_window = max(200, 4 * op.cols)
     stall = 0
 
-    while itn < max_iterations:
+    while itn < LSQR_MAX_ITERATIONS:
         itn += 1
 
         # One Golub-Kahan step: beta*u = op*v - alfa*u, alfa*v = op^T*u - beta*v.
@@ -231,7 +228,7 @@ def lsqr_solve(op: LinearOperator, d, tolerance: float, *,
             checking = not (_SCREEN_MARGIN * tolerance <= screen < math.inf
                             and screen * phibar >= floor
                             and phibar > _FLOOR_MARGIN * floor
-                            and beta > 0.0 and alfa > 0.0 and itn < max_iterations)
+                            and beta > 0.0 and alfa > 0.0 and itn < LSQR_MAX_ITERATIONS)
             if not checking:
                 continue
 
@@ -349,22 +346,6 @@ def _extreme_eigenvalues(normal: np.ndarray, banded: bool) -> tuple[float, float
     else:
         evals = scipy.linalg.eigvalsh(normal, lower=True, check_finite=False)
     return float(evals[0]), float(evals[-1])
-
-
-def apply_pinv(fact: DirectFactorization, z) -> np.ndarray:
-    """Pseudoinverse application (S^T S)^{-1} S^T z."""
-    return fact.solve_normal(fact.op.rmatvec(z))
-
-
-def apply_pinv_transpose(fact: DirectFactorization, w) -> np.ndarray:
-    """Transposed-pseudoinverse application S (S^T S)^{-1} w."""
-    return fact.op.matvec(fact.solve_normal(w))
-
-
-def apply_projector_perp(fact: DirectFactorization, z) -> np.ndarray:
-    """Orthogonal projection of z onto the complement of range(S)."""
-    z = np.asarray(z, dtype=float)
-    return z - fact.op.matvec(apply_pinv(fact, z))
 
 
 def condition_number(op: LinearOperator) -> float:

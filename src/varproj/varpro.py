@@ -22,8 +22,6 @@ import scipy.linalg
 from .inner_solvers import (
     DirectFactorization,
     SingularSystemError,
-    apply_pinv_transpose,
-    apply_projector_perp,
     condition_number,  # not called here: bench/spans.py wraps varpro.condition_number
     condition_number_below,
     lsqr_solve,
@@ -109,8 +107,8 @@ class OuterOptions:
     """Stopping rules and inner-solver controls for the outer loops.
 
     The loop stops when the step norm falls to ``step_tolerance``, the
-    gradient norm falls to ``gradient_tolerance``, or after
-    ``max_outer_iterations`` Gauss-Newton steps, whichever happens first.
+    gradient is exactly zero, or after ``max_outer_iterations``
+    Gauss-Newton steps, whichever happens first.
     ``schedule`` is required by the inexact variant only.
     ``norm_estimate_mode`` is the inexact variant's LSQR norm control:
     ``explicit-2norm`` takes ||S||_2 in the LSQR stopping test from the Gram
@@ -120,14 +118,13 @@ class OuterOptions:
 
     max_outer_iterations: int = 50
     step_tolerance: float = 1e-10
-    gradient_tolerance: float = 0.0
     schedule: ToleranceSchedule | None = None
     norm_estimate_mode: str = NORM_MODE_INTERNAL
 
     def __post_init__(self):
         if self.max_outer_iterations < 1:
             raise ValueError("max_outer_iterations must be at least 1")
-        if not (self.step_tolerance >= 0.0 and self.gradient_tolerance >= 0.0):
+        if not self.step_tolerance >= 0.0:
             raise ValueError("stopping tolerances must be nonnegative")
         if self.norm_estimate_mode not in (NORM_MODE_INTERNAL, NORM_MODE_EXPLICIT):
             raise ValueError(f"norm_estimate_mode: unknown mode {self.norm_estimate_mode!r}")
@@ -154,11 +151,11 @@ class IterationRecord:
 class SolverTrace:
     """Per-iteration records of one outer run plus its final status.
 
-    ``status`` is one of ``step-tolerance``, ``gradient-tolerance``,
-    ``max-iterations``, ``inner-failure``, ``singular-step``,
-    ``infeasible-iterate``. The last three mark aborted runs with a
-    partial record list, and ``warnings`` holds the reason. The status of
-    each inner solve is in its record.
+    ``status`` is one of ``step-tolerance``, ``gradient-tolerance`` (the
+    gradient is exactly zero), ``max-iterations``, ``inner-failure``,
+    ``singular-step``, ``infeasible-iterate``. The last three mark aborted
+    runs with a partial record list, and ``warnings`` holds the reason. The
+    status of each inner solve is in its record.
     """
 
     records: list[IterationRecord] = field(default_factory=list)
@@ -182,28 +179,28 @@ class SolverTrace:
 def exact_jacobian(model: SeparableModel, y, fact: DirectFactorization, x, b) -> np.ndarray:
     """Jacobian of the reduced residual at y, assembled from the inner solution x.
 
-    Column j is P_perp [dA/dy_j x; 0] + (S^dagger)^T dA/dy_j^T (b - A x),
-    with S the stacked operator held by ``fact``. The exact inner solution
-    gives the exact Jacobian; an approximate inner solution x_bar gives the
-    approximate Jacobian of the inexact loop, and feeding the exact solution
-    reproduces the exact Jacobian bit for bit.
+    Column j is P_perp u + (S^dagger)^T dA/dy_j^T (b - A x), u = [dA/dy_j x; 0],
+    with S the stacked operator held by ``fact`` and S^dagger = (S^T S)^{-1} S^T
+    applied by its solves. The exact inner solution gives the exact Jacobian;
+    an approximate inner solution x_bar gives the approximate Jacobian of the
+    inexact loop, and feeding the exact solution reproduces the exact
+    Jacobian bit for bit.
     """
     y = _check_y(model, y)
     x = np.asarray(x, dtype=float)
-    mq = fact.op.rows
-    cols = np.empty((mq, model.r))
-    top_residual = np.asarray(b, dtype=float) - fact.op.top.matvec(x)
+    S = fact.op
+    cols = np.empty((S.rows, model.r))
+    top_residual = np.asarray(b, dtype=float) - S.top.matvec(x)
     for j in range(model.r):
         dop = model.derivative(y, j)
-        u = np.zeros(mq)
+        u = np.zeros(S.rows)
         u[: model.m] = dop.matvec(x)
-        cols[:, j] = apply_projector_perp(fact, u) + apply_pinv_transpose(
-            fact, dop.rmatvec(top_residual)
-        )
+        cols[:, j] = ((u - S.matvec(fact.solve_normal(S.rmatvec(u))))
+                      + S.matvec(fact.solve_normal(dop.rmatvec(top_residual))))
     return cols
 
 
-approx_jacobian = exact_jacobian
+approx_jacobian = exact_jacobian  # bench/spans.py wraps varpro.approx_jacobian
 
 
 def gradient(J, f_vec) -> np.ndarray:
@@ -320,7 +317,7 @@ def _gauss_newton(model, b, L, lam, y, opts: OuterOptions,
         rec = IterationRecord(k=k, y=y.copy(), x=x, f_value=0.5 * float(fvec @ fvec),
                               gradient=gradient(J, fvec), **fields)
         trace.records.append(rec)
-        if not closing and float(np.linalg.norm(rec.gradient)) <= opts.gradient_tolerance:
+        if not closing and float(np.linalg.norm(rec.gradient)) == 0.0:
             trace.status = "gradient-tolerance"
             closing = True
         if closing:

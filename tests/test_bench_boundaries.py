@@ -22,22 +22,23 @@ import pytest
 import scipy.linalg
 
 import varproj as vp
-from varproj import cli, deconv, linops, varpro
+from varproj import cli, deconv, inner_solvers, linops, varpro
 from varproj.inner_solvers import lsqr_solve
 
-WRAPPED = [
-    (varpro, "lsqr_solve"),
-    (varpro, "DirectFactorization"),
-    (varpro, "condition_number"),
-    (varpro, "exact_jacobian"),
-    (varpro, "approx_jacobian"),
-    (varpro, "gauss_newton_step"),
-    (varpro, "stack"),
-    (deconv, "stack"),
-    (deconv, "gaussian_toeplitz"),
-    (deconv, "gaussian_toeplitz_derivative"),
-    (deconv, "objective_grid"),
-]
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _wrapped_names():
+    """(module, attribute) of every entry of ``_BOUNDARIES`` in bench/spans.py,
+    read with ast, not executed, so tier-1 does not import the benchmark."""
+    for node in ast.parse((BENCH / "spans.py").read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["_BOUNDARIES"]:
+            return [(importlib.import_module(f"varproj.{entry.elts[0].id}"), entry.elts[1].value)
+                    for entry in node.value.elts]
+    raise AssertionError("bench/spans.py defines no _BOUNDARIES")
+
+
+WRAPPED = _wrapped_names()
 
 
 @pytest.mark.parametrize("module,name", WRAPPED,
@@ -53,7 +54,7 @@ def test_cli_initial_tolerances_exist():
 def test_benchmark_imported_names_exist():
     # The imports are read with ast, not executed, so tier-1 does not
     # import the benchmark.
-    source = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    source = BENCH / "workloads.py"
     imported = [(node.module, alias.name) for node in ast.walk(ast.parse(source.read_text()))
                 if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("varproj")
                 for alias in node.names]
@@ -188,7 +189,8 @@ def test_lsqr_applies_per_iteration(problem, monkeypatch, tolerance, cap):
         monkeypatch.setattr(linops.LinearOperator, name, counting)
     op = deconv.stacked_operator(problem, 3.0)
     d = np.concatenate([problem.b, np.zeros(problem.L.rows)])
-    sol = lsqr_solve(op, d, tolerance, max_iterations=cap)
+    monkeypatch.setattr(inner_solvers, "LSQR_MAX_ITERATIONS", cap)
+    sol = lsqr_solve(op, d, tolerance)
     assert sol.converged == (cap == 10000)
     assert sol.iterations > 1
     checks = len(sol.criterion_history)
@@ -203,7 +205,7 @@ def test_pinned_n128_lsqr_count():
     # bench/baseline_counts.json, but tier-1 does not run its tests. The
     # constant schedule from y0 = 2 is the cheapest pinned operation, and a
     # change that moves n = 128 LSQR work moves it too.
-    counts = Path(__file__).resolve().parents[1] / "bench" / "baseline_counts.json"
+    counts = BENCH / "baseline_counts.json"
     pinned = json.loads(counts.read_text())["paper-n128"]["lsqr_iters_by_op"]["constant@y0=2"]
     p = vp.build_problem(vp.BenchConfig(n=128, rng_seed=1))
     opts = vp.OuterOptions(max_outer_iterations=50, step_tolerance=0.0,

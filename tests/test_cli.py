@@ -161,14 +161,14 @@ class TestConfig:
         assert main([command, "--seed", "-1", *out]) == 1
         assert capsys.readouterr().err.startswith("config error: [problem] seed")
 
-    # Each invalid value is a config error naming its section and key; the
-    # two stopping tolerances share one message. Infinite values are
-    # rejected too, except for the stopping tolerances, where they mean
-    # "stop at the first check".
+    # Each invalid value is a config error naming its section and key.
+    # Infinite values are rejected too, except for the step tolerance,
+    # where it means "stop at the first check".
     @pytest.mark.parametrize("section,key,value,named", [
         ("solver", "max_outer_iterations", "0", "max_outer_iterations"),
         ("solver", "step_tolerance", "-1", "stopping tolerances"),
-        ("solver", "gradient_tolerance", "-1", "stopping tolerances"),
+        # Nor is `gradient_tolerance`: the loop stops on an exactly zero gradient.
+        ("solver", "gradient_tolerance", "-1", "gradient_tolerance"),
         ("solver", "step_tolerance", "nan", "stopping tolerances"),
         # `safety` is no longer a key: any value of it is an unknown key.
         ("schedules", "safety", "0", "safety"),
@@ -286,6 +286,25 @@ class TestCompare:
         # exact-run rows leave the schedule columns empty
         assert gp_rows[0][4] == ""
         assert ab_rows[0][4] != ""
+
+    def test_y0_values_that_print_alike_keep_their_own_outputs(self, tmp_path):
+        # 1.6 and 1.6000001 both print as 1.6 under :g. Each run keeps its
+        # own files and timings, and a y0 that :g prints exactly keeps its
+        # short name.
+        assert cli._y0_tag(1.6) == "1p6" and cli._y0_tag(2.0) == "2"
+        assert cli._y0_tag(1.6000001) == "1p6000001"
+        cfg = tmp_path / "near.cfg"
+        cfg.write_text(SMALL_CONFIG.replace("y0 = 1.6", "y0 = 1.6, 1.6000001")
+                       .replace("run = ab, s", "run = s"))
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(set(manifest["outputs"])) == manifest["outputs"]
+        assert len(manifest["outputs"]) == 7  # gp, lsqr_s and gap_s per y0, plot_gaps.gp
+        assert len(manifest["timings_seconds"]) == 4
+        for name in ("gp_y0_{}.csv", "lsqr_s_y0_{}.csv", "gap_s_y0_{}.csv"):
+            first, second = (out / name.format(tag) for tag in ("1p6", "1p6000001"))
+            assert first.read_bytes() != second.read_bytes()
 
     def test_byte_identical_rerun(self, small_cfg, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"

@@ -11,7 +11,7 @@ import varproj as vp
 from varproj import deconv, linops
 from varproj.deconv import ConfigError
 
-# Frozen output of default_signal(16); regenerating must
+# Frozen output of the benchmark signal at n = 16; regenerating must
 # reproduce it bit for bit.
 PIECEWISE_16 = np.array([
     0.0, 0.0, 0.0,
@@ -49,49 +49,53 @@ def dense_objective(problem, y):
 class TestDefaultSignal:
     @pytest.mark.parametrize("n", [8, 16, 128, 301])
     def test_zero_boundaries_and_range(self, n):
-        x = vp.default_signal(n)
+        x = deconv._signal(n)
         assert x[0] == 0.0 and x[-1] == 0.0
         assert np.all(x >= 0.0) and np.all(x <= 1.0)
 
     def test_piecewise_exercises_both_weight_regimes(self):
-        x = vp.default_signal(128)
+        x = deconv._signal(128)
         d = vp.first_difference(128).matvec(x)
         assert np.sum(d == 0.0) >= 1          # plateau: exact zeros
         assert np.sum(np.abs(d) >= 0.05) >= 1  # jump: order-one difference
 
     def test_frozen_fixture_n16(self):
-        np.testing.assert_array_equal(vp.default_signal(16), PIECEWISE_16)
+        np.testing.assert_array_equal(deconv._signal(16), PIECEWISE_16)
 
     def test_rejects_small_n(self):
-        with pytest.raises(ConfigError):
-            vp.default_signal(4)
+        # The signal needs n >= 8, which the configuration checks before
+        # any signal is built.
+        with pytest.raises(ConfigError, match="n must be at least 8"):
+            vp.build_problem(vp.BenchConfig(n=4))
 
 
 class TestRegularizer:
     def test_constant_signal_gives_scaled_difference(self):
         n, tau = 12, 1e-8
-        L = vp.build_regularizer(np.full(n, 0.3), tau)
+        L = deconv._regularizer(np.full(n, 0.3), tau)
         expected = tau ** (-0.5) * vp.first_difference(n).to_dense()
         np.testing.assert_allclose(L.to_dense(), expected, rtol=1e-12)
 
     def test_weighted_norm_approximates_total_variation(self):
-        x = vp.default_signal(128)
-        L = vp.build_regularizer(x, 1e-8)
+        x = deconv._signal(128)
+        L = deconv._regularizer(x, 1e-8)
         lx2 = float(np.sum(L.matvec(x) ** 2))
         tv = float(np.sum(np.abs(vp.first_difference(128).matvec(x))))
         assert 0.5 * tv <= lx2 <= tv
 
     def test_single_jump_signal(self):
         x = np.concatenate([np.zeros(8), np.ones(8)])
-        L = vp.build_regularizer(x, 1e-8)
+        L = deconv._regularizer(x, 1e-8)
         lx2 = float(np.sum(L.matvec(x) ** 2))
         assert lx2 == pytest.approx(1.0, abs=1e-7)
 
     def test_rejects_nonpositive_tau(self):
-        with pytest.raises(ConfigError):
-            vp.build_regularizer(np.zeros(8), 0.0)
-        with pytest.raises(ConfigError):
-            vp.build_regularizer(np.zeros(8), np.inf)
+        # The weights need a positive finite tau, which the configuration
+        # checks before the regularizer is built.
+        with pytest.raises(ConfigError, match="tau"):
+            vp.build_problem(vp.BenchConfig(tau=0.0))
+        with pytest.raises(ConfigError, match="tau"):
+            vp.build_problem(vp.BenchConfig(tau=np.inf))
 
 
 class TestBuildProblem:
