@@ -38,6 +38,7 @@ from . import __version__
 from .bounds import BoundInvalidError, initial_tolerance, residual_bound, solution_bound
 from .deconv import BenchConfig, ConfigError, ProblemInstance, build_problem, stacked_operator
 from .inner_solvers import NumericalBreakdownError, SingularSystemError, condition_number
+from .linops import check_kernel_width
 from .varpro import (
     NORM_MODE_EXPLICIT,
     OuterOptions,
@@ -154,16 +155,24 @@ _CONFIG_KEYS = (
 
 def load_settings(config_path: str | None, seed_override: int | None = None,
                   schedules_override: str | None = None) -> RunSettings:
-    """Read an INI config file, applying defaults for every missing key."""
-    parser = configparser.ConfigParser()
+    """Read a UTF-8 INI config file, applying defaults for every missing key.
+
+    A ``#`` that starts a line or follows whitespace starts a comment, ``%``
+    is an ordinary character, and ``[DEFAULT]`` is an unknown section like
+    any other.
+    """
+    # No section name maps to the parser's defaults: the header "[]" never
+    # parses, so "[DEFAULT]" is read as a section of its own.
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",),
+                                       default_section="")
     if config_path is not None:
         path = Path(config_path)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
         try:
-            with open(path) as handle:
+            with open(path, encoding="utf-8") as handle:
                 parser.read_file(handle)
-        except (OSError, configparser.Error) as exc:
+        except (OSError, UnicodeDecodeError, configparser.Error) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
 
     known_keys = {(section, key) for section, key, _, _ in _CONFIG_KEYS}
@@ -203,8 +212,10 @@ def load_settings(config_path: str | None, seed_override: int | None = None,
         raise ConfigError(f"[solver] {exc}") from exc
     settings = RunSettings(problem=problem, outer=outer, **values[""])
     for y0 in settings.y0_list:
-        if not 0.0 < y0 < np.inf:
-            raise ConfigError(f"[solver] y0 values must be positive and finite, got {y0}")
+        try:
+            check_kernel_width(y0)
+        except ValueError as exc:
+            raise ConfigError(f"[solver] y0: {exc}") from None
     return settings
 
 
@@ -244,12 +255,25 @@ def _y0_tag(y0: float) -> str:
     return (short if float(short) == y0 else repr(y0)).replace(".", "p")
 
 
+def _blas_build(module) -> str | None:
+    """Name and version of the BLAS that numpy or scipy was built with, or
+    None where its ``show_config`` does not report them."""
+    try:
+        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # no mode="dicts" before numpy 1.25, scipy 1.11
+        return None
+
+
 def _environment() -> dict:
-    """Interpreter and library versions, BLAS thread settings and CPU count."""
+    """Interpreter, library and BLAS build versions, BLAS thread settings and
+    CPU count."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
+        "numpy_blas": _blas_build(np),
+        "scipy_blas": _blas_build(scipy),
         "blas_thread_env": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "cpu_count": os.cpu_count(),
     }

@@ -21,6 +21,7 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 from .inner_solvers import SingularSystemError
 from .linops import (
     FirstDifferenceOperator,
+    check_kernel_width,
     gaussian_row,
     gaussian_toeplitz,
     gaussian_toeplitz_derivative,
@@ -55,8 +56,10 @@ class BenchConfig:
     def __post_init__(self):
         if self.n < 8:
             raise ConfigError(f"n must be at least 8, got {self.n}")
-        if not 0.0 < self.sigma_true < math.inf:
-            raise ConfigError(f"sigma_true must be positive and finite, got {self.sigma_true}")
+        try:
+            check_kernel_width(self.sigma_true)
+        except ValueError as exc:
+            raise ConfigError(f"sigma_true: {exc}") from None
         if not 0.0 <= self.noise_level < math.inf:
             raise ConfigError(f"noise_level must be nonnegative and finite, got {self.noise_level}")
         if not 0.0 < self.lam < math.inf:

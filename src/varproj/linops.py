@@ -431,9 +431,22 @@ def first_difference(n: int) -> FirstDifferenceOperator:
     return FirstDifferenceOperator(np.ones(n - 1))
 
 
+def check_kernel_width(sigma: float) -> None:
+    """Raise ``ValueError`` unless sigma**3 is a positive finite double, that
+    is 1.7e-108 < sigma < 5.6e102 or about. The kernel derivative divides by
+    sigma**3 and the kernel by 2 sigma**2: a cube that underflows to zero
+    makes NaN rows, and one that overflows raises ``OverflowError``."""
+    try:
+        cube = float(sigma) ** 3
+    except OverflowError:
+        cube = math.inf
+    if not 0.0 < cube < math.inf:
+        raise ValueError(f"kernel width must be positive with a nonzero finite cube "
+                         f"(about 1.7e-108 to 5.6e102), got {sigma}")
+
+
 def _validate_kernel_args(sigma: float, n: int) -> None:
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    check_kernel_width(sigma)
     if n < 2:
         raise ValueError(f"kernel needs n >= 2, got n={n}")
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -23,7 +23,6 @@ from .inner_solvers import (
     DirectFactorization,
     SingularSystemError,
     condition_number,  # not called here: bench/spans.py wraps varpro.condition_number
-    condition_number_below,
     lsqr_solve,
 )
 from .linops import LinearOperator, stack
@@ -239,12 +238,11 @@ def _start(model: SeparableModel, b, y0) -> tuple[np.ndarray, np.ndarray]:
     return b, y
 
 
-def _evaluate(model, y, b, L, lam, schedule: ToleranceSchedule | None = None, k: int = 0,
-              opts: OuterOptions | None = None):
+def _evaluate(model, y, b, L, lam, opts: OuterOptions = OuterOptions(), k: int = 0):
     """Factor S = [A(y); lam L], solve the inner problem and form F = S x - [b; 0].
 
-    Without a schedule the inner solve is exact, x(y) = (S^T S)^{-1} A^T b.
-    With one, LSQR stops at tolerance eps^(k), and at k = 0 the check
+    Without a schedule in ``opts`` the inner solve is exact, x(y) = (S^T S)^{-1}
+    A^T b. With one, LSQR stops at tolerance eps^(k), and at k = 0 the check
     eps0 * kappa0 < 1 runs.
     Returns ``(fact, x, F, fields)``, ``fields`` being the IterationRecord
     fields of the inner solve.
@@ -252,12 +250,12 @@ def _evaluate(model, y, b, L, lam, schedule: ToleranceSchedule | None = None, k:
     S = stack(model.operator(y), L, lam)
     fact = DirectFactorization(S)
     d = np.concatenate([b, np.zeros(L.rows)])
-    if schedule is None:
+    if opts.schedule is None:
         x, fields = fact.solve_rhs(b), {}
     else:
-        eps_k = schedule.value(k)
+        eps_k = opts.schedule.value(k)
         # One shifted Cholesky of the normal matrix certifies eps0 * kappa0 < 1.
-        if k == 0 and not condition_number_below(fact, 1.0 / eps_k):
+        if k == 0 and not fact.condition_number_below(1.0 / eps_k):
             warnings.warn(
                 f"could not certify eps0 * kappa0 < 1 for eps0 = {eps_k:.3g}; "
                 "inner-solve error bounds may not apply",
@@ -286,13 +284,12 @@ def exact_residual(model: SeparableModel, y, b, L: LinearOperator, lam: float):
     return fact, x, fvec
 
 
-def _gauss_newton(model, b, L, lam, y, opts: OuterOptions,
-                  schedule: ToleranceSchedule | None) -> SolverTrace:
+def _gauss_newton(model, b, L, lam, y, opts: OuterOptions) -> SolverTrace:
     """Undamped Gauss-Newton on the reduced functional, shared by both solvers.
 
     Each iteration factors the stacked operator, solves the inner problem
-    exactly or, given a ``schedule``, by LSQR, assembles the Jacobian from
-    the inner solution and steps. After the last step a closing record is
+    exactly or, given a schedule in ``opts``, by LSQR, assembles the
+    Jacobian from the inner solution and steps. After the last step a closing record is
     evaluated at the final iterate. An infeasible iterate, a singular inner
     system or a singular step system aborts the run with a partial trace and
     an error status.
@@ -307,7 +304,7 @@ def _gauss_newton(model, b, L, lam, y, opts: OuterOptions,
             trace.status = "infeasible-iterate"
             break
         try:
-            fact, x, fvec, fields = _evaluate(model, y, b, L, lam, schedule, k, opts)
+            fact, x, fvec, fields = _evaluate(model, y, b, L, lam, opts, k)
         except SingularSystemError as exc:
             trace.warnings.append(f"{at}: {exc}")
             trace.status = "inner-failure"
@@ -347,7 +344,7 @@ def genvarpro(model: SeparableModel, b, L: LinearOperator, lam: float, y0,
     including a system that is already singular at y0.
     """
     b, y = _start(model, b, y0)
-    return _gauss_newton(model, b, L, lam, y, opts or OuterOptions(), None)
+    return _gauss_newton(model, b, L, lam, y, replace(opts or OuterOptions(), schedule=None))
 
 
 def inexact_genvarpro(model: SeparableModel, b, L: LinearOperator, lam: float, y0,
@@ -360,14 +357,15 @@ def inexact_genvarpro(model: SeparableModel, b, L: LinearOperator, lam: float, y
     (``inner_converged``, ``inner_iterations``, ``inner_criterion``) and the
     run continues with its best iterate. At y0 it warns unless eps^(0) kappa0 < 1
     is certified, kappa0 being the condition number of the stacked operator
-    there: one Cholesky factorization of a shifted copy of the normal matrix
-    that iteration 0 factors (``condition_number_below``) certifies it,
-    without an eigensolver or an SVD. The certificate has a margin, so the
-    warning can also fire for eps^(0) kappa0 just below 1. Normal equations
-    that cannot be factored at y0 end the run with status ``inner-failure``
-    and no records, as in ``genvarpro``.
+    there: the ``condition_number_below`` of the factorization that
+    iteration 0 builds certifies it with one Cholesky factorization of a
+    shifted copy of its normal matrix, without an eigensolver or an SVD.
+    The certificate has a margin, so the warning can also fire for eps^(0)
+    kappa0 just below 1. Normal equations that cannot be factored at y0 end
+    the run with status ``inner-failure`` and no records, as in
+    ``genvarpro``.
     """
     if opts.schedule is None:
         raise ValueError("inexact_genvarpro requires OuterOptions.schedule")
     b, y = _start(model, b, y0)
-    return _gauss_newton(model, b, L, lam, y, opts, opts.schedule)
+    return _gauss_newton(model, b, L, lam, y, opts)

@@ -86,6 +86,34 @@ def test_library_takes_no_svd():
     assert found == []
 
 
+def test_cholesky_and_eigen_solves_belong_to_the_gram():
+    # Every Cholesky factorization and symmetric eigen-solve of the library
+    # is a method of the Gram object (``_Gram`` and its subclass
+    # ``DirectFactorization``), or the grid scan's own band factorization in
+    # ``deconv._objective_block``. Read with ast, so a call that no test
+    # reaches is caught too.
+    routines = {"cho_factor", "cholesky_banded", "eigvalsh", "eigvals_banded", "dpbtrf", "dpotrf"}
+    owners = {("inner_solvers.py", "_Gram"), ("inner_solvers.py", "DirectFactorization"),
+              ("deconv.py", "_objective_block")}
+    package = Path(vp.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        for top in tree.body:
+            if (path.name, getattr(top, "name", None)) in owners:
+                functions = [top] if isinstance(top, ast.FunctionDef) else [
+                    method for method in top.body if isinstance(method, ast.FunctionDef)]
+                allowed.update(id(node) for function in functions for node in ast.walk(function))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in allowed:
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name in routines:
+                    found.append(f"{path.name}:{node.lineno} calls {name}")
+    assert found == []
+
+
 def test_no_module_reads_a_siblings_private_names():
     # A private name belongs to the module that defines it: no module of the
     # library imports an underscore name from a sibling, or reads one off a

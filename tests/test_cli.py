@@ -117,6 +117,60 @@ class TestConfig:
         assert capsys.readouterr().err.startswith(f"config error: cannot read config file {cfg}")
         assert not (tmp_path / "o").exists()
 
+    def test_inline_comment_is_stripped(self, tmp_path):
+        cfg = tmp_path / "comments.cfg"
+        cfg.write_text("[problem]\nn = 48  # signal length\n# a whole-line comment\n"
+                       "[solver]\ny0 = 1.5, 2.5  # two runs\n")
+        settings = cli.load_settings(str(cfg))
+        assert settings.problem.n == 48 and settings.y0_list == (1.5, 2.5)
+
+    def test_percent_is_an_ordinary_character(self, tmp_path, capsys):
+        # configparser's default interpolation would raise on "%".
+        cfg = tmp_path / "percent.cfg"
+        cfg.write_text("[solver]\ny0 = 2%\n")
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: [solver] y0: cannot parse '2%'\n"
+
+    def test_undecodable_file_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"[problem]\n# width \xb5m\nn = 48\n")
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config file {cfg}: 'utf-8' codec")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text", ["[DEFAULT]\nseed = 3\n",
+                                      "[DEFAULT]\nseed = 3\n[solver]\ny0 = 2.0\n",
+                                      "[DEFAULT]\n"],
+                             ids=["alone", "with-solver", "empty"])
+    def test_default_section_is_unknown(self, tmp_path, capsys, text):
+        # configparser would otherwise read [DEFAULT]'s keys as keys of
+        # every section.
+        cfg = tmp_path / "default.cfg"
+        cfg.write_text(text)
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "config error: unknown config section [DEFAULT]\n"
+
+    # A kernel width whose cube underflows or overflows gave NaN kernel rows
+    # or an OverflowError; it is a config error, for the true width and for
+    # every starting width alike.
+    @pytest.mark.parametrize("section,key,value", [
+        ("solver", "y0", "1e-120"), ("solver", "y0", "2.0, 1e120"),
+        ("problem", "sigma_true", "1e-120"), ("problem", "sigma_true", "1e-200"),
+        ("problem", "sigma_true", "1e120"),
+    ])
+    def test_kernel_width_out_of_range_is_config_error(self, tmp_path, capsys, section, key,
+                                                       value):
+        cfg = tmp_path / "width.cfg"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: [{section}] {key}: kernel width must be positive")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_empty_list_names_key(self, tmp_path, capsys):
         cfg = tmp_path / "empty.cfg"
         cfg.write_text("[solver]\ny0 = ,\n")
@@ -212,14 +266,12 @@ class TestConfig:
         assert documented == {(section, key) for section, key, _, _ in cli._CONFIG_KEYS}
 
     def test_readme_schema_gives_the_defaults(self, tmp_path):
-        # The README's schema, its comments stripped, is the default run.
+        # The README's schema, saved as written with its comments, is the
+        # default run.
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = re.search(r"### Config file schema.*?```ini\n(.*?)```", readme, re.S).group(1)
-        schema = configparser.ConfigParser(inline_comment_prefixes=("#",))
-        schema.read_string(block)
         cfg = tmp_path / "readme.cfg"
-        with open(cfg, "w") as handle:
-            schema.write(handle)
+        cfg.write_text(block)
         assert cli.load_settings(str(cfg)).resolved() == cli.load_settings(None).resolved()
 
     def test_readme_library_example_runs(self, capsys):
@@ -264,9 +316,14 @@ class TestCompare:
         assert manifest["config"]["schedules"]["epsilon0"] == 1e-4
         assert all(t >= 0 for t in manifest["timings_seconds"].values())
         env = manifest["environment"]
-        assert set(env) == {"python", "numpy", "scipy", "blas_thread_env", "cpu_count"}
+        assert set(env) == {"python", "numpy", "scipy", "numpy_blas", "scipy_blas",
+                            "blas_thread_env", "cpu_count"}
         assert env["numpy"] == np.__version__
         assert env["scipy"] == scipy.__version__
+        # numpy and scipy may each bundle their own BLAS build.
+        for name, module in (("numpy_blas", np), ("scipy_blas", scipy)):
+            blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            assert env[name] == f"{blas['name']} {blas['version']}"
         assert env["python"] == platform.python_version()
         assert env["cpu_count"] == os.cpu_count()
         assert env["blas_thread_env"] == {var: os.environ.get(var)
@@ -479,7 +536,8 @@ class TestBounds:
                 calls[name] += 1
                 return original(*args, **kwargs)
             return wrapper
-        monkeypatch.setattr(inner_solvers, "_gram", counting("gram", inner_solvers._gram))
+        monkeypatch.setattr(inner_solvers._Gram, "__init__",
+                            counting("gram", inner_solvers._Gram.__init__))
         monkeypatch.setattr(vp.StackedOperator, "to_dense",
                             counting("to_dense", vp.StackedOperator.to_dense))
         out = tmp_path / "out"

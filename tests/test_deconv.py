@@ -99,6 +99,12 @@ class TestRegularizer:
 
 
 class TestBuildProblem:
+    @pytest.mark.parametrize("sigma", [1e-120, 1e120, 0.0])
+    def test_rejects_kernel_widths_out_of_range(self, sigma):
+        # The kernel's rule on its width, reported as a configuration error.
+        with pytest.raises(ConfigError, match="sigma_true: kernel width must be positive"):
+            vp.BenchConfig(sigma_true=sigma)
+
     def test_noise_ratio_exact(self, problem):
         assert abs(problem.noise_ratio - 0.05) <= 1e-12
         measured = np.linalg.norm(problem.b - problem.b_true) / np.linalg.norm(problem.b_true)

@@ -16,12 +16,9 @@ from varproj.inner_solvers import (
     DirectFactorization,
     NumericalBreakdownError,
     SingularSystemError,
-    _eigenvalue_error,
-    _extreme_eigenvalues,
-    _gram,
+    _Gram,
     _norm,
     _sym_ortho,
-    condition_number_below,
 )
 from varproj.linops import normal_band
 
@@ -45,9 +42,12 @@ def svd_condition_number(op):
 
 def gram_spectrum(op):
     """lo, hi and delta of ``condition_number(op)``: the extreme computed
-    eigenvalues of its Gram and their error bound."""
-    normal, dense = _gram(op)
-    return (*_extreme_eigenvalues(normal, dense is None), _eigenvalue_error(op, normal, dense))
+    eigenvalues of its Gram and their error bound, delta restated here from
+    the Gram's rounding terms as ``_Gram.condition_number`` documents it."""
+    gram = _Gram(op)
+    g, bound, dropped = gram._rounding()
+    delta = (g * bound + dropped + op.cols * EPS * (1.0 + g) * bound) * (1.0 + 16.0 * EPS)
+    return (*gram.extreme_eigenvalues(), delta)
 
 
 def assert_certified_kappa(op):
@@ -328,18 +328,38 @@ class TestConditionNumber:
         def refuse(*args, **kwargs):
             raise AssertionError("built a second Gram or materialized S again")
 
-        def counting(*args, _original=inner_solvers._extreme_eigenvalues):
-            solves.append(args)
-            return _original(*args)
-        monkeypatch.setattr(inner_solvers, "_gram", refuse)
+        def counting(original):
+            def wrapper(*args, **kwargs):
+                solves.append(args)
+                return original(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(_Gram, "__init__", refuse)
         monkeypatch.setattr(vp.StackedOperator, "to_dense", refuse)
-        monkeypatch.setattr(inner_solvers, "_extreme_eigenvalues", counting)
+        for name in ("eigvals_banded", "eigvalsh"):
+            monkeypatch.setattr(scipy.linalg, name, counting(getattr(scipy.linalg, name)))
         assert fact.condition_number() == expected
         lo, hi = fact.extreme_eigenvalues()
         assert math.sqrt(hi) == pytest.approx(sigma[0], rel=1e-12)
         assert lo == pytest.approx(sigma[-1] ** 2, rel=1e-5)
         assert len(solves) == 1
-        assert condition_number_below(fact, 1.02 * expected)
+        assert fact.condition_number_below(1.02 * expected)
+
+    @pytest.mark.parametrize("n,banded", [(128, False), (512, True)])
+    def test_condition_number_is_the_factorizations_without_factoring(self, n, banded,
+                                                                      monkeypatch):
+        # condition_number(op) builds the same Gram as a DirectFactorization
+        # and answers as it does, bit for bit, with no Cholesky factorization.
+        op = vp.stacked_operator(vp.build_problem(vp.BenchConfig(n=n)), 2.0)
+        fact = DirectFactorization(op)
+        assert fact.banded == banded
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("condition_number ran a Cholesky factorization")
+        with monkeypatch.context() as patch:
+            for name in ("cho_factor", "cholesky_banded"):
+                patch.setattr(scipy.linalg, name, refuse)
+            kappa = vp.condition_number(op)
+        assert kappa == fact.condition_number()
 
     def test_rank_deficiency(self):
         op = vp.stack(vp.DenseOperator(np.zeros((3, 2))), vp.DenseOperator(np.zeros((1, 2))), 1.0)
@@ -453,7 +473,7 @@ class TestConditionNumberBound:
             return
         kappa = svd_condition_number(op)
         limit = kappa * (1.0 + s)
-        assert kappa < limit or not condition_number_below(DirectFactorization(op), limit)
+        assert kappa < limit or not DirectFactorization(op).condition_number_below(limit)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.integers(24, 96), st.data())
@@ -470,10 +490,10 @@ class TestConditionNumberBound:
                 fact = DirectFactorization(op)
             except SingularSystemError:
                 return
-            assert not condition_number_below(fact, 1e150)
+            assert not fact.condition_number_below(1e150)
         else:
             limit = kappa * (1.0 + s)
-            assert kappa < limit or not condition_number_below(DirectFactorization(op), limit)
+            assert kappa < limit or not DirectFactorization(op).condition_number_below(limit)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.integers(64, 256), st.integers(0, 2**32 - 1), st.floats(1e-3, 2.0),
@@ -488,10 +508,10 @@ class TestConditionNumberBound:
         assert fact.banded and fact.normal.shape[0] - 1 < 2 * op.top._band_k
         kappa = svd_condition_number(op)
         if kappa is None:
-            assert not condition_number_below(fact, 1e150)
+            assert not fact.condition_number_below(1e150)
         else:
             limit = kappa * (1.0 + s)
-            assert kappa < limit or not condition_number_below(fact, limit)
+            assert kappa < limit or not fact.condition_number_below(limit)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(exactly_rank_deficient(), st.floats(1.0, 1e300, exclude_min=True))
@@ -500,7 +520,7 @@ class TestConditionNumberBound:
             fact = DirectFactorization(op)
         except SingularSystemError:
             return
-        assert not condition_number_below(fact, limit)
+        assert not fact.condition_number_below(limit)
 
     # n = 512 and 1024 take the band route, except n = 512 at widths 3.07
     # and 4, where the Gram band is too wide. The margin needed is at most
@@ -512,17 +532,17 @@ class TestConditionNumberBound:
         op = vp.stacked_operator(vp.build_problem(vp.BenchConfig(n=n)), y)
         kappa = svd_condition_number(op)
         fact = DirectFactorization(op)
-        assert condition_number_below(fact, 1.02 * kappa)
-        assert not condition_number_below(fact, kappa)
+        assert fact.condition_number_below(1.02 * kappa)
+        assert not fact.condition_number_below(kappa)
         if fact.banded:
-            assert condition_number_below(fact, (1.0 + 2e-4) * kappa)
+            assert fact.condition_number_below((1.0 + 2e-4) * kappa)
 
     @pytest.mark.parametrize("n,banded", [(128, False), (512, True)])
     def test_reads_the_factorizations_normal_matrix(self, n, banded):
         fact = DirectFactorization(vp.stacked_operator(vp.build_problem(vp.BenchConfig(n=n)), 2.0))
         assert fact.banded == banded
         before = fact.normal.copy()
-        assert condition_number_below(fact, 1e4)
+        assert fact.condition_number_below(1e4)
         assert not fact.normal.flags.writeable
         np.testing.assert_array_equal(fact.normal, before)
 

@@ -370,6 +370,24 @@ class TestGaussianToeplitzDerivative:
                 assert dense[i, j] == pytest.approx(expected_row[abs(i - j)], rel=1e-14)
 
 
+class TestKernelWidthRange:
+    # sigma**3 must be a positive finite double. Below about 1.7e-108 it
+    # underflows to zero and the derivative divided by it (and, below about
+    # 2.2e-162, the kernel by 2 sigma^2) to NaN rows; above about 5.6e102 it
+    # overflows.
+    @pytest.mark.parametrize("build", [vp.gaussian_toeplitz, vp.gaussian_toeplitz_derivative])
+    @pytest.mark.parametrize("sigma", [1e-120, 1e-200, 5e-324, 1e103, 1e200, 0.0, -1.0,
+                                       math.nan, math.inf])
+    def test_rejects_widths_whose_cube_is_zero_or_infinite(self, build, sigma):
+        with pytest.raises(ValueError, match="kernel width must be positive"):
+            build(sigma, 8)
+
+    @pytest.mark.parametrize("sigma", [2e-108, 1e-100, 1e100, 5e102])
+    def test_accepts_widths_at_the_ends_of_the_range(self, sigma):
+        for build in (vp.gaussian_toeplitz, vp.gaussian_toeplitz_derivative):
+            assert np.all(np.isfinite(build(sigma, 8).first_row))
+
+
 class TestWeightedDifference:
     def test_weighted_equals_weights_times_unweighted(self):
         rng = np.random.default_rng(5)

@@ -8,7 +8,7 @@ import pytest
 
 import varproj as vp
 from varproj import varpro
-from varproj.inner_solvers import DirectFactorization, condition_number_below
+from varproj.inner_solvers import DirectFactorization
 from varproj.linops import normal_band
 from varproj.varpro import SingularStepError, ToleranceWarning
 
@@ -410,7 +410,7 @@ class TestOuterLoops:
 
     @pytest.mark.parametrize("margin", [1e-6, -1e-6, -0.05])
     def test_warning_decided_by_certificate(self, small_problem, margin):
-        # The warning fires exactly when condition_number_below fails. At
+        # The warning fires exactly when the certificate fails. At
         # n = 48 the shifted Cholesky certifies kappa0 < limit only from
         # about limit = 1.0154 kappa0, so it also fires for eps0 kappa0
         # just below 1, and not for eps0 kappa0 = 0.95.
@@ -418,7 +418,7 @@ class TestOuterLoops:
         op = vp.stacked_operator(p, 1.5)
         kappa0 = vp.condition_number(op)
         eps0 = (1.0 + margin) / kappa0
-        certified = condition_number_below(DirectFactorization(op), 1.0 / eps0)
+        certified = DirectFactorization(op).condition_number_below(1.0 / eps0)
         assert certified == (margin < -0.01)
         opts = vp.OuterOptions(max_outer_iterations=1,
                                schedule=vp.ToleranceSchedule("constant", eps0))
@@ -472,15 +472,15 @@ class TestOuterLoops:
     def test_dense_route_materializes_in_the_factorization(self, problem, no_materializing,
                                                             schedule):
         # The n = 128 normal equations are dense: DirectFactorization
-        # materializes S in ``_gram`` to form them, and the solver lets the
-        # error through.
+        # materializes S in the constructor of its ``_Gram`` base to form
+        # them, and the solver lets the error through.
         solve = vp.genvarpro if schedule is None else vp.inexact_genvarpro
         with pytest.raises(MaterializedError) as caught:
             solve(problem.model, problem.b, problem.L, problem.lam, np.array([2.0]),
                   vp.OuterOptions(schedule=schedule))
         assert str(caught.value) == "StackedOperator"
         assert [(entry.path.name, entry.name) for entry in caught.traceback][-3:] == [
-            ("inner_solvers.py", "__init__"), ("inner_solvers.py", "_gram"),
+            ("inner_solvers.py", "__init__"), ("inner_solvers.py", "__init__"),
             ("test_varpro.py", "refuse")]
 
     def test_one_materialization_per_factorization(self, problem, monkeypatch):
