@@ -25,6 +25,7 @@ from .linops import (
     gaussian_row,
     gaussian_toeplitz,
     gaussian_toeplitz_derivative,
+    is_kernel_width,
     kept_diagonals,
     stack,
 )
@@ -112,14 +113,14 @@ def _regularizer(x_true: np.ndarray, tau: float) -> FirstDifferenceOperator:
 
 
 def _blur_model(n: int) -> SeparableModel:
-    """The benchmark's separable model: the parameter is the kernel width."""
+    """The benchmark's separable model: the parameter is the kernel width,
+    feasible where the kernel accepts it (``is_kernel_width``)."""
     return SeparableModel(
         m=n,
-        n=n,
         r=1,
         operator=lambda y: gaussian_toeplitz(float(y[0]), n),
         derivative=lambda y, j: gaussian_toeplitz_derivative(float(y[0]), n),
-        feasible=lambda y: float(y[0]) > 0.0,
+        feasible=lambda y: is_kernel_width(float(y[0])),
     )
 
 
@@ -176,8 +177,7 @@ def _objective_block(problem: ProblemInstance, ys: np.ndarray) -> np.ndarray:
     """
     b, L, lam = problem.b, problem.L, problem.lam
     n = b.size
-    widest = gaussian_row(float(ys.max()), n)
-    kept = min(kept_diagonals(widest, int(np.flatnonzero(widest)[-1])), n - 1)
+    kept = kept_diagonals(gaussian_row(float(ys.max()), n))
     # sym[n - 1 + d] = row[|d|], so row i of the Toeplitz A is
     # sym[n - 1 - i : 2n - 1 - i].
     sym = np.empty(2 * n - 1)

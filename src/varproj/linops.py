@@ -11,14 +11,14 @@ operator whose first row has a narrow nonzero band (2k + 1 <= n/2 for its
 last nonzero index k) is applied as a block Toeplitz matrix with B x B
 blocks, B = max(k, 1), by one matrix-matrix product with its three distinct
 nonzero blocks, and holds no n x n matrix; see ``SymmetricToeplitzOperator``.
-For a stack of such an operator over a weighted first difference,
+For a stack of a block-applied operator over a weighted first difference,
 ``normal_band`` builds the Gram matrix S^T S from the first row in LAPACK
-band storage when the Gram's half-bandwidth kd = 2k has 2 kd + 1 <= n/2.
-It keeps only the first kd' <= kd diagonals, past which the Gram's entries
-weigh less than one unit roundoff of A^2 together (kd' is about 12 sigma
-for a Gaussian of width sigma, against kd of about 53 sigma); the direct
-inner solver and the condition-number bound then use band LAPACK routines
-on that band instead of the dense n x n Gram. The Gaussian
+band storage, so 2k + 1 <= n/2 is the one rule for both band routes. It
+keeps only the first kd' <= kd = 2k diagonals, past which the Gram's
+entries weigh less than one unit roundoff of A^2 together (kd' is about
+12 sigma for a Gaussian of width sigma, against kd of about 53 sigma);
+the direct inner solver and the condition-number bound then use band
+LAPACK routines on that band instead of the dense n x n Gram. The Gaussian
 kernels drop their first-row entries below sqrt(tiny), so no product of
 kernel entries, and no product of a kernel entry with a vector entry of at
 least sqrt(tiny), is subnormal.
@@ -36,8 +36,9 @@ from scipy.linalg import toeplitz
 # zero; see gaussian_toeplitz.
 _FLUSH_BELOW = math.sqrt(float(np.finfo(float).tiny))
 
-# Columns per gemm in normal_band. At n = 1024 and Gaussian widths 2 to 4,
-# blocks of 32 to 256 columns all built the band in 2-10 ms.
+# Columns per gemm in normal_band. At n = 1024, Gaussian widths 2 to 4 and
+# one BLAS thread, normal_band took 0.2-0.6 ms with blocks of 32 or 64
+# columns, 0.5-1.1 ms with 128 and 3.2-4.8 ms with 256.
 _GRAM_BLOCK = 64
 
 _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
@@ -251,7 +252,7 @@ class FirstDifferenceOperator(LinearOperator):
 
 
 class StackedOperator(LinearOperator):
-    """The (m+q) x n vertical stack [A; lambda*L].
+    """The (m+q) x n vertical stack [A; lambda*L] of an m x n A over a q x n L.
 
     The forward action is the plain concatenation of the two block actions;
     the adjoint is A^T w_top + lambda * L^T w_bottom. With lambda = 0 the
@@ -273,23 +274,17 @@ class StackedOperator(LinearOperator):
         self.bottom = bottom
         self.lam = lam
 
-    @property
-    def m(self) -> int:
-        return self.top.rows
-
-    @property
-    def q(self) -> int:
-        return self.bottom.rows
-
     def _matvec(self, v):
+        m = self.top.rows
         out = np.empty(self.rows)
-        out[: self.m] = self.top._matvec(v)
-        np.multiply(self.lam, self.bottom._matvec(v), out=out[self.m :])
+        out[:m] = self.top._matvec(v)
+        np.multiply(self.lam, self.bottom._matvec(v), out=out[m:])
         return out
 
     def _rmatvec(self, w):
-        out = self.top._rmatvec(w[: self.m])
-        bottom = self.bottom._rmatvec(w[self.m :])
+        m = self.top.rows
+        out = self.top._rmatvec(w[:m])
+        bottom = self.bottom._rmatvec(w[m:])
         bottom *= self.lam
         out += bottom
         return out
@@ -298,15 +293,17 @@ class StackedOperator(LinearOperator):
         return np.vstack([self.top.to_dense(), self.lam * self.bottom.to_dense()])
 
 
-def kept_diagonals(row: np.ndarray, k: int) -> int:
-    """The smallest kd' >= 1 with 2 sum_{d > kd'} c_d <= u c_0 / 2.
+def kept_diagonals(row: np.ndarray) -> int:
+    """The smallest kd' >= 1 with 2 sum_{d > kd'} c_d <= u c_0 / 2, capped at
+    n - 1.
 
-    ``row`` is the first row of a symmetric Toeplitz A with its last nonzero
-    at index k, c_d = sum_t |a_t| |a_(t+d)| over -k <= t, t + d <= k is the
-    autocorrelation of |a| (a_-t = a_t), and u = eps / 2. Every entry of
-    diagonal d of A^2 = A^T A is a sum of some of the products in c_d, so
-    |(A^2)[j + d, j]| <= c_d; and c_0 / 2 <= (A^2)[j, j] for every j. The
-    result is at most 2k, where c_d ends, or 1 when k = 0.
+    ``row`` is the first row of an n x n symmetric Toeplitz A, k is the index
+    of its last nonzero (0 for a zero row), c_d = sum_t |a_t| |a_(t+d)| over
+    -k <= t, t + d <= k is the autocorrelation of |a| (a_-t = a_t), and
+    u = eps / 2. Every entry of diagonal d of A^2 = A^T A is a sum of some of
+    the products in c_d, so |(A^2)[j + d, j]| <= c_d; and c_0 / 2 <=
+    (A^2)[j, j] for every j. Before the cap the result is at most 2k, where
+    c_d ends, or 1 when k = 0; an n x n matrix has no diagonal past n - 1.
 
     Keeping more diagonals than kd' drops a part of what kd' drops, so the
     bound holds for every band of at least kd' diagonals. For a Gaussian
@@ -316,25 +313,26 @@ def kept_diagonals(row: np.ndarray, k: int) -> int:
     (``deconv.objective_grid``) take one band per block of widths; the
     tests check this on the scan's lattice.
     """
+    k = int(np.flatnonzero(row)[-1]) if row.any() else 0
     a = np.abs(row[: k + 1])
     full = np.concatenate([a[:0:-1], a])
     c = np.correlate(full, full, "full")[2 * k:]
     # dropped[d] = 2 sum_{e > d} c_e, for d = 0..2k.
     dropped = 2.0 * np.append(np.cumsum(c[:0:-1])[::-1], 0.0)
-    return max(int(np.argmax(dropped <= _UNIT_ROUNDOFF * c[0] / 2)), 1)
+    return min(max(int(np.argmax(dropped <= _UNIT_ROUNDOFF * c[0] / 2)), 1), row.size - 1)
 
 
 def normal_band(op: LinearOperator) -> np.ndarray | None:
     """The Gram matrix S^T S of S = [A; lam W D] in LAPACK lower band storage,
     to working precision, or None.
 
-    Built only when A is a ``SymmetricToeplitzOperator`` whose first row has
-    its last nonzero at index k, the bottom block is a
-    ``FirstDifferenceOperator`` (W = I for the plain D), and the Gram's
-    half-bandwidth kd = max(2k, 1) has 2 kd + 1 <= n / 2; for any other
-    operator this returns None. The band keeps the diagonals d <= kd' of
-    S^T S, with kd' <= kd the smallest width >= 1 at which the bounds c_d
-    of ``kept_diagonals`` on the dropped diagonals of A^2 have
+    Built exactly when A is a ``SymmetricToeplitzOperator`` applied by
+    blocks, that is one whose first row has its last nonzero at index k with
+    2k + 1 <= n / 2, and the bottom block is a ``FirstDifferenceOperator``
+    (W = I for the plain D); for any other operator this returns None. The
+    band keeps the diagonals d <= kd' of S^T S, with kd' <= kd = max(2k, 1)
+    the smallest width >= 1 at which the bounds c_d of ``kept_diagonals``
+    on the dropped diagonals of A^2 have
     2 sum_{d > kd'} c_d <= u c_0 / 2, u = eps / 2. Row d of the returned
     (kd' + 1) x n array holds diagonal d: ``band[d, j]`` is (S^T S)[j + d, j],
     and the last d entries of row d are zero. The dropped part P of S^T S
@@ -360,13 +358,14 @@ def normal_band(op: LinearOperator) -> np.ndarray | None:
         return None
     n = op.cols
     k = op.top._band_k
-    if 2 * max(2 * k, 1) + 1 > n / 2:
-        return None
     row = op.top.first_row
-    kept = kept_diagonals(row, k)
+    kept = kept_diagonals(row)
     # Below the diagonal, A^2 has nonzeros up to diagonal 2k; rows past
     # diagonal min(kept, 2k) of a block are not computed.
     reach = min(kept, 2 * k)
+    # sym[n - 1 + d] = row[|d|] for |d| < n.
+    sym = np.concatenate([row[:0:-1], row])
+    step = sym.itemsize
     band = np.zeros((kept + 1, n), order="F")
     interior = None
     for j0 in range(0, n, _GRAM_BLOCK):
@@ -381,15 +380,17 @@ def normal_band(op: LinearOperator) -> np.ndarray | None:
         if inner and interior is not None:
             band[:, j0:j1] = interior
             continue
-        # window = A[i0:i1, j0:r1], read from the first row. Both factors
-        # start at its first entry, so the last block, where r1 = j1, is
-        # the same symmetric product (syrk) as one of A with itself.
-        window = row[np.abs(np.arange(i0, i1)[:, None] - np.arange(j0, r1))]
+        # window = A[i0:i1, j0:r1], A[r, c] = sym[n - 1 + c - r], copied from
+        # a strided view of sym into a C-ordered array for the gemm. Both
+        # factors start at its first entry, so the last block, where r1 = j1,
+        # is the same symmetric product (syrk) as one of A with itself.
+        window = np.ndarray((i1 - i0, r1 - j0), buffer=sym, offset=(n - 1 - i0 + j0) * step,
+                            strides=(-step, step)).copy()
         # block[r - j0, c - j0] = (A^T A)[r, c]; the rows past r1 stay zero.
         block = np.zeros((w + kept, w))
         np.matmul(window.T, window[:, :w], out=block[: r1 - j0])
-        cols = np.arange(w)
-        band[:, j0:j1] = block[np.arange(kept + 1)[:, None] + cols, cols]
+        # Band row d of the block is block[d + c, c], c = 0..w-1.
+        band[:, j0:j1] = np.ndarray((kept + 1, w), buffer=block, strides=(w * step, (w + 1) * step))
         if inner:
             interior = band[:, j0:j1]
     op.bottom.add_gram(op.lam, band[0], band[1, :-1])
@@ -431,16 +432,22 @@ def first_difference(n: int) -> FirstDifferenceOperator:
     return FirstDifferenceOperator(np.ones(n - 1))
 
 
-def check_kernel_width(sigma: float) -> None:
-    """Raise ``ValueError`` unless sigma**3 is a positive finite double, that
-    is 1.7e-108 < sigma < 5.6e102 or about. The kernel derivative divides by
-    sigma**3 and the kernel by 2 sigma**2: a cube that underflows to zero
-    makes NaN rows, and one that overflows raises ``OverflowError``."""
+def is_kernel_width(sigma: float) -> bool:
+    """Whether sigma**3 is a positive finite double, that is 1.7e-108 <
+    sigma < 5.6e102 or about: the widths the Gaussian kernels accept. The
+    kernel derivative divides by sigma**3 and the kernel by 2 sigma**2: a
+    cube that underflows to zero makes NaN rows, and one that overflows
+    raises ``OverflowError``."""
     try:
         cube = float(sigma) ** 3
     except OverflowError:
-        cube = math.inf
-    if not 0.0 < cube < math.inf:
+        return False
+    return 0.0 < cube < math.inf
+
+
+def check_kernel_width(sigma: float) -> None:
+    """Raise ``ValueError`` unless ``is_kernel_width(sigma)``."""
+    if not is_kernel_width(sigma):
         raise ValueError(f"kernel width must be positive with a nonzero finite cube "
                          f"(about 1.7e-108 to 5.6e102), got {sigma}")
 

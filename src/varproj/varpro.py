@@ -54,7 +54,6 @@ class SeparableModel:
     """
 
     m: int
-    n: int
     r: int
     operator: Callable[[np.ndarray], LinearOperator]
     derivative: Callable[[np.ndarray, int], LinearOperator]

@@ -118,8 +118,8 @@ def random_stacked(rng, m=None, n=None, q=None, lam=None):
 
 def band_route_stack(n, k, seed, lam):
     """A random symmetric Toeplitz top with last nonzero index k over a
-    randomly weighted first difference; its Gram band (kd = max(2k, 1)) is
-    taken when 2 kd + 1 <= n/2."""
+    randomly weighted first difference; it is block-applied, and its Gram
+    band (kd = max(2k, 1)) taken, when 2k + 1 <= n/2."""
     rng = np.random.default_rng(seed)
     row = np.zeros(n)
     row[: k + 1] = rng.standard_normal(k + 1)
@@ -134,8 +134,9 @@ def decaying_band_stack(n, seed, lam):
     exp(-t^2 / (2 s^2)) times factors drawn from [0.5, 1] with random signs
     past t = 0, cut below sqrt(tiny) as ``gaussian_toeplitz`` cuts, and its
     width s is drawn so that the last nonzero index k has 2 max(2k, 1) + 1
-    <= n/2. Unlike the rows of ``band_route_stack`` it decays, so
-    ``normal_band`` drops its far diagonals."""
+    <= n/2, within the block apply's 2k + 1 <= n/2. Unlike the rows of
+    ``band_route_stack`` it decays, so ``normal_band`` drops its far
+    diagonals."""
     rng = np.random.default_rng(seed)
     # The cut falls at t of about 26.6 s.
     s = rng.uniform(0.15, ((n // 2 - 1) // 4) / 27.0)

@@ -105,6 +105,25 @@ class TestBuildProblem:
         with pytest.raises(ConfigError, match="sigma_true: kernel width must be positive"):
             vp.BenchConfig(sigma_true=sigma)
 
+    @pytest.mark.parametrize("y", [1e-120, 1e103, 0.0, math.nan])
+    def test_feasible_region_is_the_kernel_width_range(self, small_problem, y):
+        # A width the kernel rejects is infeasible, so an iterate that lands
+        # there ends the run as infeasible-iterate instead of escaping the
+        # loop as the kernel's ValueError.
+        assert not small_problem.model.is_feasible(np.array([y]))
+        assert not linops.is_kernel_width(y)
+        with pytest.raises(ValueError, match="kernel width must be positive"):
+            small_problem.model.operator(np.array([y]))
+
+    @pytest.mark.parametrize("y", [1e-100, 2.0, 1e100])
+    def test_feasible_inside_the_kernel_width_range(self, small_problem, y):
+        assert small_problem.model.is_feasible(np.array([y]))
+
+    def test_start_outside_the_kernel_width_range_is_infeasible(self, small_problem):
+        p = small_problem
+        with pytest.raises(ValueError, match=r"initial guess \[1\.e-120\] is infeasible"):
+            vp.genvarpro(p.model, p.b, p.L, p.lam, np.array([1e-120]))
+
     def test_noise_ratio_exact(self, problem):
         assert abs(problem.noise_ratio - 0.05) <= 1e-12
         measured = np.linalg.norm(problem.b - problem.b_true) / np.linalg.norm(problem.b_true)

@@ -143,15 +143,16 @@ class TestGaussianToeplitz:
 
 
 class TestNormalBand:
-    # The Gram band is taken when kd = 2k has 2 kd + 1 <= n/2: k = 26 / 53 /
-    # 79 / 106 at widths 1 / 2 / 3 / 4, so n >= 210 / 426 / 634 / 850.
-    # (2, 425) and (2, 426) straddle the switch. It keeps kd' = 12 / 24 /
-    # 37 / 49 of those kd = 52 / 106 / 158 / 212 diagonals.
+    # The Gram band is taken exactly when the blur is block-applied, 2k + 1
+    # <= n/2: k = 26 / 53 / 79 / 106 at widths 1 / 2 / 3 / 4, so n >= 106 /
+    # 214 / 318 / 426. (2, 213) and (2, 214) straddle the switch. It keeps
+    # kd' = 12 / 24 / 37 / 49 of the Gram's kd = 2k = 52 / 106 / 158 / 212
+    # diagonals.
     @pytest.mark.parametrize("sigma,n,banded", [
-        (1.0, 256, True), (2.0, 256, False), (3.0, 256, False), (4.0, 256, False),
-        (1.0, 512, True), (2.0, 512, True), (3.0, 512, False), (4.0, 512, False),
+        (1.0, 256, True), (2.0, 256, True), (3.0, 256, False), (4.0, 256, False),
+        (1.0, 512, True), (2.0, 512, True), (3.0, 512, True), (4.0, 512, True),
         (1.0, 1024, True), (2.0, 1024, True), (3.0, 1024, True), (4.0, 1024, True),
-        (2.0, 425, False), (2.0, 426, True),
+        (2.0, 425, True), (2.0, 426, True), (2.0, 213, False), (2.0, 214, True),
     ])
     def test_within_rounding_of_dense_gram(self, sigma, n, banded):
         # A randomly weighted difference, and the plain D (unit weights).
@@ -161,12 +162,11 @@ class TestNormalBand:
         for bottom in (vp.FirstDifferenceOperator(weights), vp.first_difference(n)):
             op = vp.stack(top, bottom, 0.0379)
             band = normal_band(op)
-            assert (band is not None) == banded
+            assert (band is not None) == banded == (top._band_k is not None)
             if not banded:
                 continue
             kd = 2 * top._band_k
             kept = band.shape[0] - 1
-            assert 2 * kd + 1 <= n / 2
             assert kept == KEPT_DIAGONALS[sigma]
             s = op.to_dense()
             gram = s.T @ s
@@ -187,7 +187,7 @@ class TestNormalBand:
     def test_kept_width_is_the_smallest_within_the_bound(self, sigma):
         row = vp.gaussian_toeplitz(sigma, 1024).first_row
         k = int(np.flatnonzero(row)[-1])
-        kept = linops.kept_diagonals(row, k)
+        kept = linops.kept_diagonals(row)
         assert kept == KEPT_DIAGONALS[sigma]
         # c_d summed term by term over the symmetric row a_-k..a_k.
         full = np.abs(np.concatenate([row[k:0:-1], row[: k + 1]]))
@@ -201,10 +201,8 @@ class TestNormalBand:
         # widest kernel; that covers the block when kd' never decreases
         # along the scan's lattice.
         n = request.getfixturevalue(fixture).config.n
-        kept = []
-        for y in 2.0 + 1e-4 * np.arange(20001):
-            row = linops.gaussian_row(y, n)
-            kept.append(linops.kept_diagonals(row, int(np.flatnonzero(row)[-1])))
+        kept = [linops.kept_diagonals(linops.gaussian_row(y, n))
+                for y in 2.0 + 1e-4 * np.arange(20001)]
         assert np.all(np.diff(kept) >= 0)
         assert kept[0] < kept[-1]
 
@@ -212,15 +210,15 @@ class TestNormalBand:
     def test_n128_benchmark_operators_take_dense_path(self, problem, y):
         assert normal_band(vp.stacked_operator(problem, y)) is None
 
-    @pytest.mark.parametrize("n", [128, 256, 425, 426, 512, 1024])
+    @pytest.mark.parametrize("n", [128, 213, 214, 256, 425, 426, 512, 1024])
     def test_eligibility_rule_unchanged(self, n):
-        # The band is taken exactly when 2 max(2k, 1) + 1 <= n/2 on the
-        # kernel's own k, however few diagonals it keeps.
+        # The band is taken exactly when the blur is block-applied, that is
+        # 2k + 1 <= n/2 on the kernel's own k, however few diagonals it keeps.
         for sigma in np.arange(1, 81) / 20.0:
             op = vp.stack(vp.gaussian_toeplitz(sigma, n), vp.first_difference(n), 0.0379)
             k = op.top._band_k
-            eligible = k is not None and 2 * max(2 * k, 1) + 1 <= n / 2
-            assert (normal_band(op) is not None) == eligible
+            assert (k is not None) == (4 * int(np.flatnonzero(op.top.first_row)[-1]) + 2 <= n)
+            assert (normal_band(op) is not None) == (k is not None)
 
     def test_other_blocks_take_dense_path(self):
         rng = np.random.default_rng(9)
@@ -240,12 +238,11 @@ class TestNormalBand:
         op = vp.stacked_operator(vp.build_problem(vp.BenchConfig(n=n)), y)
         expected = dense_slice_band(op)
         band = normal_band(op)
-        assert (band is None) == (expected is None) == (n == 512 and y >= 3.0)
-        if band is not None:
-            kept = band.shape[0] - 1
-            assert kept == KEPT_DIAGONALS[y] < expected.shape[0] - 1
-            assert np.array_equal(band, expected[: kept + 1])
-            assert_trim_bound(band_to_dense(expected), kept, op.top.first_row)
+        assert band is not None and expected is not None
+        kept = band.shape[0] - 1
+        assert kept == KEPT_DIAGONALS[y] < expected.shape[0] - 1
+        assert np.array_equal(band, expected[: kept + 1])
+        assert_trim_bound(band_to_dense(expected), kept, op.top.first_row)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.integers(24, 96), st.data())
@@ -254,6 +251,25 @@ class TestNormalBand:
                               data.draw(st.integers(0, 2**32 - 1)),
                               data.draw(st.floats(1e-3, 2.0)))
         assert np.array_equal(normal_band(op), dense_slice_band(op))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(24, 256), st.data())
+    def test_wide_band_stacks_match_dense_slice_band_and_lstsq(self, n, data):
+        # k from just past the (n/2 - 1)/4 that the other random band stacks
+        # stay within, up to the block apply's limit (n/2 - 1)/2.
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        op = band_route_stack(n, data.draw(st.integers((n // 2 - 1) // 4 + 1, (n - 2) // 4)),
+                              seed, data.draw(st.floats(1e-3, 2.0)))
+        assert op.top._band_k is not None
+        assert np.array_equal(normal_band(op), dense_slice_band(op))
+        b = np.random.default_rng(seed).standard_normal(n)
+        expected = np.linalg.lstsq(op.to_dense(), np.concatenate([b, np.zeros(n - 1)]),
+                                   rcond=None)[0]
+        x = vp.DirectFactorization(op).solve_rhs(b)
+        # The normal equations solve S^T S x = S^T d backward stably, so x is
+        # within about eps kappa_2(S)^2 of the least-squares solution.
+        tol = EPS * vp.condition_number(op) ** 2
+        assert np.linalg.norm(x - expected) <= tol * np.linalg.norm(expected)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.integers(64, 512), st.integers(0, 2**32 - 1), st.floats(1e-3, 2.0))
@@ -503,7 +519,7 @@ class TestStack:
         rng = np.random.default_rng(2)
         top = vp.DenseOperator(rng.standard_normal((4, 3)))
         op = vp.stack(top, vp.DenseOperator(np.zeros((0, 3))), 1.0)
-        assert op.rows == 4 and op.q == 0
+        assert op.rows == 4 and op.bottom.rows == 0
         v = rng.standard_normal(3)
         np.testing.assert_array_equal(op.matvec(v), top.matvec(v))
         np.testing.assert_allclose(op.rmatvec(top.matvec(v)), top.rmatvec(top.matvec(v)))

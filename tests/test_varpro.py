@@ -34,7 +34,7 @@ def toy_linear_model(seed=0, m=4, n=3, r=2):
     rng = np.random.default_rng(seed)
     mats = [rng.standard_normal((m, n)) for _ in range(r + 1)]
     return vp.SeparableModel(
-        m=m, n=n, r=r,
+        m=m, r=r,
         operator=_dense_builder(mats),
         derivative=lambda y, j: vp.DenseOperator(mats[j + 1]),
     )
@@ -53,23 +53,28 @@ def toy_trig_model(seed=1, m=6, n=4):
             return vp.DenseOperator(np.cos(y[0]) * a1)
         return vp.DenseOperator(np.exp(y[1]) * a2)
 
-    return vp.SeparableModel(m=m, n=n, r=2, operator=operator, derivative=derivative)
+    return vp.SeparableModel(m=m, r=2, operator=operator, derivative=derivative)
 
 
 def constant_model(seed=2, m=5, n=3):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((m, n))
     return vp.SeparableModel(
-        m=m, n=n, r=1,
+        m=m, r=1,
         operator=lambda y: vp.DenseOperator(a),
         derivative=lambda y, j: vp.DenseOperator(np.zeros((m, n))),
     )
 
 
+def _columns(model):
+    """The number of columns n of the model's m x n operators."""
+    return model.operator(np.zeros(model.r)).cols
+
+
 def _toy_setup(model, seed=3, lam=0.3):
     rng = np.random.default_rng(seed)
     q = 2
-    L = vp.DenseOperator(rng.standard_normal((q, model.n)))
+    L = vp.DenseOperator(rng.standard_normal((q, _columns(model))))
     b = rng.standard_normal(model.m)
     return L, b, lam
 
@@ -91,7 +96,7 @@ class TestReducedResidual:
         # b orthogonal to the range of A: the exact inner solution is x = 0
         # and the reduced residual is [-b; 0].
         a = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        model = vp.SeparableModel(m=3, n=2, r=1,
+        model = vp.SeparableModel(m=3, r=1,
                                   operator=lambda y: vp.DenseOperator(a),
                                   derivative=lambda y, j: vp.DenseOperator(np.zeros((3, 2))))
         L = vp.DenseOperator(np.eye(2))
@@ -106,7 +111,7 @@ class TestReducedResidual:
         # reproduces x_star and the residual vanishes.
         rng = np.random.default_rng(4)
         a = rng.standard_normal((4, 4)) + 4 * np.eye(4)
-        model = vp.SeparableModel(m=4, n=4, r=1,
+        model = vp.SeparableModel(m=4, r=1,
                                   operator=lambda y: vp.DenseOperator(a),
                                   derivative=lambda y, j: vp.DenseOperator(np.zeros((4, 4))))
         L = vp.DenseOperator(rng.standard_normal((2, 4)))
@@ -152,7 +157,7 @@ class TestJacobians:
         rng = np.random.default_rng(seed)
         y = rng.uniform(-0.8, 0.8, size=model.r)
         fact, x_exact, _ = vp.exact_residual(model, y, b, L, lam)
-        x = x_exact + rng.standard_normal(model.n)
+        x = x_exact + rng.standard_normal(x_exact.size)
         J = vp.exact_jacobian(model, y, fact, x, b)
         S = fact.op.to_dense()
         pinv = np.linalg.pinv(S)
@@ -367,7 +372,7 @@ class TestOuterLoops:
     def test_inner_failure_gives_partial_trace(self):
         # Rank-deficient A with lam = 0 makes the normal equations singular.
         a = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-        model = vp.SeparableModel(m=3, n=2, r=1,
+        model = vp.SeparableModel(m=3, r=1,
                                   operator=lambda y: vp.DenseOperator(a),
                                   derivative=lambda y, j: vp.DenseOperator(np.zeros((3, 2))))
         L = vp.DenseOperator(np.zeros((1, 2)))
@@ -569,7 +574,7 @@ def _identical_derivatives_model():
     rng = np.random.default_rng(21)
     a0, a1 = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
     return vp.SeparableModel(
-        m=5, n=3, r=2,
+        m=5, r=2,
         operator=lambda y: vp.DenseOperator(a0 + (y[0] + y[1]) * a1),
         derivative=lambda y, j: vp.DenseOperator(a1),
     ), np.array([0.2, 0.1])
@@ -579,7 +584,7 @@ def _leaves_start_model():
     """Feasible only at its starting point, so the first step leaves the region."""
     model = toy_linear_model()
     y0 = np.array([0.3, -0.2])
-    return vp.SeparableModel(m=model.m, n=model.n, r=model.r, operator=model.operator,
+    return vp.SeparableModel(m=model.m, r=model.r, operator=model.operator,
                              derivative=model.derivative,
                              feasible=lambda y: bool(np.array_equal(y, y0))), y0
 
@@ -592,7 +597,7 @@ def _singular_after_start_model():
     singular = full.copy()
     singular[:, 1:] = 0.0
     return vp.SeparableModel(
-        m=5, n=3, r=1,
+        m=5, r=1,
         operator=lambda y: vp.DenseOperator(full if y[0] == 1.0 else singular),
         derivative=lambda y, j: vp.DenseOperator(deriv),
     ), np.array([1.0])
@@ -609,8 +614,8 @@ def test_abort_status_and_partial_trace(solver, make, status):
     rng = np.random.default_rng(23)
     b = rng.standard_normal(model.m)
     lam = 0.0 if status == "inner-failure" else 0.3
-    L = vp.DenseOperator(np.zeros((2, model.n)) if lam == 0.0
-                         else rng.standard_normal((2, model.n)))
+    n = _columns(model)
+    L = vp.DenseOperator(np.zeros((2, n)) if lam == 0.0 else rng.standard_normal((2, n)))
     opts = vp.OuterOptions(max_outer_iterations=5,
                            schedule=vp.ToleranceSchedule("fixed-small"))
     trace = solver(model, b, L, lam, y0, opts)
