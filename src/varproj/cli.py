@@ -13,8 +13,9 @@ Four subcommands operate on the blind-deconvolution benchmark:
   first seven iterations of the exact and exponential-schedule runs.
 
 Config files are INI-style with sections [problem], [solver] and
-[schedules]; every key has a default, so an empty (or absent) file runs
-the default benchmark experiment. Exit codes: 0 success, 1 config or I/O
+[schedules], and are the only source of run settings; every key has a
+default, so an empty (or absent) file runs the default benchmark
+experiment. Exit codes: 0 success, 1 config or I/O
 error, 2 solver failure, 3 check failure.
 """
 
@@ -153,8 +154,7 @@ _CONFIG_KEYS = (
 )
 
 
-def load_settings(config_path: str | None, seed_override: int | None = None,
-                  schedules_override: str | None = None) -> RunSettings:
+def load_settings(config_path: str | None) -> RunSettings:
     """Read a UTF-8 INI config file, applying defaults for every missing key.
 
     A ``#`` that starts a line or follows whitespace starts a comment, ``%``
@@ -186,8 +186,6 @@ def load_settings(config_path: str | None, seed_override: int | None = None,
 
     raw = {(section, key): parser.get(section, key)
            for section, key, _, _ in _CONFIG_KEYS if parser.has_option(section, key)}
-    if schedules_override is not None:
-        raw[("schedules", "run")] = schedules_override
     values: dict[str, dict] = {"problem": {}, "outer": {}, "": {}}
     for section, key, field, parse in _CONFIG_KEYS:
         if (section, key) not in raw:
@@ -199,8 +197,6 @@ def load_settings(config_path: str | None, seed_override: int | None = None,
             raise ConfigError(f"[{section}] {key}: {detail}") from exc
         owner, _, name = field.rpartition(".")
         values[owner][name] = value
-    if seed_override is not None:
-        values["problem"]["rng_seed"] = seed_override
 
     try:
         problem = BenchConfig(**values["problem"])
@@ -534,18 +530,14 @@ def main(argv=None) -> int:
     ]:
         cmd = sub.add_parser(name, help=helptext)
         cmd.add_argument("--config", default=None, help="INI config file (all keys optional)")
-        cmd.add_argument("--seed", type=int, default=None, help="override the noise seed")
         if name != "gradcheck":
-            cmd.add_argument("--schedules", default=None,
-                             help="comma-separated subset of b, lb, ab, s")
             cmd.add_argument("--out", required=True, help="output directory")
 
     args = parser.parse_args(argv)
     try:
+        settings = load_settings(args.config)
         if args.command == "gradcheck":
-            return cmd_gradcheck(load_settings(args.config, seed_override=args.seed))
-        settings = load_settings(args.config, seed_override=args.seed,
-                                 schedules_override=args.schedules)
+            return cmd_gradcheck(settings)
         out_dir = Path(args.out)
         if args.command == "compare":
             return cmd_compare(settings, out_dir)

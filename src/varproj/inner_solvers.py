@@ -58,9 +58,13 @@ class SingularSystemError(RuntimeError):
 class InnerSolution:
     """Result of one inner solve.
 
-    ``achieved_criterion`` is the final value of the stopping test (0.0 for
-    the degenerate zero-data and exactly-compatible cases, where the test is
-    vacuous but the solution is exact). ``criterion_history`` holds the test
+    ``achieved_criterion`` is the final value of the stopping test. It is 0.0
+    in three cases, each a converged stop: zero data; an exactly compatible
+    system, whose residual fell to the rounding floor, so that the test is
+    vacuous but the solution is exact; and a computed ||op^T r|| of exactly
+    0, where the iterate solves the normal equations as computed though its
+    residual may lie far above the floor (this includes data orthogonal to
+    the range of op, returned as x = 0). ``criterion_history`` holds the test
     value at every iteration at which the test ran, in order: the last ones
     of the solve, from the first iteration the screen of ``lsqr_solve`` let
     through.
@@ -388,10 +392,8 @@ class _Gram:
         n = self.op.cols
         normal = self.normal
         g, lmax, dropped = self._rounding()
-        if self.banded:
-            diagonal, p = normal[0], normal.shape[0] - 1
-        else:
-            diagonal, p = np.diagonal(normal), n - 1
+        diagonal = normal[0] if self.banded else np.diagonal(normal)
+        p = normal.shape[0] - 1  # kd on the band, n - 1 dense
         chol, trace = _gamma(p + 2), _gamma(n)
         unit = _EPS / 2
         tau = lmax / (limit * limit)

@@ -267,8 +267,8 @@ class StackedOperator(LinearOperator):
                 f"column mismatch: top has {top.cols} columns, bottom has {bottom.cols}"
             )
         lam = float(lam)
-        if not lam >= 0.0:
-            raise ValueError(f"lambda must be nonnegative, got {lam}")
+        if not 0.0 <= lam < math.inf:
+            raise ValueError(f"lambda must be nonnegative and finite, got {lam}")
         super().__init__(top.rows + bottom.rows, top.cols)
         self.top = top
         self.bottom = bottom
@@ -452,13 +452,10 @@ def check_kernel_width(sigma: float) -> None:
                          f"(about 1.7e-108 to 5.6e102), got {sigma}")
 
 
-def _validate_kernel_args(sigma: float, n: int) -> None:
+def _gaussian_generator(sigma: float, n: int) -> tuple[np.ndarray, float]:
     check_kernel_width(sigma)
     if n < 2:
         raise ValueError(f"kernel needs n >= 2, got n={n}")
-
-
-def _gaussian_generator(sigma: float, n: int) -> tuple[np.ndarray, float]:
     offsets = np.arange(n, dtype=float)
     g = np.exp(-(offsets**2) / (2.0 * sigma**2))
     return g, float(g.sum())
@@ -497,7 +494,6 @@ def gaussian_toeplitz(sigma: float, n: int) -> SymmetricToeplitzOperator:
 
 def gaussian_row(sigma: float, n: int) -> np.ndarray:
     """The first row of ``gaussian_toeplitz(sigma, n)``, as a new array."""
-    _validate_kernel_args(sigma, n)
     g, total = _gaussian_generator(sigma, n)
     return _flush_subnormals(g / total)
 
@@ -511,9 +507,8 @@ def gaussian_toeplitz_derivative(sigma: float, n: int) -> SymmetricToeplitzOpera
     Gaussian, and its own entries below sqrt(tiny) are then set to zero, as
     in ``gaussian_toeplitz``.
     """
-    _validate_kernel_args(sigma, n)
-    offsets = np.arange(n, dtype=float)
     g, total = _gaussian_generator(sigma, n)
+    offsets = np.arange(n, dtype=float)
     dg = g * offsets**2 / sigma**3
     dtotal = float(dg.sum())
     return SymmetricToeplitzOperator(_flush_subnormals(dg / total - g * (dtotal / total**2)))

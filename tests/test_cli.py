@@ -209,11 +209,14 @@ class TestConfig:
         assert err.startswith(f"config error: [{section}] {key}: {repeated} is listed twice")
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", ["compare", "gradcheck"])
-    def test_negative_seed_override(self, tmp_path, capsys, command):
-        out = [] if command == "gradcheck" else ["--out", str(tmp_path / "o")]
-        assert main([command, "--seed", "-1", *out]) == 1
-        assert capsys.readouterr().err.startswith("config error: [problem] seed")
+    # The config file is the only source of the seed and the schedules.
+    @pytest.mark.parametrize("flag,value", [("--seed", "123"), ("--schedules", "ab")])
+    def test_setting_flags_are_usage_errors(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--out", str(tmp_path / "o"), flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     # Each invalid value is a config error naming its section and key.
     # Infinite values are rejected too, except for the step tolerance,
@@ -285,12 +288,6 @@ class TestConfig:
         assert status == "max-iterations"
         assert float(y.strip("[]")) == pytest.approx(3.075, abs=1e-3)
         assert 0.0 < float(bound_line) < np.inf
-
-    def test_seed_and_schedule_overrides(self, small_cfg):
-        settings = cli.load_settings(str(small_cfg), seed_override=99,
-                                     schedules_override="s")
-        assert settings.problem.rng_seed == 99
-        assert settings.schedules == ("s",)
 
     def test_epsilon0_resolution(self, problem):
         settings = cli.load_settings(None)
@@ -371,10 +368,11 @@ class TestCompare:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_seed_override_changes_outputs(self, small_cfg, tmp_path):
+        reseeded = tmp_path / "reseeded.cfg"
+        reseeded.write_text(SMALL_CONFIG.replace("seed = 7", "seed = 123"))
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         assert main(["compare", "--config", str(small_cfg), "--out", str(out1)]) == 0
-        assert main(["compare", "--config", str(small_cfg), "--out", str(out2),
-                     "--seed", "123"]) == 0
+        assert main(["compare", "--config", str(reseeded), "--out", str(out2)]) == 0
         assert (out1 / "gp_y0_1p6.csv").read_bytes() != (out2 / "gp_y0_1p6.csv").read_bytes()
 
     def test_zero_step_termination_on_noise_free_data(self, tmp_path):
@@ -398,10 +396,12 @@ class TestCompare:
         # Fit on the emitted data: the exponential schedule's gap decays
         # geometrically over k in [2, 20].
         cfg = tmp_path / "default2.cfg"
-        cfg.write_text("[solver]\ny0 = 2.0\n")
+        cfg.write_text("[solver]\ny0 = 2.0\n[schedules]\nrun = ab\n")
         out = tmp_path / "out"
-        assert main(["compare", "--config", str(cfg), "--out", str(out),
-                     "--schedules", "ab"]) == 0
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+        assert sorted(path.name for path in out.iterdir()) == [
+            "gap_ab_y0_2.csv", "gp_y0_2.csv", "lsqr_ab_y0_2.csv", "manifest.json",
+            "plot_gaps.gp"]
         _, rows = _read_csv(out / "gap_ab_y0_2.csv")
         gaps = np.array([float(r[1]) for r in rows])
         ks = np.arange(2, 21)
@@ -618,12 +618,14 @@ class TestGradcheck:
                             lambda sigma, n: vp.DenseOperator(1.05 * clean(sigma, n).to_dense()))
         assert main(["gradcheck", "--config", str(small_cfg)]) == 3
 
-    def test_help_lists_only_config_and_seed(self, capsys):
+    @pytest.mark.parametrize("command,flags", [("gradcheck", ["--config"]),
+                                               ("compare", ["--config", "--out"])],
+                             ids=["gradcheck", "compare"])
+    def test_help_lists_only_config_and_out(self, capsys, command, flags):
         with pytest.raises(SystemExit):
-            main(["gradcheck", "--help"])
+            main([command, "--help"])
         usage = capsys.readouterr().out
-        assert "--config" in usage and "--seed" in usage
-        assert "--corrupt-derivative" not in usage and "--schedules" not in usage
+        assert set(re.findall(r"--[a-z-]+", usage)) == {"--help", *flags}
 
 
 class TestTable:

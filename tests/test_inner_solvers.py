@@ -654,6 +654,24 @@ class TestLsqr:
         assert sol.criterion_history[-1] == 0.0
         np.testing.assert_allclose(sol.x_bar, x, rtol=0, atol=1e-10 * np.linalg.norm(x))
 
+    def test_exactly_zero_gradient_stops_above_the_floor(self):
+        # S = [1; 0; 0]: the first step reaches the least-squares x = 2, where
+        # S^T r computes to exactly 0, so the solve stops as converged with
+        # criterion 0 although ||r|| = sqrt(10) is some 2.5e14 times the
+        # rounding floor 10 eps (||d|| + ||S|| ||x||) of the compatible case.
+        op = vp.stack(vp.DenseOperator([[1.0], [0.0]]), vp.DenseOperator(np.zeros((1, 1))), 0.0)
+        d = np.array([2.0, -3.0, 1.0])
+        sol = vp.lsqr_solve(op, d, 0.01)
+        assert sol.converged
+        assert sol.iterations == 1
+        assert sol.achieved_criterion == 0.0
+        np.testing.assert_array_equal(sol.criterion_history, [0.0])
+        np.testing.assert_array_equal(sol.x_bar, [2.0])
+        r = d - op.matvec(sol.x_bar)
+        np.testing.assert_array_equal(op.rmatvec(r), [0.0])
+        floor = 10 * EPS * (np.linalg.norm(d) + 2.0)
+        assert np.linalg.norm(r) == math.sqrt(10.0) > 1e14 * floor
+
     def test_rejects_nonfinite_rhs(self):
         op = _identity_stack(2)
         with pytest.raises(ValueError):

@@ -515,6 +515,15 @@ class TestStack:
         with pytest.raises(ValueError):
             vp.stack(vp.DenseOperator(np.eye(2)), vp.DenseOperator(np.eye(2)), -0.1)
 
+    # A stack on the band route (n = 1024, width 2) is rejected the same way,
+    # before any Gram is formed.
+    @pytest.mark.parametrize("n", [2, 1024])
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    def test_non_finite_lambda(self, n, lam):
+        top = vp.DenseOperator(np.eye(2)) if n == 2 else vp.gaussian_toeplitz(2.0, n)
+        with pytest.raises(ValueError, match="lambda must be nonnegative and finite"):
+            vp.stack(top, vp.first_difference(n), lam)
+
     def test_empty_bottom_block(self):
         rng = np.random.default_rng(2)
         top = vp.DenseOperator(rng.standard_normal((4, 3)))

@@ -369,6 +369,13 @@ class TestOuterLoops:
             vp.genvarpro(problem.model, problem.b, problem.L, problem.lam,
                          np.array([-1.0]), vp.OuterOptions())
 
+    @pytest.mark.parametrize("solver", [vp.genvarpro, vp.inexact_genvarpro])
+    def test_infinite_lambda_rejected(self, small_problem, solver):
+        p = small_problem
+        opts = vp.OuterOptions(schedule=vp.ToleranceSchedule("fixed-small"))
+        with pytest.raises(ValueError, match="lambda must be nonnegative and finite"):
+            solver(p.model, p.b, p.L, math.inf, np.array([1.6]), opts)
+
     def test_inner_failure_gives_partial_trace(self):
         # Rank-deficient A with lam = 0 makes the normal equations singular.
         a = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
