@@ -31,7 +31,6 @@ from .linops import (
     LinearOperator,
     StackedOperator,
     SymmetricToeplitzOperator,
-    first_difference,
     gaussian_toeplitz,
     gaussian_toeplitz_derivative,
     stack,

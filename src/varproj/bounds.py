@@ -6,7 +6,9 @@ the stacked operator), the distance to the exact inner solution, the
 residual gap, and the induced Jacobian perturbation all admit closed-form
 bounds in terms of epsilon, kappa, ||b|| and ||S||. This module evaluates
 those bounds and the rank-one backward-error matrix that certifies the
-approximate solve.
+approximate solve. A size or norm out of its range raises a plain
+``ValueError``: ``BoundInvalidError`` marks only a violated hypothesis,
+which the ``bounds`` command reports as a row of NaN bounds.
 """
 
 from __future__ import annotations
@@ -31,14 +33,26 @@ def _check_hypothesis(epsilon: float, kappa: float) -> None:
         )
 
 
+def _check_norms(op_norm: float | None = None, **norms: float) -> None:
+    """Raise ``ValueError`` naming ``op_norm`` unless it is positive and
+    finite, or the first of ``norms`` that is negative or not finite."""
+    if op_norm is not None and not 0.0 < op_norm < math.inf:
+        raise ValueError(f"op_norm must be positive and finite, got {op_norm}")
+    for name, value in norms.items():
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+
+
 def solution_bound(kappa: float, b_norm: float, op_norm: float, epsilon: float) -> float:
     """Bound on ||x - x_bar||: 2 kappa^2 / (1 - eps kappa) * ||b|| / ||S|| * eps."""
+    _check_norms(op_norm, b_norm=b_norm)
     _check_hypothesis(epsilon, kappa)
     return 2.0 * kappa**2 / (1.0 - epsilon * kappa) * (b_norm / op_norm) * epsilon
 
 
 def residual_bound(kappa: float, b_norm: float, epsilon: float) -> float:
     """Bound on ||r - r_bar||: 2 kappa / (1 - eps kappa) * ||b|| * eps."""
+    _check_norms(b_norm=b_norm)
     _check_hypothesis(epsilon, kappa)
     return 2.0 * kappa / (1.0 - epsilon * kappa) * b_norm * epsilon
 
@@ -48,8 +62,12 @@ def jacobian_bound(r: int, m: int, q: int, max_deriv_norm: float, kappa: float,
     """Bound on ||Jbar - J||_2 induced by an inexact inner solution.
 
     4 sqrt(r (m+q)) max_j ||dA/dy_j||_2 kappa^2 / (1 - eps kappa)
-    * ||b|| / ||S|| * eps.
+    * ||b|| / ||S|| * eps. The sizes need r >= 1, m >= 1 and q >= 0.
     """
+    for name, value, least in (("r", r, 1), ("m", m, 1), ("q", q, 0)):
+        if not value >= least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
+    _check_norms(op_norm, b_norm=b_norm, max_deriv_norm=max_deriv_norm)
     _check_hypothesis(epsilon, kappa)
     return (
         4.0

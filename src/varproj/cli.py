@@ -74,17 +74,13 @@ EXIT_CONFIG = 1
 EXIT_SOLVER = 2
 EXIT_CHECK = 3
 
-# The library's outer-loop defaults, except that the CLI runs every outer
-# iteration unless a step tolerance is configured.
-_CLI_OUTER = OuterOptions(step_tolerance=0.0)
-
 
 @dataclass(frozen=True)
 class RunSettings:
     """Fully resolved run configuration (every default made explicit)."""
 
     problem: BenchConfig
-    outer: OuterOptions = _CLI_OUTER
+    outer: OuterOptions = OuterOptions()
     y0_list: tuple[float, ...] = tuple(DEFAULT_INITIAL_TOLERANCES)
     schedules: tuple[str, ...] = tuple(SCHEDULE_NAMES)
     epsilon0: float | None = None  # None: resolve per y0
@@ -148,7 +144,6 @@ _CONFIG_KEYS = (
     ("problem", "tau", "problem.tau", float),
     ("solver", "y0", "y0_list", _parse_float_list),
     ("solver", "max_outer_iterations", "outer.max_outer_iterations", int),
-    ("solver", "step_tolerance", "outer.step_tolerance", float),
     ("schedules", "run", "schedules", _parse_schedule_list),
     ("schedules", "epsilon0", "epsilon0", _parse_epsilon0),
 )
@@ -203,7 +198,7 @@ def load_settings(config_path: str | None) -> RunSettings:
     except ConfigError as exc:
         raise ConfigError(f"[problem] {exc}") from exc
     try:
-        outer = replace(_CLI_OUTER, **values["outer"])
+        outer = OuterOptions(**values["outer"])
     except ValueError as exc:
         raise ConfigError(f"[solver] {exc}") from exc
     settings = RunSettings(problem=problem, outer=outer, **values[""])
@@ -483,7 +478,7 @@ def cmd_table(settings: RunSettings, out_dir: Path) -> int:
     problem = out.problem
     x_true_norm = float(np.linalg.norm(problem.x_true))
     header = ["k", "rre_gp", "rre_ab", "y_gp", "y_ab", "grad_gp", "grad_ab"]
-    seven_steps = dict(max_outer_iterations=7, step_tolerance=0.0)
+    seven_steps = dict(max_outer_iterations=7)
     for y0 in settings.y0_list:
         tag = _y0_tag(y0)
         eps0 = resolve_epsilon0(settings, problem, y0)

@@ -82,7 +82,6 @@ class ProblemInstance:
     L: FirstDifferenceOperator
     lam: float
     config: BenchConfig
-    noise_ratio: float
 
 
 def _signal(n: int) -> np.ndarray:
@@ -141,13 +140,11 @@ def build_problem(cfg: BenchConfig) -> ProblemInstance:
         b = b_true + noise
     else:
         b = b_true.copy()
-    ratio = float(np.linalg.norm(b - b_true) / np.linalg.norm(b_true))
     L = _regularizer(x_true, cfg.tau)
     for arr in (b, b_true, x_true):
         arr.setflags(write=False)
     return ProblemInstance(model=_blur_model(n), b=b, b_true=b_true,
-                           x_true=x_true, L=L, lam=cfg.lam, config=cfg,
-                           noise_ratio=ratio)
+                           x_true=x_true, L=L, lam=cfg.lam, config=cfg)
 
 
 def stacked_operator(problem: ProblemInstance, y_value: float):
@@ -172,7 +169,8 @@ def _objective_block(problem: ProblemInstance, ys: np.ndarray) -> np.ndarray:
     Every product and factorization goes through scipy's BLAS and LAPACK:
     numpy and scipy may each bundle their own OpenBLAS with its own thread
     pool, and alternating the two in this loop made a point about 20 times
-    slower under default threading. A band that does not factor raises
+    slower under default threading. A band that does not factor, or a
+    non-finite value of f, as when the Gram overflows, raises
     ``SingularSystemError``, as in the solvers.
     """
     b, L, lam = problem.b, problem.L, problem.lam
@@ -209,6 +207,9 @@ def _objective_block(problem: ProblemInstance, ys: np.ndarray) -> np.ndarray:
         misfit = dgemv(1.0, a, x, beta=-1.0, y=b, trans=1)
         penalty = lam * L.matvec(x)
         fs[i] = 0.5 * (ddot(misfit, misfit) + ddot(penalty, penalty))
+    finite = np.isfinite(fs)
+    if not finite.all():
+        raise SingularSystemError(f"the reduced functional is not finite at y = {ys[~finite][0]}")
     return fs
 
 
@@ -238,8 +239,8 @@ def objective_grid(problem: ProblemInstance, lo: float, hi: float,
     return ys, fs
 
 
-def grid_minimizer(problem: ProblemInstance, lo: float = 2.0, hi: float = 4.0,
-                   resolution: float = 1e-4) -> float:
+def grid_minimizer(problem: ProblemInstance, lo: float, hi: float,
+                   resolution: float) -> float:
     """Kernel width minimizing the reduced functional on a uniform grid."""
     ys, fs = objective_grid(problem, lo, hi, resolution)
     return float(ys[int(np.argmin(fs))])

@@ -275,9 +275,11 @@ class _Gram:
     dense.T @ dense, and leaves the upper one zero, which keeps the dense
     route on scipy's BLAS alone. The computed matrix is kept, read-only, as
     ``normal`` (``banded`` tells which storage it has: the lower band, or the
-    lower triangle with zeros above it). Immutable after construction, but
-    for the eigenvalues kept at their first request; shareable across
-    threads.
+    lower triangle with zeros above it). A Gram with a non-finite entry, as
+    when lam W overflows on squaring, raises ``SingularSystemError``: no
+    eigensolver or Cholesky factorization can use it. Immutable after
+    construction, but for the eigenvalues kept at their first request;
+    shareable across threads.
     """
 
     def __init__(self, op: StackedOperator):
@@ -287,6 +289,8 @@ class _Gram:
         if self.normal is None:
             self._dense = np.asarray(op.to_dense(), dtype=float)
             self.normal = scipy.linalg.blas.dsyrk(1.0, self._dense.T, lower=1)
+        if not np.isfinite(self.normal).all():
+            raise SingularSystemError("the Gram matrix S^T S has a non-finite entry")
         self.normal.setflags(write=False)
         self.banded = self._dense is None
         self._eigenvalues = None
@@ -428,18 +432,21 @@ class DirectFactorization(_Gram):
     included, took 0.5-1.7 ms instead of 12-25 ms (one BLAS thread).
     Otherwise the ``dsyrk`` lower triangle is factored with ``dpotrf``. The
     pseudoinverse and projector applications of Jacobian assembly reuse the
-    factorization and apply S through ``op``.
+    factorization and apply S through ``op``. The Gram is known to be
+    finite, so the factorizations skip scipy's own finiteness check.
     """
 
     def __init__(self, op: StackedOperator):
         super().__init__(op)
         try:
             if self.banded:
-                factor = (scipy.linalg.cholesky_banded(self.normal, lower=True), True)
+                factor = (scipy.linalg.cholesky_banded(self.normal, lower=True,
+                                                       check_finite=False), True)
                 self._solve = partial(scipy.linalg.cho_solve_banded, factor)
             else:
                 self._solve = partial(scipy.linalg.cho_solve,
-                                      scipy.linalg.cho_factor(self.normal, lower=True))
+                                      scipy.linalg.cho_factor(self.normal, lower=True,
+                                                              check_finite=False))
         except scipy.linalg.LinAlgError as exc:
             raise SingularSystemError(
                 "normal equations are not positive definite "

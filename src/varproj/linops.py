@@ -208,9 +208,10 @@ def _block_toeplitz_apply(b: int, nb: int, blocks: np.ndarray, n: int,
 class FirstDifferenceOperator(LinearOperator):
     """The weighted (n-1) x n forward difference W D, W = diag(weights).
 
-    D has -1 on the diagonal and +1 above; ``first_difference(n)`` is the
-    plain D, with unit weights. ``add_gram`` adds the tridiagonal of
-    lam^2 D^T W^2 D to a Gram matrix, for ``normal_band`` and the grid scan.
+    D has -1 on the diagonal and +1 above; unit weights,
+    ``FirstDifferenceOperator(np.ones(n - 1))``, give the plain D.
+    ``add_gram`` adds the tridiagonal of lam^2 D^T W^2 D to a Gram matrix,
+    for ``normal_band`` and the grid scan.
     """
 
     def __init__(self, weights):
@@ -423,13 +424,6 @@ def normal_band_error(op: StackedOperator, band: np.ndarray) -> tuple[float, flo
 def stack(top: LinearOperator, bottom: LinearOperator, lam: float) -> StackedOperator:
     """Stack a forward operator on top of a regularizer scaled by ``lam``."""
     return StackedOperator(top, bottom, lam)
-
-
-def first_difference(n: int) -> FirstDifferenceOperator:
-    """The (n-1) x n discrete first-derivative operator D (unit weights)."""
-    if n < 2:
-        raise ValueError(f"first difference needs n >= 2, got n={n}")
-    return FirstDifferenceOperator(np.ones(n - 1))
 
 
 def is_kernel_width(sigma: float) -> bool:

@@ -104,9 +104,10 @@ class ToleranceSchedule:
 class OuterOptions:
     """Stopping rules and inner-solver controls for the outer loops.
 
-    The loop stops when the step norm falls to ``step_tolerance``, the
-    gradient is exactly zero, or after ``max_outer_iterations``
-    Gauss-Newton steps, whichever happens first.
+    The loop runs ``max_outer_iterations`` Gauss-Newton steps unless a
+    step's norm falls to ``step_tolerance`` or the gradient is exactly
+    zero. At the default tolerance 0 only an exactly zero step stops the
+    loop early: the paper's experiments run a fixed number of steps.
     ``schedule`` is required by the inexact variant only.
     ``norm_estimate_mode`` is the inexact variant's LSQR norm control:
     ``explicit-2norm`` takes ||S||_2 in the LSQR stopping test from the Gram
@@ -115,7 +116,7 @@ class OuterOptions:
     """
 
     max_outer_iterations: int = 50
-    step_tolerance: float = 1e-10
+    step_tolerance: float = 0.0
     schedule: ToleranceSchedule | None = None
     norm_estimate_mode: str = NORM_MODE_INTERNAL
 

@@ -26,7 +26,7 @@ def small_problem():
 
 
 def run_exact(problem, y0, iterations=50):
-    opts = vp.OuterOptions(max_outer_iterations=iterations, step_tolerance=0.0)
+    opts = vp.OuterOptions(max_outer_iterations=iterations)
     trace = vp.genvarpro(problem.model, problem.b, problem.L, problem.lam,
                          np.array([y0]), opts)
     assert not trace.failed
@@ -38,7 +38,7 @@ def run_inexact(problem, y0, kind, eps0, iterations=50):
         schedule = vp.ToleranceSchedule("fixed-small")
     else:
         schedule = vp.ToleranceSchedule(kind, eps0)
-    opts = vp.OuterOptions(max_outer_iterations=iterations, step_tolerance=0.0,
+    opts = vp.OuterOptions(max_outer_iterations=iterations,
                            schedule=schedule, norm_estimate_mode=NORM_MODE_EXPLICIT)
     trace = vp.inexact_genvarpro(problem.model, problem.b, problem.L, problem.lam,
                                  np.array([y0]), opts)

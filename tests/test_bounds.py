@@ -1,5 +1,7 @@
 """Closed-form bound evaluators and the backward-error certificate matrix."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,36 @@ class TestFormulas:
             vp.residual_bound(kappa, 1.0, eps)
         with pytest.raises(BoundInvalidError):
             vp.jacobian_bound(1, 2, 1, 1.0, kappa, 1.0, 1.0, eps)
+
+
+    # A size or norm out of range is a plain ValueError naming it, not a
+    # BoundInvalidError, which the `bounds` command turns into a NaN row.
+    @pytest.mark.parametrize("bound,args,named", [
+        ("solution_bound", (2.0, 1.0, 0.0, 0.1), "op_norm"),
+        ("solution_bound", (2.0, 1.0, -1.0, 0.1), "op_norm"),
+        ("solution_bound", (2.0, 1.0, math.inf, 0.1), "op_norm"),
+        ("solution_bound", (2.0, -1.0, 1.0, 0.1), "b_norm"),
+        ("solution_bound", (2.0, math.nan, 1.0, 0.1), "b_norm"),
+        ("residual_bound", (2.0, -1.0, 0.1), "b_norm"),
+        ("residual_bound", (2.0, math.inf, 0.1), "b_norm"),
+        ("jacobian_bound", (0, 2, 1, 1.0, 2.0, 1.0, 1.0, 0.1), "r"),
+        ("jacobian_bound", (-1, 2, 1, 1.0, 2.0, 1.0, 1.0, 0.1), "r"),
+        ("jacobian_bound", (1, 0, 1, 1.0, 2.0, 1.0, 1.0, 0.1), "m"),
+        ("jacobian_bound", (1, 2, -1, 1.0, 2.0, 1.0, 1.0, 0.1), "q"),
+        ("jacobian_bound", (1, 2, 1, -1.0, 2.0, 1.0, 1.0, 0.1), "max_deriv_norm"),
+        ("jacobian_bound", (1, 2, 1, math.nan, 2.0, 1.0, 1.0, 0.1), "max_deriv_norm"),
+        ("jacobian_bound", (1, 2, 1, 1.0, 2.0, -1.0, 1.0, 0.1), "b_norm"),
+        ("jacobian_bound", (1, 2, 1, 1.0, 2.0, 1.0, 0.0, 0.1), "op_norm"),
+    ])
+    def test_bad_size_or_norm_raises_value_error(self, bound, args, named):
+        with pytest.raises(ValueError, match=f"^{named} must be") as caught:
+            getattr(vp, bound)(*args)
+        assert not isinstance(caught.value, BoundInvalidError)
+
+    def test_zero_norms_and_q_accepted(self):
+        assert vp.solution_bound(2.0, 0.0, 1.0, 0.1) == 0.0
+        assert vp.residual_bound(2.0, 0.0, 0.1) == 0.0
+        assert vp.jacobian_bound(1, 1, 0, 0.0, 2.0, 0.0, 1.0, 0.1) == 0.0
 
 
 class TestBackwardPerturbation:

@@ -2,6 +2,7 @@
 
 import configparser
 import csv
+import importlib.util
 import json
 import os
 import platform
@@ -90,6 +91,7 @@ class TestConfig:
         ("[problem]\nsignal = piecewise\n", "unknown key 'signal'"),
         ("[solver]\nnorm_estimate_mode = explicit-svd\n", "unknown key 'norm_estimate_mode'"),
         ("[schedules]\nsafety = 0.1\n", "unknown key 'safety'"),
+        ("[solver]\nstep_tolerance = 1e-4\n", "unknown key 'step_tolerance'"),
     ])
     def test_removed_keys_are_unknown(self, tmp_path, capsys, text, named):
         cfg = tmp_path / "old.cfg"
@@ -219,14 +221,14 @@ class TestConfig:
         assert not (tmp_path / "o").exists()
 
     # Each invalid value is a config error naming its section and key.
-    # Infinite values are rejected too, except for the step tolerance,
-    # where it means "stop at the first check".
+    # Infinite values are rejected too.
     @pytest.mark.parametrize("section,key,value,named", [
         ("solver", "max_outer_iterations", "0", "max_outer_iterations"),
-        ("solver", "step_tolerance", "-1", "stopping tolerances"),
+        # `step_tolerance` is no longer a key: every run takes all its steps.
+        ("solver", "step_tolerance", "-1", "step_tolerance"),
         # Nor is `gradient_tolerance`: the loop stops on an exactly zero gradient.
         ("solver", "gradient_tolerance", "-1", "gradient_tolerance"),
-        ("solver", "step_tolerance", "nan", "stopping tolerances"),
+        ("solver", "step_tolerance", "nan", "step_tolerance"),
         # `safety` is no longer a key: any value of it is an unknown key.
         ("schedules", "safety", "0", "safety"),
         ("solver", "y0", "-1", "y0"),
@@ -258,6 +260,8 @@ class TestConfig:
         assert settings.y0_list == (2.0, 4.0)
         assert settings.schedules == ("b", "lb", "ab", "s")
         assert settings.epsilon0 is None
+        # Every run takes all its outer steps: the library default is the CLI's.
+        assert settings.outer == vp.OuterOptions() and settings.outer.step_tolerance == 0.0
 
     def test_readme_schema_lists_every_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -375,23 +379,6 @@ class TestCompare:
         assert main(["compare", "--config", str(reseeded), "--out", str(out2)]) == 0
         assert (out1 / "gp_y0_1p6.csv").read_bytes() != (out2 / "gp_y0_1p6.csv").read_bytes()
 
-    def test_zero_step_termination_on_noise_free_data(self, tmp_path):
-        # Starting at the true kernel width with exact data and a small
-        # regularization weight, every solver stops at iterate y^(1).
-        cfg = tmp_path / "exact.cfg"
-        cfg.write_text(
-            "[problem]\nn = 48\nsigma_true = 2.0\nnoise_level = 0.0\n"
-            "lambda = 1e-3\nseed = 3\n"
-            "[solver]\ny0 = 2.0\nmax_outer_iterations = 8\nstep_tolerance = 1e-4\n"
-            "[schedules]\nrun = b, lb, ab, s\nepsilon0 = 1e-5\n")
-        out = tmp_path / "out"
-        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
-        for name in ["gp_y0_2.csv", "lsqr_b_y0_2.csv", "lsqr_lb_y0_2.csv",
-                     "lsqr_ab_y0_2.csv", "lsqr_s_y0_2.csv"]:
-            _, rows = _read_csv(out / name)
-            assert len(rows) == 2, name
-            assert rows[-1][0] == "1"
-
     def test_emitted_gap_file_slope_on_default_problem(self, tmp_path):
         # Fit on the emitted data: the exponential schedule's gap decays
         # geometrically over k in [2, 20].
@@ -407,6 +394,16 @@ class TestCompare:
         ks = np.arange(2, 21)
         slope = np.polyfit(ks, np.log2(np.maximum(gaps[2:21], 1e-18)), 1)[0]
         assert slope <= -0.25
+
+    # An S^T S that overflows is a solver failure (exit 2), not a traceback.
+    @pytest.mark.parametrize("setting", ["lambda = 1e160", "tau = 1e-320"])
+    def test_overflowed_gram_is_a_solver_failure(self, tmp_path, capsys, setting):
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(f"[problem]\n{setting}\n[solver]\ny0 = 2.0\nmax_outer_iterations = 2\n"
+                       "[schedules]\nrun = b\n")
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "status=inner-failure" in err and "non-finite entry" in err
 
     def test_solver_failure_exit_code(self, small_cfg, tmp_path, monkeypatch):
         import varproj.varpro as varpro_mod
@@ -626,6 +623,26 @@ class TestGradcheck:
             main([command, "--help"])
         usage = capsys.readouterr().out
         assert set(re.findall(r"--[a-z-]+", usage)) == {"--help", *flags}
+
+
+def test_output_digests_cover_every_command(capsys):
+    # tools/output_digests.py runs WRITING_COMMANDS with --out and gradcheck
+    # for its stdout; a command outside both would drop out of the check.
+    spec = importlib.util.spec_from_file_location(
+        "output_digests", Path(__file__).resolve().parents[1] / "tools" / "output_digests.py")
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    commands = re.search(r"\{([a-z,]+)\}", capsys.readouterr().out).group(1).split(",")
+    assert sorted(commands) == sorted([*digests.WRITING_COMMANDS, "gradcheck"])
+    writing = []
+    for command in commands:
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        if "--out" in capsys.readouterr().out:
+            writing.append(command)
+    assert sorted(writing) == sorted(digests.WRITING_COMMANDS)
 
 
 class TestTable:

@@ -1,5 +1,6 @@
 """Direct and LSQR inner solves, pseudoinverse applications, certificates."""
 
+import contextlib
 import math
 import warnings
 
@@ -112,10 +113,22 @@ class TestDirectSolve:
 
     def test_singular_band_system_names_pivot(self):
         op = vp.stack(vp.SymmetricToeplitzOperator(np.zeros(16)),
-                      vp.first_difference(16), 0.0)
+                      vp.FirstDifferenceOperator(np.ones(15)), 0.0)
         assert normal_band(op) is not None
         with pytest.raises(SingularSystemError, match="smallest eigenvalue"):
             DirectFactorization(op)
+
+    @pytest.mark.parametrize("n", [128, 1024])
+    def test_overflowed_gram_is_a_singular_system(self, n):
+        # lam = 1e160 squares past the largest double: in dsyrk on the dense
+        # route (n = 128), and on the band route (n = 1024) in add_gram,
+        # which warns. No factorization or eigensolver gets the Gram.
+        op = vp.stacked_operator(vp.build_problem(vp.BenchConfig(n=n, lam=1e160)), 2.0)
+        for build in (DirectFactorization, vp.condition_number):
+            with (pytest.warns(RuntimeWarning, match="overflow") if n == 1024
+                  else contextlib.nullcontext()):
+                with pytest.raises(SingularSystemError, match="non-finite entry"):
+                    build(op)
 
     @pytest.mark.parametrize("n,y", [(512, 2.0), (1024, 2.0), (1024, 4.0)])
     def test_band_path_matches_dense(self, n, y):
@@ -400,7 +413,7 @@ class TestConditionNumber:
         eps0 = vp.initial_tolerance(vp.condition_number(vp.stacked_operator(problem, 2.0)))
         assert 4e-5 < eps0 < 5e-5
         vp.genvarpro(problem.model, problem.b, problem.L, problem.lam, np.array([2.0]),
-                     vp.OuterOptions(max_outer_iterations=1, step_tolerance=0.0))
+                     vp.OuterOptions(max_outer_iterations=1))
 
     # The dense route's value is the SVD's within its certified bound; the
     # SVD is the oracle. b = delta / lo was 8.0e-7 to 6.4e-6 here.

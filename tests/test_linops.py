@@ -159,7 +159,8 @@ class TestNormalBand:
         rng = np.random.default_rng(8)
         weights = 10.0 ** rng.uniform(-1.0, 4.0, size=n - 1)
         top = vp.gaussian_toeplitz(sigma, n)
-        for bottom in (vp.FirstDifferenceOperator(weights), vp.first_difference(n)):
+        for bottom in (vp.FirstDifferenceOperator(weights),
+                       vp.FirstDifferenceOperator(np.ones(n - 1))):
             op = vp.stack(top, bottom, 0.0379)
             band = normal_band(op)
             assert (band is not None) == banded == (top._band_k is not None)
@@ -215,7 +216,8 @@ class TestNormalBand:
         # The band is taken exactly when the blur is block-applied, that is
         # 2k + 1 <= n/2 on the kernel's own k, however few diagonals it keeps.
         for sigma in np.arange(1, 81) / 20.0:
-            op = vp.stack(vp.gaussian_toeplitz(sigma, n), vp.first_difference(n), 0.0379)
+            op = vp.stack(vp.gaussian_toeplitz(sigma, n),
+                          vp.FirstDifferenceOperator(np.ones(n - 1)), 0.0379)
             k = op.top._band_k
             assert (k is not None) == (4 * int(np.flatnonzero(op.top.first_row)[-1]) + 2 <= n)
             assert (normal_band(op) is not None) == (k is not None)
@@ -223,7 +225,7 @@ class TestNormalBand:
     def test_other_blocks_take_dense_path(self):
         rng = np.random.default_rng(9)
         top = vp.gaussian_toeplitz(1.0, 256)
-        diff = vp.first_difference(256)
+        diff = vp.FirstDifferenceOperator(np.ones(255))
         assert normal_band(top) is None
         # The plain D is the weighted difference with W = I: banded.
         assert normal_band(vp.stack(top, diff, 0.5)) is not None
@@ -407,7 +409,7 @@ class TestKernelWidthRange:
 class TestWeightedDifference:
     def test_weighted_equals_weights_times_unweighted(self):
         rng = np.random.default_rng(5)
-        diff = vp.first_difference(30)
+        diff = vp.FirstDifferenceOperator(np.ones(29))
         weights = rng.uniform(0.5, 2.0, size=29)
         op = vp.FirstDifferenceOperator(weights)
         for _ in range(20):
@@ -440,15 +442,15 @@ class TestWeightedDifference:
 
 class TestFirstDifference:
     def test_constant_in_null_space(self):
-        out = vp.first_difference(3).matvec(np.ones(3))
+        out = vp.FirstDifferenceOperator(np.ones(2)).matvec(np.ones(3))
         np.testing.assert_array_equal(out, np.zeros(2))
 
     def test_forced_by_definition(self):
-        out = vp.first_difference(4).matvec(np.array([0.0, 1.0, 3.0, 6.0]))
+        out = vp.FirstDifferenceOperator(np.ones(3)).matvec(np.array([0.0, 1.0, 3.0, 6.0]))
         np.testing.assert_array_equal(out, np.array([1.0, 2.0, 3.0]))
 
     def test_dense_layout(self):
-        dense = vp.first_difference(4).to_dense()
+        dense = vp.FirstDifferenceOperator(np.ones(3)).to_dense()
         expected = np.array([[-1.0, 1.0, 0.0, 0.0],
                              [0.0, -1.0, 1.0, 0.0],
                              [0.0, 0.0, -1.0, 1.0]])
@@ -456,20 +458,21 @@ class TestFirstDifference:
 
     @pytest.mark.parametrize("n", [2, 3, 40])
     def test_adjoint_matches_dense_transpose(self, n):
-        op = vp.first_difference(n)
+        op = vp.FirstDifferenceOperator(np.ones(n - 1))
         rng = np.random.default_rng(n)
         for _ in range(10):
             w = rng.standard_normal(n - 1)
             assert np.all(op.rmatvec(w) == op.to_dense().T @ w)
 
     def test_null_space_dimension_is_one(self):
-        s = np.linalg.svd(vp.first_difference(128).to_dense(), compute_uv=False)
+        s = np.linalg.svd(vp.FirstDifferenceOperator(np.ones(127)).to_dense(), compute_uv=False)
         # All n-1 singular values positive: rank n-1, null dimension exactly 1.
         assert np.all(s > 1e-12)
 
     def test_rejects_small_n(self):
-        with pytest.raises(ValueError):
-            vp.first_difference(1)
+        # n = 1 leaves no difference and no weight.
+        with pytest.raises(ValueError, match="nonempty 1-d array"):
+            vp.FirstDifferenceOperator(np.ones(0))
 
 
 class TestStack:
@@ -522,7 +525,7 @@ class TestStack:
     def test_non_finite_lambda(self, n, lam):
         top = vp.DenseOperator(np.eye(2)) if n == 2 else vp.gaussian_toeplitz(2.0, n)
         with pytest.raises(ValueError, match="lambda must be nonnegative and finite"):
-            vp.stack(top, vp.first_difference(n), lam)
+            vp.stack(top, vp.FirstDifferenceOperator(np.ones(n - 1)), lam)
 
     def test_empty_bottom_block(self):
         rng = np.random.default_rng(2)
@@ -536,7 +539,7 @@ class TestStack:
     def test_full_rank_with_trivial_joint_nullspace(self):
         # A annihilates high frequencies, L annihilates constants; together
         # they cover R^n, so the stack has rank n.
-        op = vp.stack(vp.gaussian_toeplitz(3.0, 32), vp.first_difference(32), 0.05)
+        op = vp.stack(vp.gaussian_toeplitz(3.0, 32), vp.FirstDifferenceOperator(np.ones(31)), 0.05)
         s = np.linalg.svd(op.to_dense(), compute_uv=False)
         assert s[-1] > 1e-8
 
@@ -546,12 +549,12 @@ def _sample_operators():
     ops = [
         vp.DenseOperator(rng.standard_normal((7, 4))),
         vp.gaussian_toeplitz(1.5, 12),
-        vp.first_difference(12),
+        vp.FirstDifferenceOperator(np.ones(11)),
         vp.FirstDifferenceOperator(rng.uniform(0.5, 2.0, size=11)),
-        vp.stack(vp.gaussian_toeplitz(1.5, 12), vp.first_difference(12), 0.3),
+        vp.stack(vp.gaussian_toeplitz(1.5, 12), vp.FirstDifferenceOperator(np.ones(11)), 0.3),
         # narrow enough for the band apply: 2k + 1 = 37 <= n/2 = 40
         vp.gaussian_toeplitz(0.5, 80),
-        vp.stack(vp.gaussian_toeplitz(0.5, 80), vp.first_difference(80), 0.3),
+        vp.stack(vp.gaussian_toeplitz(0.5, 80), vp.FirstDifferenceOperator(np.ones(79)), 0.3),
     ]
     return ops
 
@@ -650,7 +653,7 @@ def test_matrix_free_operator_materializes_column_by_column():
     a = rng.standard_normal((9, 6))
     top = MatrixFreeOperator(a)
     np.testing.assert_array_equal(top.to_dense(), a)
-    op = vp.stack(top, vp.first_difference(6), 0.5)
+    op = vp.stack(top, vp.FirstDifferenceOperator(np.ones(5)), 0.5)
     fact = vp.DirectFactorization(op)
     assert not fact.banded
     b = rng.standard_normal(9)

@@ -2,12 +2,14 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import varproj as vp
 from varproj import varpro
+from varproj.cli import DEFAULT_INITIAL_TOLERANCES
 from varproj.inner_solvers import DirectFactorization
 from varproj.linops import normal_band
 from varproj.varpro import SingularStepError, ToleranceWarning
@@ -516,7 +518,7 @@ class TestOuterLoops:
         # below the cap of 10,000. Their records hold the count, criterion
         # and tolerance; the run did not abort, so there is no warning.
         p = small_problem
-        opts = vp.OuterOptions(max_outer_iterations=40, step_tolerance=0.0,
+        opts = vp.OuterOptions(max_outer_iterations=40,
                                schedule=vp.ToleranceSchedule("exponential", 1e-4))
         trace = vp.inexact_genvarpro(p.model, p.b, p.L, p.lam, np.array([1.5]), opts)
         assert not trace.failed
@@ -529,9 +531,9 @@ class TestOuterLoops:
 
     def test_fixed_small_matches_exact_trace(self, small_problem):
         p = small_problem
-        opts_exact = vp.OuterOptions(max_outer_iterations=12, step_tolerance=0.0)
+        opts_exact = vp.OuterOptions(max_outer_iterations=12)
         exact = vp.genvarpro(p.model, p.b, p.L, p.lam, np.array([1.5]), opts_exact)
-        opts_in = vp.OuterOptions(max_outer_iterations=12, step_tolerance=0.0,
+        opts_in = vp.OuterOptions(max_outer_iterations=12,
                                   schedule=vp.ToleranceSchedule("fixed-small"))
         inexact = vp.inexact_genvarpro(p.model, p.b, p.L, p.lam, np.array([1.5]), opts_in)
         assert len(exact) == len(inexact)
@@ -544,7 +546,7 @@ class TestOuterLoops:
         # the explicit norm comes from the band Gram's largest eigenvalue.
         p = vp.build_problem(vp.BenchConfig(n=256, sigma_true=1.0))
         assert normal_band(vp.stacked_operator(p, 1.0)) is not None
-        opts = vp.OuterOptions(max_outer_iterations=2, step_tolerance=0.0,
+        opts = vp.OuterOptions(max_outer_iterations=2,
                                norm_estimate_mode="explicit-2norm",
                                schedule=vp.ToleranceSchedule("constant", 1e-6))
         trace = vp.inexact_genvarpro(p.model, p.b, p.L, p.lam, np.array([1.0]), opts)
@@ -552,10 +554,26 @@ class TestOuterLoops:
         assert len(trace) == 3
         assert all(rec.inner_converged for rec in trace.records)
 
+    def test_zero_step_termination_on_noise_free_data(self):
+        # Starting at the true kernel width with exact data and a small
+        # regularization weight, the first step is below the tolerance, so
+        # every solver stops at iterate y^(1).
+        p = vp.build_problem(vp.BenchConfig(n=48, sigma_true=2.0, noise_level=0.0,
+                                            lam=1e-3, rng_seed=3))
+        opts = vp.OuterOptions(max_outer_iterations=8, step_tolerance=1e-4)
+        traces = {"genvarpro": vp.genvarpro(p.model, p.b, p.L, p.lam, np.array([2.0]), opts)}
+        for kind in varpro.SCHEDULE_KINDS:
+            scheduled = replace(opts, schedule=vp.ToleranceSchedule(kind, 1e-5))
+            traces[kind] = vp.inexact_genvarpro(p.model, p.b, p.L, p.lam, np.array([2.0]),
+                                                scheduled)
+        for name, trace in traces.items():
+            assert trace.status == "step-tolerance", name
+            assert [rec.k for rec in trace.records] == [0, 1], name
+
     def test_inexact_trace_records_schedule(self, small_problem):
         p = small_problem
         sched = vp.ToleranceSchedule("exponential", 1e-4)
-        opts = vp.OuterOptions(max_outer_iterations=5, step_tolerance=0.0, schedule=sched)
+        opts = vp.OuterOptions(max_outer_iterations=5, schedule=sched)
         trace = vp.inexact_genvarpro(p.model, p.b, p.L, p.lam, np.array([1.5]), opts)
         for rec in trace.records:
             assert rec.epsilon == sched.value(rec.k)
@@ -574,6 +592,27 @@ class TestOuterLoops:
             exact = gp_trace_y2.records[k].f_value
             inexact = s_trace_y2.records[k].f_value
             assert abs(inexact - exact) <= 1e-8 * abs(exact)
+
+
+# The accuracy bands of the benchmark's paper-n128 workload, _PAPER_BANDS in
+# bench/workloads.py, which tier-1 does not import: the largest |y - y*|
+# after 50 steps from y0, as a share of |y0 - y*|.
+PAPER_BANDS = {"constant": 0.5, "linear": 1e-2, "exponential": 1e-5, "fixed-small": 1e-5}
+
+
+@pytest.mark.parametrize("kind", sorted(PAPER_BANDS))
+def test_default_norm_schedules_within_benchmark_bands(problem, gp_trace_y2, kind):
+    # The runs of `compare`, `table` and the benchmark: LSQR stops on its
+    # bidiagonal norm estimate, unlike the 2-norm runs of the acceptance
+    # fixtures. y* is the exact solver's limit.
+    y_star = gp_trace_y2.records[-1].y[0]
+    opts = vp.OuterOptions(schedule=vp.ToleranceSchedule(kind, DEFAULT_INITIAL_TOLERANCES[2.0]))
+    trace = vp.inexact_genvarpro(problem.model, problem.b, problem.L, problem.lam,
+                                 np.array([2.0]), opts)
+    assert trace.status == "max-iterations" and len(trace) == 51
+    for rec in trace.records:
+        assert not rec.inner_converged or rec.inner_criterion < rec.epsilon
+    assert abs(trace.records[-1].y[0] - y_star) / abs(2.0 - y_star) <= PAPER_BANDS[kind]
 
 
 def _identical_derivatives_model():
