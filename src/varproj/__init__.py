@@ -39,7 +39,6 @@ from .varpro import (
     IterationRecord,
     OuterOptions,
     SeparableModel,
-    SingularStepError,
     SolverTrace,
     ToleranceSchedule,
     ToleranceWarning,

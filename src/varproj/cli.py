@@ -43,7 +43,6 @@ from .linops import check_kernel_width
 from .varpro import (
     NORM_MODE_EXPLICIT,
     OuterOptions,
-    SingularStepError,
     SolverTrace,
     ToleranceSchedule,
     exact_jacobian,
@@ -298,24 +297,37 @@ class _Outputs:
         self.files: list[str] = []
         self.timings: dict[str, float] = {}
         self.failed = False
+        # Each y0's starting tolerance, or the error that kept it unresolved.
+        self.epsilon0: dict[float, float | SingularSystemError] = {}
 
     def solve(self, timing: str, y0: float, sched_name: str | None = None,
-              epsilon0: float | None = None, **overrides) -> SolverTrace:
+              **overrides) -> SolverTrace:
         """Run ``genvarpro`` from y0, or ``inexact_genvarpro`` under the named
-        schedule started at ``epsilon0``, with the configured options and
-        ``overrides``. The run's time is added to timing ``timing``; a failed
+        schedule started at y0's ``resolve_epsilon0``, with the configured
+        options and ``overrides``. The run's time is added to timing
+        ``timing``; the tolerance is resolved once per y0, untimed, and one
+        that cannot be is a failed run with status ``inner-failure``. A failed
         run is reported on stderr and marks the command failed."""
-        schedule = (None if sched_name is None
-                    else ToleranceSchedule(SCHEDULE_NAMES[sched_name], epsilon0))
-        opts = replace(self.settings.outer, schedule=schedule, **overrides)
-        solver = genvarpro if schedule is None else inexact_genvarpro
-        p = self.problem
-        tic = time.perf_counter()
-        trace = solver(p.model, p.b, p.L, p.lam, np.array([y0]), opts)
-        self.timings[timing] = self.timings.get(timing, 0.0) + time.perf_counter() - tic
+        if sched_name is not None and y0 not in self.epsilon0:
+            try:
+                self.epsilon0[y0] = resolve_epsilon0(self.settings, self.problem, y0)
+            except SingularSystemError as exc:
+                self.epsilon0[y0] = exc
+        epsilon0 = None if sched_name is None else self.epsilon0[y0]
+        if isinstance(epsilon0, SingularSystemError):
+            trace = SolverTrace(status="inner-failure", warnings=[f"epsilon0: {epsilon0}"])
+        else:
+            schedule = (None if sched_name is None
+                        else ToleranceSchedule(SCHEDULE_NAMES[sched_name], epsilon0))
+            opts = replace(self.settings.outer, schedule=schedule, **overrides)
+            solver = genvarpro if schedule is None else inexact_genvarpro
+            p = self.problem
+            tic = time.perf_counter()
+            trace = solver(p.model, p.b, p.L, p.lam, np.array([y0]), opts)
+            self.timings[timing] = self.timings.get(timing, 0.0) + time.perf_counter() - tic
         if trace.failed:
             self.failed = True
-            label = "genvarpro" if schedule is None else f"inexact ({sched_name})"
+            label = "genvarpro" if sched_name is None else f"inexact ({sched_name})"
             print(f"solver failure in {label} y0={y0}: status={trace.status}", file=sys.stderr)
             for message in trace.warnings:
                 print(f"  {message}", file=sys.stderr)
@@ -361,10 +373,9 @@ def cmd_compare(settings: RunSettings, out_dir: Path) -> int:
         out.write_csv(f"gp_y0_{tag}.csv", _TRACE_HEADER, _trace_rows(trace_gp))
         if trace_gp.failed:
             continue
-        eps0 = resolve_epsilon0(settings, out.problem, y0)
         y_gp = trace_gp.y_history[:, 0]
         for sched_name in settings.schedules:
-            trace = out.solve(f"lsqr_{sched_name}_y0_{tag}", y0, sched_name, eps0)
+            trace = out.solve(f"lsqr_{sched_name}_y0_{tag}", y0, sched_name)
             out.write_csv(f"lsqr_{sched_name}_y0_{tag}.csv", _TRACE_HEADER, _trace_rows(trace))
             if trace.failed:
                 continue
@@ -398,9 +409,8 @@ def cmd_bounds(settings: RunSettings, out_dir: Path) -> int:
     fatal = False
     for y0 in settings.y0_list:
         tag = _y0_tag(y0)
-        eps0 = resolve_epsilon0(settings, problem, y0)
         for sched_name in settings.schedules:
-            trace = out.solve(f"bounds_{sched_name}_y0_{tag}", y0, sched_name, eps0,
+            trace = out.solve(f"bounds_{sched_name}_y0_{tag}", y0, sched_name,
                               norm_estimate_mode=NORM_MODE_EXPLICIT)
             if trace.failed:
                 continue
@@ -481,9 +491,8 @@ def cmd_table(settings: RunSettings, out_dir: Path) -> int:
     seven_steps = dict(max_outer_iterations=7)
     for y0 in settings.y0_list:
         tag = _y0_tag(y0)
-        eps0 = resolve_epsilon0(settings, problem, y0)
         trace_gp = out.solve(f"table_gp_y0_{tag}", y0, **seven_steps)
-        trace_ab = out.solve(f"table_ab_y0_{tag}", y0, "ab", eps0, **seven_steps)
+        trace_ab = out.solve(f"table_ab_y0_{tag}", y0, "ab", **seven_steps)
         if trace_gp.failed or trace_ab.failed:
             continue
         rows = []
@@ -545,8 +554,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SingularSystemError, SingularStepError, NumericalBreakdownError,
-            BoundInvalidError) as exc:
+    except (SingularSystemError, NumericalBreakdownError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

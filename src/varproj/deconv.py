@@ -171,7 +171,8 @@ def _objective_block(problem: ProblemInstance, ys: np.ndarray) -> np.ndarray:
     pool, and alternating the two in this loop made a point about 20 times
     slower under default threading. A band that does not factor, or a
     non-finite value of f, as when the Gram overflows, raises
-    ``SingularSystemError``, as in the solvers.
+    ``SingularSystemError``, as in the solvers; numpy does not warn of the
+    overflow first, whatever the warnings filter.
     """
     b, L, lam = problem.b, problem.L, problem.lam
     n = b.size
@@ -192,21 +193,23 @@ def _objective_block(problem: ProblemInstance, ys: np.ndarray) -> np.ndarray:
                             writeable=False)
     band = np.empty((kept + 1, n), order="F")
     fs = np.empty(ys.size)
-    for i, y in enumerate(ys):
-        row = gaussian_row(float(y), n)
-        sym[n - 1:] = row
-        sym[: n - 1] = row[:0:-1]
-        np.copyto(a.T, toeplitz)
-        dsyrk(1.0, a, trans=1, lower=1, c=gram, overwrite_c=1)
-        np.copyto(band, lower_band)
-        L.add_gram(lam, band[0], band[1, :-1])
-        chol, info = dpbtrf(band, lower=1, overwrite_ab=1)
-        if info:
-            raise SingularSystemError(f"normal equations are not positive definite at y = {y}")
-        x, _ = dpbtrs(chol, dgemv(1.0, a, b), lower=1)
-        misfit = dgemv(1.0, a, x, beta=-1.0, y=b, trans=1)
-        penalty = lam * L.matvec(x)
-        fs[i] = 0.5 * (ddot(misfit, misfit) + ddot(penalty, penalty))
+    # An overflow shows as a non-finite f, the one check below.
+    with np.errstate(over="ignore"):
+        for i, y in enumerate(ys):
+            row = gaussian_row(float(y), n)
+            sym[n - 1:] = row
+            sym[: n - 1] = row[:0:-1]
+            np.copyto(a.T, toeplitz)
+            dsyrk(1.0, a, trans=1, lower=1, c=gram, overwrite_c=1)
+            np.copyto(band, lower_band)
+            L.add_gram(lam, band[0], band[1, :-1])
+            chol, info = dpbtrf(band, lower=1, overwrite_ab=1)
+            if info:
+                raise SingularSystemError(f"normal equations are not positive definite at y = {y}")
+            x, _ = dpbtrs(chol, dgemv(1.0, a, b), lower=1)
+            misfit = dgemv(1.0, a, x, beta=-1.0, y=b, trans=1)
+            penalty = lam * L.matvec(x)
+            fs[i] = 0.5 * (ddot(misfit, misfit) + ddot(penalty, penalty))
     finite = np.isfinite(fs)
     if not finite.all():
         raise SingularSystemError(f"the reduced functional is not finite at y = {ys[~finite][0]}")

@@ -277,18 +277,22 @@ class _Gram:
     ``normal`` (``banded`` tells which storage it has: the lower band, or the
     lower triangle with zeros above it). A Gram with a non-finite entry, as
     when lam W overflows on squaring, raises ``SingularSystemError``: no
-    eigensolver or Cholesky factorization can use it. Immutable after
+    eigensolver or Cholesky factorization can use it. That check is the one
+    verdict on an overflow, which numpy is told not to warn of, so the
+    outcome does not depend on the warnings filter. Immutable after
     construction, but for the eigenvalues kept at their first request;
     shareable across threads.
     """
 
     def __init__(self, op: StackedOperator):
         self.op = op
-        self.normal = normal_band(op)
         self._dense = None
-        if self.normal is None:
-            self._dense = np.asarray(op.to_dense(), dtype=float)
-            self.normal = scipy.linalg.blas.dsyrk(1.0, self._dense.T, lower=1)
+        # An overflow shows as a non-finite entry, the one check below.
+        with np.errstate(over="ignore"):
+            self.normal = normal_band(op)
+            if self.normal is None:
+                self._dense = np.asarray(op.to_dense(), dtype=float)
+                self.normal = scipy.linalg.blas.dsyrk(1.0, self._dense.T, lower=1)
         if not np.isfinite(self.normal).all():
             raise SingularSystemError("the Gram matrix S^T S has a non-finite entry")
         self.normal.setflags(write=False)
@@ -433,7 +437,8 @@ class DirectFactorization(_Gram):
     Otherwise the ``dsyrk`` lower triangle is factored with ``dpotrf``. The
     pseudoinverse and projector applications of Jacobian assembly reuse the
     factorization and apply S through ``op``. The Gram is known to be
-    finite, so the factorizations skip scipy's own finiteness check.
+    finite, so the factorizations and the solves skip scipy's own scan of
+    it and of the factor; a solve checks only its right-hand side.
     """
 
     def __init__(self, op: StackedOperator):
@@ -442,11 +447,10 @@ class DirectFactorization(_Gram):
             if self.banded:
                 factor = (scipy.linalg.cholesky_banded(self.normal, lower=True,
                                                        check_finite=False), True)
-                self._solve = partial(scipy.linalg.cho_solve_banded, factor)
+                self._solve = partial(scipy.linalg.cho_solve_banded, factor, check_finite=False)
             else:
-                self._solve = partial(scipy.linalg.cho_solve,
-                                      scipy.linalg.cho_factor(self.normal, lower=True,
-                                                              check_finite=False))
+                factor = scipy.linalg.cho_factor(self.normal, lower=True, check_finite=False)
+                self._solve = partial(scipy.linalg.cho_solve, factor, check_finite=False)
         except scipy.linalg.LinAlgError as exc:
             raise SingularSystemError(
                 "normal equations are not positive definite "
@@ -454,8 +458,9 @@ class DirectFactorization(_Gram):
             ) from exc
 
     def solve_normal(self, v) -> np.ndarray:
-        """Apply (S^T S)^{-1} to a length-n vector."""
-        return self._solve(np.asarray(v, dtype=float))
+        """Apply (S^T S)^{-1} to a length-n vector; one that is not finite
+        raises ``ValueError``."""
+        return self._solve(np.asarray_chkfinite(v, dtype=float))
 
     def solve_rhs(self, b) -> np.ndarray:
         """Inner solution for stacked data [b; 0]: (S^T S)^{-1} A^T b."""

@@ -217,7 +217,7 @@ def gauss_newton_step(J, g) -> np.ndarray:
         raise SingularStepError(
             f"step system is rank deficient (column scales {np.array2string(diag, precision=3)})"
         )
-    return scipy.linalg.solve_triangular(R, -(Q.T @ g))
+    return scipy.linalg.solve_triangular(R, -(Q.T @ g), check_finite=False)
 
 
 def _check_y(model: SeparableModel, y) -> np.ndarray:

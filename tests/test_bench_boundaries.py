@@ -64,6 +64,11 @@ def test_benchmark_imported_names_exist():
     assert missing == []
 
 
+def _called_name(func):
+    """The name a call's function is written with: ``f`` or ``module.f``."""
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+
+
 def test_library_takes_no_svd():
     # kappa_2(S) and ||S||_2 come from the Gram matrix alone, so no module
     # of the library calls an SVD routine (numpy's or scipy's svd, svdvals)
@@ -74,8 +79,7 @@ def test_library_takes_no_svd():
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                name = _called_name(node.func)
                 if "svd" in name.lower():
                     found.append(f"{path.name}:{node.lineno} calls {name}")
             names = ([node.id] if isinstance(node, ast.Name) else
@@ -107,10 +111,34 @@ def test_cholesky_and_eigen_solves_belong_to_the_gram():
                 allowed.update(id(node) for function in functions for node in ast.walk(function))
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and id(node) not in allowed:
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                name = _called_name(node.func)
                 if name in routines:
                     found.append(f"{path.name}:{node.lineno} calls {name}")
+    assert found == []
+
+
+def test_factor_and_eigen_calls_skip_scipys_finiteness_check():
+    # The Gram's isfinite check is the one verdict on a non-finite value:
+    # every call of the library to these scipy routines, direct or through
+    # functools.partial, passes check_finite=False, so no factorization,
+    # solve or eigen-solve scans a Gram or a factor known to be finite. A
+    # solve checks its right-hand side itself. Read with ast, so a call that
+    # no test reaches is caught too.
+    routines = {"cho_factor", "cho_solve", "cholesky_banded", "cho_solve_banded", "eigvalsh",
+                "eigvals_banded", "solve_triangular"}
+    package = Path(vp.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            called = _called_name(node.func)
+            if called == "partial" and node.args:
+                called = _called_name(node.args[0])
+            skips = any(keyword.arg == "check_finite" and isinstance(keyword.value, ast.Constant)
+                        and keyword.value.value is False for keyword in node.keywords)
+            if called in routines and not skips:
+                found.append(f"{path.name}:{node.lineno} calls {called}")
     assert found == []
 
 

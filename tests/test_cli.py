@@ -9,6 +9,7 @@ import platform
 import re
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -283,15 +284,21 @@ class TestConfig:
 
     def test_readme_library_example_runs(self, capsys):
         # The README's "Library example" runs as written and prints what its
-        # comments say: the status and final width, then a finite bound.
+        # comments say: the status and final width, then a finite bound
+        # that the record's inner iterate meets against the exact inner
+        # solution, read from the example's own namespace.
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         example = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S).group(1)
-        exec(compile(example, "README.md", "exec"), {})
+        namespace = {}
+        exec(compile(example, "README.md", "exec"), namespace)
         status_line, bound_line = capsys.readouterr().out.splitlines()
         status, y = status_line.split(" ", 1)
         assert status == "max-iterations"
         assert float(y.strip("[]")) == pytest.approx(3.075, abs=1e-3)
         assert 0.0 < float(bound_line) < np.inf
+        fact, rec = namespace["fact"], namespace["rec"]
+        error = float(np.linalg.norm(fact.solve_rhs(namespace["problem"].b) - rec.x))
+        assert error < float(bound_line)
 
     def test_epsilon0_resolution(self, problem):
         settings = cli.load_settings(None)
@@ -395,15 +402,25 @@ class TestCompare:
         slope = np.polyfit(ks, np.log2(np.maximum(gaps[2:21], 1e-18)), 1)[0]
         assert slope <= -0.25
 
-    # An S^T S that overflows is a solver failure (exit 2), not a traceback.
-    @pytest.mark.parametrize("setting", ["lambda = 1e160", "tau = 1e-320"])
+    # An S^T S that overflows is a solver failure (exit 2), not a traceback,
+    # under every warnings filter: in dsyrk (lambda alone, n = 128), in
+    # add_gram on the band route (n = 1024), and in to_dense, where lambda
+    # times the weights of tau = 1e-320 overflows.
+    OVERFLOWS = ["lambda = 1e160", "tau = 1e-320", "n = 1024\nlambda = 1e160",
+                 "lambda = 1e160\ntau = 1e-320"]
+
+    @pytest.mark.parametrize("setting", OVERFLOWS,
+                             ids=[setting.replace("\n", ", ") for setting in OVERFLOWS])
     def test_overflowed_gram_is_a_solver_failure(self, tmp_path, capsys, setting):
         cfg = tmp_path / "overflow.cfg"
         cfg.write_text(f"[problem]\n{setting}\n[solver]\ny0 = 2.0\nmax_outer_iterations = 2\n"
                        "[schedules]\nrun = b\n")
-        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "status=inner-failure" in err and "non-finite entry" in err
+        assert (tmp_path / "o" / "manifest.json").exists()
 
     def test_solver_failure_exit_code(self, small_cfg, tmp_path, monkeypatch):
         import varproj.varpro as varpro_mod
@@ -449,6 +466,52 @@ class TestCompare:
         monkeypatch.setattr(cli, "genvarpro", broken)
         with pytest.raises(TypeError):
             main(["compare", "--config", str(small_cfg), "--out", str(tmp_path / "o")])
+
+
+@pytest.mark.parametrize("command", ["compare", "bounds", "table"])
+def test_unresolvable_epsilon0_is_a_failed_run(tmp_path, capsys, command):
+    # At y0 = 2.5, epsilon0 = auto takes kappa0 from the Gram at y0, which
+    # overflows at lambda = 1e160. Each command reports the failed runs,
+    # closes with its manifest and exits 2; compare never resolves epsilon0,
+    # since its exact run at y0 fails first. A run that never started has
+    # no timing.
+    cfg = tmp_path / "auto.cfg"
+    cfg.write_text("[problem]\nlambda = 1e160\n[solver]\ny0 = 2.5\nmax_outer_iterations = 1\n"
+                   "[schedules]\nrun = b\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    failed = {"compare": ["genvarpro"], "bounds": ["inexact (b)"],
+              "table": ["genvarpro", "inexact (ab)"]}[command]
+    for label in failed:
+        assert f"solver failure in {label} y0=2.5: status=inner-failure" in err
+    assert ("epsilon0: the Gram matrix S^T S has a non-finite entry" in err) == (
+        command != "compare")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == (["gp_y0_2p5.csv"] if command == "compare" else [])
+    assert not any("_b_" in key or "_ab_" in key for key in manifest["timings_seconds"])
+
+
+def test_epsilon0_resolved_once_per_y0(small_cfg, tmp_path, monkeypatch, capsys):
+    # Every schedule from one y0 starts at the same epsilon0, resolved once;
+    # one that cannot be resolved fails each of them without a retry, and
+    # the exact run goes on.
+    calls = []
+
+    def unresolvable(settings, problem, y0):
+        calls.append(y0)
+        raise SingularSystemError("cannot bound the condition number")
+
+    monkeypatch.setattr(cli, "resolve_epsilon0", unresolvable)
+    out = tmp_path / "o"
+    assert main(["compare", "--config", str(small_cfg), "--out", str(out)]) == 2
+    assert calls == [1.6]
+    err = capsys.readouterr().err
+    assert err.count("epsilon0: cannot bound the condition number") == 2
+    assert "inexact (ab) y0=1.6" in err and "inexact (s) y0=1.6" in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == ["gp_y0_1p6.csv", "lsqr_ab_y0_1p6.csv",
+                                   "lsqr_s_y0_1p6.csv"]
 
 
 class TestBounds:
@@ -643,6 +706,32 @@ def test_output_digests_cover_every_command(capsys):
         if "--out" in capsys.readouterr().out:
             writing.append(command)
     assert sorted(writing) == sorted(digests.WRITING_COMMANDS)
+
+
+def test_code_lines_lists_every_module():
+    # tools/code_lines.py counts the code lines of each library module and
+    # their sum; a module it skipped would drop out of a refactor's count.
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, str(root / "tools" / "code_lines.py"), str(root)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    *modules, total = [line.split() for line in done.stdout.splitlines()]
+    assert [name for _, _, name in modules] == sorted(
+        path.name for path in (root / "src" / "varproj").glob("*.py"))
+    assert total[2] == "total"
+    for column in (0, 1):
+        assert int(total[column]) == sum(int(module[column]) for module in modules)
+    for code, lines, name in modules:
+        assert 0 < int(code) <= int(lines)
+        assert int(lines) == len((root / "src" / "varproj" / name).read_text().splitlines())
+    # The rule: docstrings, full-line comments and blank lines do not count.
+    spec = importlib.util.spec_from_file_location("code_lines", root / "tools" / "code_lines.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    source = ('"""Module.\n\nDocstring."""\n\n# comment\nx = 1  # kept\n\n'
+              'class C:\n    """Doc."""\n\n    def f(self):\n        """Doc."""\n'
+              '        return "#"\n')
+    assert tool.count(source) == (4, 13)
 
 
 class TestTable:

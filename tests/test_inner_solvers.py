@@ -1,8 +1,8 @@
 """Direct and LSQR inner solves, pseudoinverse applications, certificates."""
 
-import contextlib
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -121,12 +121,13 @@ class TestDirectSolve:
     @pytest.mark.parametrize("n", [128, 1024])
     def test_overflowed_gram_is_a_singular_system(self, n):
         # lam = 1e160 squares past the largest double: in dsyrk on the dense
-        # route (n = 128), and on the band route (n = 1024) in add_gram,
-        # which warns. No factorization or eigensolver gets the Gram.
+        # route (n = 128), and on the band route (n = 1024) in add_gram. No
+        # factorization or eigensolver gets the Gram, and the Gram's own
+        # check is the one verdict: numpy does not warn of the overflow.
         op = vp.stacked_operator(vp.build_problem(vp.BenchConfig(n=n, lam=1e160)), 2.0)
         for build in (DirectFactorization, vp.condition_number):
-            with (pytest.warns(RuntimeWarning, match="overflow") if n == 1024
-                  else contextlib.nullcontext()):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
                 with pytest.raises(SingularSystemError, match="non-finite entry"):
                     build(op)
 
@@ -559,6 +560,97 @@ class TestConditionNumberBound:
         assert fact.condition_number_below(1e4)
         assert not fact.normal.flags.writeable
         np.testing.assert_array_equal(fact.normal, before)
+
+
+def exact_gram(op):
+    """S^T S in exact rationals, for the S that the certificates of
+    ``op``'s Gram speak of: the materialized ``op.to_dense()`` on the dense
+    route; on the band route the Toeplitz A of the first row over the
+    difference rows with the exact products lam w_i, which ``add_gram``
+    rounds."""
+    n = op.cols
+    if normal_band(op) is None:
+        rows = [[Fraction(value) for value in row] for row in op.to_dense()]
+    else:
+        first = [Fraction(value) for value in op.top.first_row]
+        rows = [[first[abs(i - j)] for j in range(n)] for i in range(n)]
+        for i, weight in enumerate(op.bottom.weights):
+            scaled = Fraction(op.lam) * Fraction(weight)
+            rows.append([-scaled if j == i else scaled if j == i + 1 else 0 for j in range(n)])
+    return [[sum(row[i] * row[j] for row in rows) for j in range(n)] for i in range(n)]
+
+
+def eigenvalues_below(gram, t):
+    """How many eigenvalues of the exact symmetric ``gram`` lie below t: the
+    negative pivots of the LDL^T factorization of gram - t I, by Sylvester's
+    law of inertia. Eliminates the lower triangle only."""
+    n = len(gram)
+    a = [[gram[i][j] - (t if i == j else 0) for j in range(i + 1)] for i in range(n)]
+    negative = 0
+    for k in range(n):
+        pivot = a[k][k]
+        assert pivot != 0, "a zero pivot leaves the inertia undecided"
+        negative += pivot < 0
+        for i in range(k + 1, n):
+            factor = a[i][k] / pivot
+            for j in range(k + 1, i + 1):
+                a[i][j] -= factor * a[j][k]
+    return negative
+
+
+def eigenvalue_bracket(gram, index, estimate):
+    """Exact lo < hi with lo <= lambda_index < hi, eigenvalues counted from
+    the smallest, hi - lo <= 2^-70 hi, by bisection from a float estimate."""
+    lo = hi = Fraction(estimate)
+    step = abs(lo) * Fraction(1, 2**20)
+    while eigenvalues_below(gram, lo) > index:
+        lo, step = lo - step, 2 * step
+    while eigenvalues_below(gram, hi) <= index:
+        hi, step = hi + step, 2 * step
+    while hi - lo > hi / 2**70:
+        mid = (lo + hi) / 2
+        if eigenvalues_below(gram, mid) > index:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+class TestExactArithmeticOracle:
+    """kappa_bar and the kappa0 certificate against kappa_2(S) bracketed in
+    exact rationals, on both storages: numpy.linalg rejects longdouble, so
+    the reference is the exact S^T S and the exact inertia of its shifts."""
+
+    @pytest.mark.parametrize("route", ["dense", "band"])
+    def test_certificates_hold_against_exact_kappa(self, route):
+        rng = np.random.default_rng(31)
+        certified_above = 0
+        for case in range(8):
+            if route == "dense":
+                # A square top: kappa reaches the hundreds, not just 1-3.
+                n = int(rng.integers(2, 7))
+                op = random_stacked(rng, m=n, n=n)
+            else:
+                op = band_route_stack(8, 1, int(rng.integers(2**32)), float(rng.uniform(0.1, 2.0)))
+            fact = DirectFactorization(op)
+            assert fact.banded == (route == "band")
+            gram = exact_gram(op)
+            estimates = np.linalg.eigvalsh(np.array(gram, dtype=float))
+            lo_min, hi_min = eigenvalue_bracket(gram, 0, estimates[0])
+            lo_max, hi_max = eigenvalue_bracket(gram, op.cols - 1, estimates[-1])
+            # kappa_2(S)^2 = lambda_max / lambda_min lies in [below, above].
+            below, above = lo_max / hi_min, hi_max / lo_min
+            assert Fraction(fact.condition_number()) ** 2 >= above
+            kappa = math.sqrt(float(below))
+            limits = [kappa * (1.0 + sign * 10.0**-j) for j in (1, 3, 6) for sign in (-1, 1)]
+            for limit in [*limits, 2.0 * kappa]:
+                square = Fraction(limit) ** 2
+                assert square <= below or square > above  # the bracket decides
+                certified = fact.condition_number_below(limit)
+                assert not (certified and square <= below), (case, limit)
+                certified_above += certified
+        # The certificate is not vacuous: it holds for some limits above kappa.
+        assert certified_above > 0
 
 
 class TestLsqr:

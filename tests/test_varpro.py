@@ -378,6 +378,22 @@ class TestOuterLoops:
         with pytest.raises(ValueError, match="lambda must be nonnegative and finite"):
             solver(p.model, p.b, p.L, math.inf, np.array([1.6]), opts)
 
+    def test_nan_data_rejected(self, small_problem):
+        # The factorization skips scipy's scan of the finite Gram and factor,
+        # and a solve checks its right-hand side alone: NaN data is still a
+        # ValueError, from the exact solve and from LSQR.
+        p = small_problem
+        b = p.b.copy()
+        b[3] = math.nan
+        y0 = np.array([1.6])
+        with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+            vp.genvarpro(p.model, b, p.L, p.lam, y0)
+        with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+            vp.exact_residual(p.model, y0, b, p.L, p.lam)
+        opts = vp.OuterOptions(schedule=vp.ToleranceSchedule("fixed-small"))
+        with pytest.raises(ValueError, match="right-hand side must be finite"):
+            vp.inexact_genvarpro(p.model, b, p.L, p.lam, y0, opts)
+
     def test_inner_failure_gives_partial_trace(self):
         # Rank-deficient A with lam = 0 makes the normal equations singular.
         a = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
