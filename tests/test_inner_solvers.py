@@ -884,10 +884,22 @@ def _assert_same_solve(op, d, tolerance, operator_norm=None):
     return sol
 
 
+@pytest.fixture(scope="module")
+def band_system():
+    """The operator of the large-n1024 benchmark at y = 2 (n = 1024, seed 1),
+    its data [b; 0] and its initial tolerance from kappa_0."""
+    problem = vp.build_problem(vp.BenchConfig(n=1024))
+    op = vp.stacked_operator(problem, 2.0)
+    d = np.concatenate([problem.b, np.zeros(problem.L.rows)])
+    return op, d, vp.initial_tolerance(vp.condition_number(op))
+
+
 class TestScreenedLsqr:
-    """The screen changes which iterations are checked, never the result:
-    iterations, convergence, criterion and iterate are those of the loop that
-    checks every iteration, bit for bit."""
+    """The screen changes which iterations are checked, never the result of a
+    converged solve: iterations, criterion and iterate are those of the loop
+    that checks every iteration, bit for bit. An unconverged solve may differ
+    in its best iterate or its stall point, since iterations the screen skips
+    count neither as the best nor towards the stall window."""
 
     @pytest.mark.parametrize("y", [2.0, 3.0754, 4.0])
     def test_matches_every_iteration_loop_at_n128(self, problem, y):
@@ -902,15 +914,25 @@ class TestScreenedLsqr:
         # 1e-13 and 1e-15 are below the rounding floor: those solves stall.
         assert unconverged == 4
 
-    @pytest.mark.parametrize("tolerance", [1e-4, 1e-8])
-    def test_matches_every_iteration_loop_on_band_operator(self, tolerance):
-        problem = vp.build_problem(vp.BenchConfig(n=1024))
-        op = vp.stacked_operator(problem, 2.0)
+    @pytest.mark.parametrize("tolerance", [1e-4, 1e-8, pytest.param(None, id="eps0")])
+    def test_matches_every_iteration_loop_on_band_operator(self, band_system, tolerance):
+        op, d, eps0 = band_system
         assert normal_band(op) is not None
-        sol = _assert_same_solve(op, np.concatenate([problem.b, np.zeros(problem.L.rows)]),
-                                 tolerance)
+        sol = _assert_same_solve(op, d, eps0 if tolerance is None else tolerance)
         assert sol.converged
         assert len(sol.criterion_history) < sol.iterations
+
+    def test_checks_at_most_twice_at_the_initial_tolerance(self, band_system):
+        # A guard of the screen's margin that reads no timer: on the first
+        # inner solve of the large-n1024 benchmark, the estimate first falls
+        # below 1.25 times the tolerance at the crossing itself, so the true
+        # test runs once, at iteration 623; under a margin of 10 it ran at
+        # 389 of the 623 iterations. The [eps0] case above checks the result.
+        op, d, eps0 = band_system
+        assert 4.7e-5 < eps0 < 4.8e-5
+        sol = vp.lsqr_solve(op, d, eps0)
+        assert sol.converged
+        assert len(sol.criterion_history) <= 2
 
 
 @st.composite
@@ -947,6 +969,23 @@ def screened_systems(draw):
 
 class TestScreenedLsqrProperties:
     """Extends the fixed 200-system corpus of ``certificate_corpus``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(screened_systems())
+    def test_converged_solves_match_every_iteration_loop(self, case):
+        op, d, tolerance = case
+        norm = float(np.linalg.svd(op.to_dense(), compute_uv=False)[0])
+        if norm == 0.0:
+            return
+        for operator_norm in (None, norm):
+            sol = vp.lsqr_solve(op, d, tolerance, operator_norm=operator_norm)
+            if sol.iterations == 0:
+                continue
+            x, iterations, achieved, converged = _reference_lsqr(op, d, tolerance, operator_norm)
+            if sol.converged or converged:
+                assert (sol.iterations, sol.converged, sol.achieved_criterion) == (
+                    iterations, converged, achieved)
+                assert sol.x_bar.tobytes() == x.tobytes()
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(screened_systems())
